@@ -12,13 +12,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
 
-from .dynamics import KBMap, QuadraticMap, apply_map, exact_period
+from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period
 from .dynatomic import (
     dynatomic_polynomial,
     period4_dynatomic_factors,
     rational_roots,
 )
-from .core import ProjectivePoint, rational_sqrt
+from .core import rational_sqrt
 from .errors import DomainError, parameter_excluded
 from .polynomials import Poly
 
@@ -38,15 +38,6 @@ __all__ = [
 ]
 
 _HALF = Fraction(1, 2)
-
-
-def _cycle_from(m, start: Fraction, length: int) -> Tuple[Fraction, ...]:
-    pt = ProjectivePoint.from_rational(start)
-    out = []
-    for _ in range(length):
-        out.append(pt.to_rational())
-        pt = apply_map(m, pt)
-    return tuple(out)
 
 
 def quad_periodic_points(c: Fraction, n: int) -> FrozenSet[Fraction]:
@@ -79,7 +70,7 @@ def quad_period3_cycle(c: Fraction) -> Optional[Tuple[Fraction, Fraction, Fracti
     pts = quad_periodic_points(c, 3)
     if not pts:
         return None
-    return _cycle_from(QuadraticMap(Fraction(c)), max(pts), 3)
+    return cycle_from(QuadraticMap(Fraction(c)), max(pts), 3)
 
 
 @dataclass(frozen=True)
@@ -138,8 +129,7 @@ def kb_periodic_points(k: Fraction, b: Fraction, n: int) -> FrozenSet[Fraction]:
         return frozenset({s, -s})
     if n == 4:
         quartic, _ = period4_dynatomic_factors(m.k, m.b)
-        out = [r for r in rational_roots(quartic) if r != 0 and exact_period(m, r) == 4]
-        return frozenset(out)
+        return frozenset(r for r in rational_roots(quartic) if exact_period(m, r) == 4)
     raise parameter_excluded("n", n)
 
 
@@ -148,7 +138,7 @@ def kb_period4_cycle(k: Fraction, b: Fraction) -> Optional[Tuple[Fraction, ...]]
     pts = kb_periodic_points(k, b, 4)
     if not pts:
         return None
-    return _cycle_from(KBMap(Fraction(k), Fraction(b)), max(pts), 4)
+    return cycle_from(KBMap(Fraction(k), Fraction(b)), max(pts), 4)
 
 
 @dataclass(frozen=True)

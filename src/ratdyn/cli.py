@@ -74,16 +74,26 @@ def _rat_list(values) -> list:
 def _read_config(path: Optional[str]) -> dict:
     if not path:
         return {}
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DomainError(f"cannot read config file {path!r}: {reason}") from None
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"invalid config line: {line!r}")
-            key, val = line.split("=", 1)
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DomainError(f"invalid config line: {line!r}")
+        key, val = line.split("=", 1)
+        try:
             out[key.strip()] = int(val.strip())
+        except ValueError:
+            raise DomainError(
+                f"invalid config value in {path!r} line {lineno}: {line!r}"
+            ) from None
     return out
 
 

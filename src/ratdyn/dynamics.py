@@ -93,6 +93,16 @@ def apply_map(m: Map, p: ProjectivePoint) -> ProjectivePoint:
     return ProjectivePoint(kn * bd * x * x + bn * kd * y * y, kd * bd * x * y)
 
 
+def cycle_from(m: Map, start: Fraction, length: int) -> Tuple[Fraction, ...]:
+    """``start`` and its next ``length - 1`` images, for a finite cycle."""
+    pt = ProjectivePoint.from_rational(start)
+    out = []
+    for _ in range(length):
+        out.append(pt.to_rational())
+        pt = apply_map(m, pt)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class OrbitReport:
     """Forward-orbit summary.

@@ -8,9 +8,13 @@ division of the mu=+1 product by the mu=-1 product.  Every rational point of
 exact period n is a root of Phi*_n; the converse needs an exact-period
 filter because roots can have period strictly dividing n.
 
-Univariate polynomials are the y=1 dehomogenizations.  Dynatomic results are
-returned in canonical form: primitive integer coefficients, positive leading
-coefficient.
+Univariate polynomials are the y=1 dehomogenizations.  There is one iterate
+builder, on integer coefficient lists: with D = den(c) for z^2 + c and
+D = den(k) den(b) for kz + b/z, its k-th pair (f_k, g_k) is exactly
+D^(2^k - 1) times the dehomogenized k-th iterate.  The exact iterate and
+period polynomials divide that power back out; the dynatomic polynomial
+needs no division, since constant factors drop out of its canonical form:
+primitive integer coefficients, positive leading coefficient.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 from typing import FrozenSet, List, Optional, Tuple
 
 from . import _intpoly
-from .dynamics import DEFAULT_MAX_STEPS, KBMap, Map, QuadraticMap, exact_period
+from .dynamics import DEFAULT_MAX_STEPS, Map, QuadraticMap, exact_period
 from .errors import DomainError, parameter_excluded
 from .polynomials import HomogeneousPoly, Poly
 
@@ -70,28 +74,46 @@ class IteratePair:
     n: int
 
 
-def _dehom_pairs(m: Map, n: int) -> List[Tuple[Poly, Poly]]:
-    """(f_k, g_k) = dehomogenized iterate components for k = 1..n."""
+def _int_iterates(m: Map, n: int) -> Tuple[List[Tuple[List[int], List[int]]], int]:
+    """Integer iterate components (f_k, g_k) for k = 1..n, and the factor D.
+
+    Each (f_k, g_k) is exactly D^(2^k - 1) times the dehomogenized k-th
+    iterate, with D = den(c) for z^2 + c and D = den(k) den(b) for kz + b/z.
+    """
     if n < 1:
         raise parameter_excluded("n", n)
-    if isinstance(m, QuadraticMap):
-        f = Poly([m.c, 0, 1])
-        g = Poly([1])
-        step = lambda f, g: (f * f + (g * g).scale(m.c), g * g)
+    # f_1 = A z^2 + B and f' = A f^2 + B g^2, where A/D and B/D are the
+    # map's z^2 and constant coefficients (1, c or k, b); g' = D g^2 for
+    # z^2 + c and D f g for kz + b/z
+    quad = isinstance(m, QuadraticMap)
+    if quad:
+        A, B, D = m.c.denominator, m.c.numerator, m.c.denominator
     else:
-        f = Poly([m.b, 0, m.k])
-        g = Poly([0, 1])
-        step = lambda f, g: ((f * f).scale(m.k) + (g * g).scale(m.b), f * g)
+        kn, kd = m.k.numerator, m.k.denominator
+        bn, bd = m.b.numerator, m.b.denominator
+        A, B, D = kn * bd, bn * kd, kd * bd
+    f, g = [B, 0, A], ([D] if quad else [0, D])
     pairs = [(f, g)]
     for _ in range(n - 1):
-        f, g = step(f, g)
+        gg = _intpoly.pmul(g, g)
+        f, g = (
+            _intpoly.padd(_intpoly.pscale(_intpoly.pmul(f, f), A), _intpoly.pscale(gg, B)),
+            _intpoly.pscale(gg if quad else _intpoly.pmul(f, g), D),
+        )
         pairs.append((f, g))
-    return pairs
+    return pairs, D
+
+
+def _exact_iterate(m: Map, n: int) -> Tuple[Poly, Poly]:
+    """The dehomogenized n-th iterate (f_n, g_n) with exact coefficients."""
+    pairs, D = _int_iterates(m, n)
+    scale = D ** (2**n - 1)
+    return tuple(Poly([Fraction(c, scale) for c in v]) for v in pairs[-1])
 
 
 def iterate_pair(m: Map, n: int) -> IteratePair:
     """Symbolic homogeneous n-th iterate of the map."""
-    f, g = _dehom_pairs(m, n)[-1]
+    f, g = _exact_iterate(m, n)
     deg = 2**n
     return IteratePair(
         HomogeneousPoly.homogenize(f, deg), HomogeneousPoly.homogenize(g, deg), n
@@ -100,57 +122,13 @@ def iterate_pair(m: Map, n: int) -> IteratePair:
 
 def period_polynomial(m: Map, n: int) -> Poly:
     """Phi_n(z): the y=1 dehomogenization of y*F_n - x*G_n, exact coefficients."""
-    f, g = _dehom_pairs(m, n)[-1]
+    f, g = _exact_iterate(m, n)
     return f - Poly([0, 1]) * g
-
-
-def _int_period_polys(m: Map, n: int) -> List[List[int]]:
-    """Integer vectors proportional to Phi_1..Phi_n.
-
-    The iterate components are kept on one common integer scale, so
-    f_k - z*g_k stays proportional to the true period polynomial; constant
-    factors are irrelevant to roots and are stripped by the callers.
-    """
-    if n < 1:
-        raise parameter_excluded("n", n)
-    if isinstance(m, QuadraticMap):
-        e, d = m.c.numerator, m.c.denominator
-
-        def step(f, g):
-            gg = _intpoly.pmul(g, g)
-            return (
-                _intpoly.padd(
-                    _intpoly.pscale(_intpoly.pmul(f, f), d), _intpoly.pscale(gg, e)
-                ),
-                _intpoly.pscale(gg, d),
-            )
-
-        f, g = [e, 0, d], [d]
-    else:
-        kn, kd = m.k.numerator, m.k.denominator
-        bn, bd = m.b.numerator, m.b.denominator
-
-        def step(f, g):
-            return (
-                _intpoly.padd(
-                    _intpoly.pscale(_intpoly.pmul(f, f), kn * bd),
-                    _intpoly.pscale(_intpoly.pmul(g, g), bn * kd),
-                ),
-                _intpoly.pscale(_intpoly.pmul(f, g), kd * bd),
-            )
-
-        f, g = [bn * kd, 0, kn * bd], [0, kd * bd]
-    out = []
-    for k in range(1, n + 1):
-        if k > 1:
-            f, g = step(f, g)
-        out.append(_intpoly.pstrip(_intpoly.psub(f, [0] + list(g))))
-    return out
 
 
 def dynatomic_int(m: Map, n: int) -> List[int]:
     """Canonical integer coefficient vector of the n-th dynatomic polynomial."""
-    phis = _int_period_polys(m, n)
+    phis = [_intpoly.psub(f, [0] + g) for f, g in _int_iterates(m, n)[0]]
     num = [1]
     den = [1]
     for d in _divisors(n):
@@ -220,10 +198,4 @@ def periodic_points_exact(
 ) -> FrozenSet[Fraction]:
     """Rational points of exact period n: dynatomic roots + period filter."""
     roots = _intpoly.rational_roots_int(dynatomic_int(m, n), height_bound)
-    out = []
-    for r in roots:
-        if isinstance(m, KBMap) and r == 0:
-            continue
-        if exact_period(m, r, max_steps=max_steps) == n:
-            out.append(r)
-    return frozenset(out)
+    return frozenset(r for r in roots if exact_period(m, r, max_steps=max_steps) == n)

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Tuple
 
+from . import _intpoly
 from .core import format_rational
 from .errors import DomainError
 
@@ -147,19 +148,10 @@ class Poly:
         Sign is normalized so the leading coefficient is positive.  The zero
         polynomial maps to the empty tuple.
         """
-        if not self.coeffs:
-            return ()
         den = 1
         for c in self.coeffs:
             den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        if ints[-1] < 0:
-            ints = [-v for v in ints]
-        return tuple(ints)
+        return tuple(_intpoly.pprimitive([int(c * den) for c in self.coeffs]))
 
     def canonical(self) -> "Poly":
         """Primitive integer coefficients with positive leading coefficient."""

@@ -1,13 +1,13 @@
 """Height-bounded brute-force oracles.
 
 Scans enumerate exact rationals in the documented order (ascending height,
-then numerator, then denominator), decide exact periods through the
-dynatomic route (integer-scaled period polynomials, one exact division,
-bounded rational-root extraction, exact-period filter), and produce reports
-that are pure functions of their inputs.  Workers partition the enumeration
-into contiguous chunks and merge in chunk order, so any worker count yields
-byte-identical canonical output; ``elapsed`` is carried on the report object
-but never serialized.
+then numerator, then denominator), find each map's points of exact period n
+with ``dynatomic.periodic_points_exact`` (integer-scaled period polynomials,
+one exact division, bounded rational-root extraction, exact-period filter),
+and produce reports that are pure functions of their inputs.  Workers
+partition the list of maps into contiguous chunks and merge in chunk order,
+so any worker count yields byte-identical canonical output; ``elapsed`` is
+carried on the report object but never serialized.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from . import _intpoly
 from .core import (
     count_rationals,
     enumerate_rationals,
@@ -32,9 +31,9 @@ from .core import (
     is_rational_square,
     rational_sqrt,
 )
-from .dynamics import KBMap, QuadraticMap, exact_period
-from .dynatomic import dynatomic_int
-from .errors import DomainError, parameter_excluded
+from .dynamics import KBMap, QuadraticMap, cycle_from
+from .dynatomic import periodic_points_exact
+from .errors import parameter_excluded
 
 __all__ = [
     "ScanReport",
@@ -115,79 +114,37 @@ def _check_periods(periods) -> Tuple[int, ...]:
     return ps
 
 
-def _exact_period_points(m, n: int, point_bound: int) -> List[Fraction]:
-    """Height-bounded points of exact period n, sorted in enumeration order."""
-    roots = _intpoly.rational_roots_int(dynatomic_int(m, n), point_bound)
-    pts = [
-        r
-        for r in roots
-        if not (isinstance(m, KBMap) and r == 0) and exact_period(m, r) == n
-    ]
-    pts.sort(key=_rat_key)
-    return pts
-
-
 # --- workers (top level so they pickle) -----------------------------------
 
-def _quad_chunk(args) -> List[dict]:
-    cs, periods, point_bound = args
+def _periods_chunk(args) -> List[dict]:
+    maps, periods, point_bound = args
     hits = []
-    for c in cs:
-        m = QuadraticMap(c)
+    for m in maps:
         for n in periods:
-            for p in _exact_period_points(m, n, point_bound):
+            pts = periodic_points_exact(m, n, height_bound=point_bound)
+            for p in sorted(pts, key=_rat_key):
                 hits.append(
                     {"map": m.describe(), "point": format_rational(p), "period": n}
                 )
     return hits
 
-def _kb_chunk(args) -> List[dict]:
-    ks, height_b, periods, point_bound = args
-    bs = [b for b in enumerate_rationals(height_b) if b != 0]
-    hits = []
-    for k in ks:
-        for b in bs:
-            m = KBMap(k, b)
-            for n in periods:
-                for p in _exact_period_points(m, n, point_bound):
-                    hits.append(
-                        {"map": m.describe(), "point": format_rational(p), "period": n}
-                    )
-    return hits
 
-def _affine_image(m, z: Fraction) -> Fraction:
-    """Image of a finite point known to stay finite (cycle walking)."""
-    if isinstance(m, QuadraticMap):
-        return z * z + m.c
-    if z == 0:
-        raise DomainError("parameter excluded: z=0")
-    return m.k * z + m.b / z
+_CYCLE_LENGTHS = {QuadraticMap: (1, 2, 3), KBMap: (1, 2, 4)}
 
 
-def _cycles_chunk(args) -> List[Tuple[int, List[Tuple[Fraction, ...]]]]:
-    """Per map index: its rational cycles (each as a tuple in orbit order)."""
-    items, point_bound = args
+def _cycles_chunk(args) -> List[List[Tuple[Fraction, ...]]]:
+    """Per map: its rational cycles, each a tuple in orbit order."""
+    maps, point_bound = args
     out = []
-    for idx, kind, params in items:
-        if kind == "quad":
-            m = QuadraticMap(params[0])
-            periods = (1, 2, 3)
-        else:
-            m = KBMap(params[0], params[1])
-            periods = (1, 2, 4)
+    for m in maps:
         cycles = []
-        for n in periods:
-            pts = set(_exact_period_points(m, n, point_bound))
+        for n in _CYCLE_LENGTHS[type(m)]:
+            pts = set(periodic_points_exact(m, n, height_bound=point_bound))
             while pts:
-                start = min(pts, key=_rat_key)
-                cyc = [start]
-                cur = start
-                for _ in range(n - 1):
-                    cur = _affine_image(m, cur)
-                    cyc.append(cur)
+                cyc = cycle_from(m, min(pts, key=_rat_key), n)
                 pts.difference_update(cyc)
-                cycles.append(tuple(cyc))
-        out.append((idx, cycles))
+                cycles.append(cyc)
+        out.append(cycles)
     return out
 
 
@@ -213,6 +170,34 @@ def _split(seq: Sequence, parts: int) -> List[Sequence]:
     return [s for s in out if s]
 
 
+def _map_over(worker, maps: list, workers: int, *args) -> list:
+    """``worker`` over contiguous chunks of ``maps``, merged in chunk order."""
+    chunks = [(chunk,) + args for chunk in _split(maps, workers * 8)]
+    out: list = []
+    for part in _run_chunks(worker, chunks, workers):
+        out.extend(part)
+    return out
+
+
+def _check_scan(height_point: int, workers: int) -> None:
+    if height_point < 1:
+        raise parameter_excluded("height_point", height_point)
+    if workers < 1:
+        raise parameter_excluded("workers", workers)
+
+
+def _scan_periods(kind, box, periods, make_maps, workers) -> ScanReport:
+    """The period scans: validate, build the maps, fan out, report."""
+    periods = _check_periods(periods)
+    _check_scan(box["height_point"], workers)
+    t0 = time.perf_counter()
+    maps = make_maps()
+    hits = _map_over(_periods_chunk, maps, workers, periods, box["height_point"])
+    return ScanReport(
+        kind, box, periods, tuple(hits), len(maps), time.perf_counter() - t0
+    )
+
+
 def scan_quadratic_periods(
     height_c: int,
     height_point: int,
@@ -221,20 +206,12 @@ def scan_quadratic_periods(
 ) -> ScanReport:
     """Search z^2 + c, height(c) <= height_c, for rational points of the
     given exact periods with height <= height_point."""
-    periods = _check_periods(periods)
-    t0 = time.perf_counter()
-    cs = list(enumerate_rationals(height_c))
-    chunks = [(chunk, periods, height_point) for chunk in _split(cs, workers * 8)]
-    hits: List[dict] = []
-    for part in _run_chunks(_quad_chunk, chunks, workers):
-        hits.extend(part)
-    return ScanReport(
+    return _scan_periods(
         "quad",
         {"height_c": height_c, "height_point": height_point},
         periods,
-        tuple(hits),
-        len(cs),
-        time.perf_counter() - t0,
+        lambda: [QuadraticMap(c) for c in enumerate_rationals(height_c)],
+        workers,
     )
 
 
@@ -247,24 +224,18 @@ def scan_kb_periods(
 ) -> ScanReport:
     """Search kz + b/z over the (k, b) height box for rational points of the
     given exact periods with height <= height_point."""
-    periods = _check_periods(periods)
-    t0 = time.perf_counter()
-    ks = [k for k in enumerate_rationals(height_k) if k != 0]
-    n_b = count_rationals(height_b) - 1
-    chunks = [
-        (chunk, height_b, periods, height_point)
-        for chunk in _split(ks, workers * 8)
-    ]
-    hits: List[dict] = []
-    for part in _run_chunks(_kb_chunk, chunks, workers):
-        hits.extend(part)
-    return ScanReport(
+
+    def make_maps():
+        ks = [k for k in enumerate_rationals(height_k) if k != 0]
+        bs = [b for b in enumerate_rationals(height_b) if b != 0]
+        return [KBMap(k, b) for k in ks for b in bs]
+
+    return _scan_periods(
         "kb",
         {"height_k": height_k, "height_b": height_b, "height_point": height_point},
         periods,
-        tuple(hits),
-        len(ks) * n_b,
-        time.perf_counter() - t0,
+        make_maps,
+        workers,
     )
 
 
@@ -281,35 +252,15 @@ def scan_intersection_bound(
     4.  A hit carries both map descriptors, the shared point, and the
     intersection; identical-map pairs are skipped.
     """
+    _check_scan(height_point, workers)
     t0 = time.perf_counter()
-    maps: List[Tuple[int, str, tuple]] = []
-    idx = 0
-    for c in enumerate_rationals(bound):
-        maps.append((idx, "quad", (c,)))
-        idx += 1
+    maps: list = [QuadraticMap(c) for c in enumerate_rationals(bound)]
     nonzero = [r for r in enumerate_rationals(bound) if r != 0]
-    for k in nonzero:
-        for b in nonzero:
-            maps.append((idx, "kb", (k, b)))
-            idx += 1
-
-    chunks = [(chunk, height_point) for chunk in _split(maps, workers * 8)]
-    cycles_by_map: Dict[int, List[Tuple[Fraction, ...]]] = {}
-    for part in _run_chunks(_cycles_chunk, chunks, workers):
-        for i, cycles in part:
-            if cycles:
-                cycles_by_map[i] = cycles
-
-    descriptors = {}
-    for i, kind, params in maps:
-        if i in cycles_by_map:
-            descriptors[i] = (
-                QuadraticMap(*params) if kind == "quad" else KBMap(*params)
-            ).describe()
+    maps += [KBMap(k, b) for k in nonzero for b in nonzero]
 
     point_index: Dict[Fraction, List[Tuple[int, FrozenSet[Fraction]]]] = {}
-    for i in sorted(cycles_by_map):
-        for cyc in cycles_by_map[i]:
+    for i, cycles in enumerate(_map_over(_cycles_chunk, maps, workers, height_point)):
+        for cyc in cycles:
             cyc_set = frozenset(cyc)
             for p in cyc:
                 point_index.setdefault(p, []).append((i, cyc_set))
@@ -329,8 +280,8 @@ def scan_intersection_bound(
                     reported.add((i, j, common))
                     hits.append(
                         {
-                            "map1": descriptors[i],
-                            "map2": descriptors[j],
+                            "map1": maps[i].describe(),
+                            "map2": maps[j].describe(),
                             "point": format_rational(p),
                             "size": len(common),
                             "common": sorted(format_rational(x) for x in common),
@@ -441,13 +392,15 @@ def quartic_rational_points(
     """
     if bound < 1:
         raise parameter_excluded("bound", bound)
+    if workers < 1:
+        raise parameter_excluded("workers", workers)
     L, A = curve.integer_form()
     # int64 fast path only when no intermediate can overflow
     limit = (sum(abs(a) for a in A) + 1) * (bound + 1) ** 4 * L
     chunk_fn = _quartic_chunk_numpy if limit < 2**62 else _quartic_chunk_python
     t0 = time.perf_counter()
     vs = list(range(1, bound + 1))
-    parts = _split(vs, max(workers * 4, 1))
+    parts = _split(vs, workers * 4)
     chunks = [(p[0], p[-1] + 1, bound, L, A) for p in parts]
     raw: List[Tuple[int, int]] = []
     for part in _run_chunks(chunk_fn, chunks, workers):

@@ -29,7 +29,7 @@ from .classification import (
     period3_tau_cubics,
 )
 from .core import ProjectivePoint
-from .dynamics import KBMap, Map, QuadraticMap, apply_map, exact_period, orbit
+from .dynamics import KBMap, Map, QuadraticMap, cycle_from, exact_period, orbit
 from .dynatomic import rational_roots
 from .errors import DomainError, parameter_excluded
 
@@ -71,6 +71,9 @@ def _kb_row_period4(p: Fraction, s: Fraction) -> Tuple[Fraction, Fraction]:
     return 2 * s / (s * s - 1), -p * p * (s * s + 1) / (s * (s * s - 1))
 
 
+_ROW_BUILDERS = {1: _kb_row_fixed, 2: _kb_row_period2, 4: _kb_row_period4}
+
+
 def _check_s(name: str, s: Fraction, period: int) -> None:
     if s == 0 or s == 1 or (period == 4 and s == -1):
         raise parameter_excluded(name, s)
@@ -106,8 +109,7 @@ def _mixed_kb_part(p: Fraction, n: int, param: Fraction) -> Tuple[Fraction, Frac
             raise parameter_excluded("q", param)
         return (param - p) / p, -param * p
     if n == 4:
-        if param in (0, 1, -1):
-            raise parameter_excluded("m", param)
+        _check_s("m", param, 4)
         return _kb_row_period4(p, param)
     raise parameter_excluded("n", n)
 
@@ -154,21 +156,11 @@ def triples_period3(
         raise parameter_excluded("i", i)
     fam = period3_family(tau)  # validates tau
     x = fam.points[i - 1]
-    if n == 1:
-        if param == 0 or param == 1:
-            raise parameter_excluded("q", param)
-        k, b = 1 - param, param * x * x
-    elif n == 2:
-        if param == 0 or param == 1:
-            raise parameter_excluded("q", param)
-        k, b = param - 1, -param * x * x
-    elif n == 4:
-        if param in (0, 1, -1):
-            raise parameter_excluded("m", param)
-        k, b = _kb_row_period4(x, param)
-    else:
+    if n not in _ROW_BUILDERS:
         raise parameter_excluded("n", n)
     name = "m" if n == 4 else "q"
+    _check_s(name, param, n)
+    k, b = _ROW_BUILDERS[n](x, param)
     return MixedFamilyTriple(
         k, b, fam.c, 3, n, x, {"tau": tau, "i": Fraction(i), name: param}
     )
@@ -254,8 +246,6 @@ _ROW_PERIODS = {
     6: (2, 4),
 }
 
-_ROW_BUILDERS = {1: _kb_row_fixed, 2: _kb_row_period2, 4: _kb_row_period4}
-
 
 @dataclass(frozen=True)
 class KBPairQuadruple:
@@ -313,13 +303,7 @@ def two_point_intersection_kb(
     if case == 1:
         quad = kb_pair_family(2, p, s1, s2)
     elif case == 2:
-        _check_s("s1", s1, 2)
-        _check_s("s2", s2, 4)
-        k1, b1 = _kb_row_period2(p, s1)
-        k2, b2 = _kb_row_period4(p, s2)
-        quad = KBPairQuadruple(
-            k1, b1, k2, b2, (2, 4), p, {"p": p, "s1": s1, "s2": s2}
-        )
+        quad = kb_pair_family(6, p, s1, s2)
     elif case == 3:
         if s1 == s2 or s1 == -s2:
             raise DomainError("maps coincide up to sign")
@@ -439,15 +423,6 @@ class SharedMapEntry:
     cycle: Tuple[Fraction, ...]
 
 
-def _rotate_cycle(m: Map, q: Fraction, length: int) -> Tuple[Fraction, ...]:
-    pt = ProjectivePoint.from_rational(q)
-    out = []
-    for _ in range(length):
-        out.append(pt.to_rational())
-        pt = apply_map(m, pt)
-    return tuple(out)
-
-
 def quadratics_with_periodic_point(q: Fraction) -> List[SharedMapEntry]:
     """Every c with q periodic for z^2 + c (periods up to 3; at most three).
 
@@ -478,5 +453,5 @@ def quadratics_with_periodic_point(q: Fraction) -> List[SharedMapEntry]:
         if exact_period(m, q) != period:
             continue
         seen.add(c)
-        entries.append(SharedMapEntry(c, period, _rotate_cycle(m, q, period)))
+        entries.append(SharedMapEntry(c, period, cycle_from(m, q, period)))
     return entries

@@ -129,6 +129,43 @@ def test_config_file_supplies_scan_bounds(tmp_path):
     assert json.loads(out)["parameter_box"]["height_k"] == 3
 
 
+def test_config_file_bad_value_is_domain_error(tmp_path):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("# bounds\nheight_k = ten\n")
+    code, out = run(["scan", "--kind", "kb", "--periods", "1", "--config", str(cfg)])
+    assert code == 1
+    assert str(cfg) in out and "line 2" in out and "height_k = ten" in out
+
+
+def test_config_file_missing_is_domain_error(tmp_path):
+    cfg = tmp_path / "missing.cfg"
+    code, out = run(["scan", "--kind", "kb", "--periods", "1", "--config", str(cfg)])
+    assert code == 1
+    assert out.startswith("cannot read config file") and str(cfg) in out
+    code, out = run(["quartic", "--coeffs", "1,6,7,2,1", "--config", str(cfg)])
+    assert code == 1 and str(cfg) in out
+
+
+def test_scan_point_bound_below_one_exits_1():
+    code, out = run(
+        ["scan", "--kind", "quad", "--height-c", "2", "--height-point", "-3", "--periods", "1"]
+    )
+    assert code == 1 and out == "parameter excluded: height_point=-3"
+
+
+def test_scan_workers_zero_exits_1():
+    code, out = run(
+        ["scan", "--kind", "kb", "--height-k", "2", "--height-b", "2",
+         "--height-point", "10", "--periods", "1", "--workers", "0"]
+    )
+    assert code == 1 and out == "parameter excluded: workers=0"
+
+
+def test_quartic_negative_workers_exits_1():
+    code, out = run(["quartic", "--coeffs", "1,6,7,2,1", "--height", "20", "--workers", "-4"])
+    assert code == 1 and out == "parameter excluded: workers=-4"
+
+
 def test_quartic_csv():
     code, out = run(["quartic", "--coeffs", "1,6,7,2,1", "--height", "20", "--format", "csv"])
     assert code == 0

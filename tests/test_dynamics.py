@@ -8,6 +8,7 @@ from ratdyn.dynamics import (
     QuadraticMap,
     apply_map,
     aut_is_c2,
+    cycle_from,
     exact_period,
     kb_conjugate_equivalent,
     normalize_quadratic,
@@ -150,3 +151,20 @@ def test_conjugate_equivalent_maps_transport_cycles():
 def test_orbit_determinism():
     m = KBMap(F(24, 7), F(-300, 7))
     assert orbit(m, pt(3)) == orbit(m, pt(3))
+
+
+def test_cycle_from_matches_orbit_cycle():
+    starts = [
+        (QuadraticMap(F(0)), F(1)),
+        (QuadraticMap(F(-13)), F(3)),
+        (QuadraticMap(F(-13)), F(-4)),
+        (QuadraticMap(F(-29, 16)), F(-1, 4)),
+        (KBMap(F(24, 7), F(-300, 7)), F(3)),
+        (KBMap(F(4, 3), F(-10, 3)), F(-2)),
+        (KBMap(F(-1, 3), F(4, 3)), F(1)),
+        (KBMap(F(1), F(-2)), F(1)),
+    ]
+    for m, p in starts:
+        rep = orbit(m, pt(p))
+        assert rep.is_periodic and not rep.tail
+        assert cycle_from(m, p, len(rep.cycle)) == tuple(vals(rep.cycle)), (m, p)

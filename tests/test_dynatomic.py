@@ -81,6 +81,29 @@ def test_iterate_is_composition(rng):
         w = m.k * w + m.b / w
     assert ip.F.evaluate(z, F(1)) / ip.G.evaluate(z, F(1)) == w
 
+    # non-unit denominators, n = 1..4: the integer builder's scale D^(2^n-1)
+    # must divide back out exactly
+    maps = [
+        QuadraticMap(F(-7, 5)),
+        QuadraticMap(F(3, 8)),
+        KBMap(F(2, 3), F(-5, 4)),
+        KBMap(F(-9, 7), F(10, 3)),
+    ]
+    for m in maps:
+        for n in (1, 2, 3, 4):
+            ip = iterate_pair(m, n)
+            phi = period_polynomial(m, n)
+            for z in (F(5, 7), F(-3, 11), F(2), F(-13, 6)):
+                w = z
+                for _ in range(n):
+                    if isinstance(m, QuadraticMap):
+                        w = w * w + m.c
+                    else:
+                        w = m.k * w + m.b / w
+                fz, gz = ip.F.evaluate(z, F(1)), ip.G.evaluate(z, F(1))
+                assert fz / gz == w, (m, n, z)
+                assert phi(z) == gz * (w - z), (m, n, z)
+
 
 def test_period_polynomial_examples():
     assert period_polynomial(QuadraticMap(F(-13)), 1) == Poly([-13, -1, 1])
@@ -234,6 +257,23 @@ def test_periodic_points_orbit_scan_height_1000():
             found[len(rep.cycle)].add(p)
     assert found[2] == periodic_points_exact(m, 2)
     assert found[1] == set() and periodic_points_exact(m, 1) == frozenset()
+
+
+def test_kb_zero_is_never_periodic():
+    # a KB map sends 0 to the fixed point infinity, so 0 has no exact period
+    # and is never reported by the dynatomic route
+    maps = [
+        KBMap(F(1), F(1)),
+        KBMap(F(4, 3), F(-10, 3)),
+        KBMap(F(24, 7), F(-300, 7)),
+        KBMap(F(-1, 2), F(3)),
+        KBMap(F(2, 3), F(-5, 4)),
+    ]
+    for m in maps:
+        assert exact_period(m, 0) is None
+        for n in (1, 2, 4):
+            assert F(0) not in periodic_points_exact(m, n)
+            assert F(0) not in periodic_points_exact(m, n, height_bound=20)
 
 
 def test_dynatomic_rejects_bad_n():

@@ -53,6 +53,29 @@ def test_scan_rejects_bad_periods():
         scan_quadratic_periods(5, 50, set())
 
 
+def test_scans_reject_point_bound_below_one():
+    # a point bound below 1 admits no rational point; it must not scan
+    for bad in (0, -3):
+        with pytest.raises(DomainError, match=f"height_point={bad}"):
+            scan_quadratic_periods(2, bad, {1})
+        with pytest.raises(DomainError, match=f"height_point={bad}"):
+            scan_kb_periods(2, 2, bad, {1})
+        with pytest.raises(DomainError, match=f"height_point={bad}"):
+            scan_intersection_bound(2, bad)
+
+
+def test_scans_reject_workers_below_one():
+    for bad in (0, -4):
+        with pytest.raises(DomainError, match=f"workers={bad}"):
+            scan_quadratic_periods(2, 10, {1}, workers=bad)
+        with pytest.raises(DomainError, match=f"workers={bad}"):
+            scan_kb_periods(2, 2, 10, {1}, workers=bad)
+        with pytest.raises(DomainError, match=f"workers={bad}"):
+            scan_intersection_bound(2, 10, workers=bad)
+        with pytest.raises(DomainError, match=f"workers={bad}"):
+            quartic_rational_points(QuarticCurve(F(1), F(6), F(7), F(2), F(1)), 5, workers=bad)
+
+
 def test_scan_hits_in_enumeration_order():
     rep = scan_quadratic_periods(3, 50, {1, 2})
     maps = [h["map"] for h in rep.hits]
