@@ -111,19 +111,19 @@ def factorize(n: int) -> Dict[int, int]:
     return out
 
 
-def all_divisors(n: int) -> List[int]:
-    """All positive divisors of |n|, ascending."""
+def all_divisors(n: int, power: int = 1) -> List[int]:
+    """All positive d with d**power dividing |n|, ascending."""
     divs = [1]
     for p, e in factorize(n).items():
-        divs = [d * p**i for d in divs for i in range(e + 1)]
+        divs = [d * p**i for d in divs for i in range(e // power + 1)]
     divs.sort()
     return divs
 
 
-def divisors_up_to(n: int, bound: int) -> List[int]:
-    """Positive divisors of |n| that are <= bound, by direct trial."""
+def divisors_up_to(n: int, bound: int, power: int = 1) -> List[int]:
+    """Positive d <= bound with d**power dividing |n|, by direct trial."""
     n = abs(n)
-    return [d for d in range(1, bound + 1) if n % d == 0]
+    return [d for d in range(1, bound + 1) if n % d**power == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +224,11 @@ def phom_eval(c: Sequence[int], u: int, v: int) -> int:
 def rational_roots_int(coeffs: Sequence[int], height_bound: Optional[int] = None) -> List[Fraction]:
     """Rational roots of an integer polynomial via divisor pairs.
 
-    Candidates u/v come from u | a0, v | a_lead (rational root theorem).
-    With ``height_bound`` the divisors are enumerated only up to the bound by
-    direct trial, which keeps huge scan coefficients cheap; without it the
-    full divisor sets are built from a prime factorization.  The classical
+    Candidates u/v come from u | a0, v | a_lead (rational root theorem);
+    when P(z) = Q(z^2) is even, w = u^2/v^2 is a root of Q, so u^2 | a0 and
+    v^2 | a_lead.  With ``height_bound`` the candidates are enumerated only
+    up to the bound by direct trial, which keeps huge scan coefficients
+    cheap; without it they are built from a prime factorization.  The classical
     (u - v) | P(1) and (u + v) | P(-1) filters and a single-word modular
     check reject almost every candidate before any big evaluation.
     """
@@ -261,27 +262,14 @@ def rational_roots_int(coeffs: Sequence[int], height_bound: Optional[int] = None
                         roots.append(r)
         return sorted(set(roots))
 
-    # even polynomial: recurse on w = z^2 (constant term nonzero here)
-    if all(v == 0 for v in c[1::2]):
-        wb = height_bound * height_bound if height_bound is not None else None
-        for w in rational_roots_int(c[0::2], wb):
-            if w <= 0:
-                continue
-            num, den = w.numerator, w.denominator
-            sn, sd = math.isqrt(num), math.isqrt(den)
-            if sn * sn == num and sd * sd == den:
-                if height_bound is None or max(sn, sd) <= height_bound:
-                    r = Fraction(sn, sd)
-                    roots.extend([r, -r])
-        return sorted(set(roots))
-
     a0, alead = c[0], c[-1]
+    # P(z) = Q(z^2) (a0 != 0 here): a root u/v has u^2 | a0 and v^2 | a_lead
+    power = 1 if any(c[1::2]) else 2
     if height_bound is None:
-        us = all_divisors(a0)
-        vs = all_divisors(alead)
+        us, vs = all_divisors(a0, power), all_divisors(alead, power)
     else:
-        us = divisors_up_to(a0, height_bound)
-        vs = divisors_up_to(alead, height_bound)
+        us = divisors_up_to(a0, height_bound, power)
+        vs = divisors_up_to(alead, height_bound, power)
 
     # integer Cauchy windows: every root u/v has |u| <= ub*v and v <= lb*|u|
     ub = max(abs(x) for x in c[:-1]) // abs(alead) + 2

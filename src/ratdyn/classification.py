@@ -13,11 +13,7 @@ from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
 
 from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period
-from .dynatomic import (
-    dynatomic_polynomial,
-    period4_dynatomic_factors,
-    rational_roots,
-)
+from .dynatomic import dynatomic_polynomial, rational_roots
 from .core import rational_sqrt
 from .errors import DomainError, parameter_excluded
 from .polynomials import Poly
@@ -108,9 +104,11 @@ def kb_periodic_points(k: Fraction, b: Fraction, n: int) -> FrozenSet[Fraction]:
     """Rational points of exact period n (n in 1, 2, 4) of kz + b/z.
 
     Fixed points are +-m with b/(1-k) = m^2 (k != 1); period-2 points are
-    +-m with b/(k+1) = -m^2 (k != -1); period-4 points are the rational
-    roots of the quartic dynatomic factor that survive the exact-period
-    filter.
+    +-m with b/(k+1) = -m^2 (k != -1).  Period-4 points are the rational
+    roots of the quartic factor of Phi*_4 that survive the exact-period
+    filter.  In w = z^2 that factor is (k+k^3)w^2 + 2b(1+k^2)w + b^2 k, of
+    discriminant 4b^2(1+k^2); so with s^2 = 1+k^2 its roots are
+    w = -b(s -+ 1)/(ks), and z = +-sqrt(w).
     """
     m = KBMap(Fraction(k), Fraction(b))
     if n == 1:
@@ -128,8 +126,15 @@ def kb_periodic_points(k: Fraction, b: Fraction, n: int) -> FrozenSet[Fraction]:
             return frozenset()
         return frozenset({s, -s})
     if n == 4:
-        quartic, _ = period4_dynatomic_factors(m.k, m.b)
-        return frozenset(r for r in rational_roots(quartic) if exact_period(m, r) == 4)
+        s = rational_sqrt(1 + m.k * m.k)
+        if s is None:
+            return frozenset()
+        pts = set()
+        for w in (-m.b * (s - 1) / (m.k * s), -m.b * (s + 1) / (m.k * s)):
+            r = rational_sqrt(w)
+            if r is not None:
+                pts.update((r, -r))
+        return frozenset(r for r in pts if exact_period(m, r) == 4)
     raise parameter_excluded("n", n)
 
 

@@ -71,6 +71,9 @@ def _rat_list(values) -> list:
     return [format_rational(v) for v in values]
 
 
+_CONFIG_KEYS = frozenset(DEFAULT_BOUNDS) | {"height"}
+
+
 def _read_config(path: Optional[str]) -> dict:
     if not path:
         return {}
@@ -87,9 +90,13 @@ def _read_config(path: Optional[str]) -> dict:
             continue
         if "=" not in line:
             raise DomainError(f"invalid config line: {line!r}")
-        key, val = line.split("=", 1)
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise DomainError(
+                f"unknown config key in {path!r} line {lineno}: {key!r}"
+            )
         try:
-            out[key.strip()] = int(val.strip())
+            out[key] = int(val)
         except ValueError:
             raise DomainError(
                 f"invalid config value in {path!r} line {lineno}: {line!r}"

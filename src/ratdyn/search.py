@@ -33,7 +33,7 @@ from .core import (
 )
 from .dynamics import KBMap, QuadraticMap, cycle_from
 from .dynatomic import periodic_points_exact
-from .errors import parameter_excluded
+from .errors import DomainError, parameter_excluded
 
 __all__ = [
     "ScanReport",
@@ -116,12 +116,19 @@ def _check_periods(periods) -> Tuple[int, ...]:
 
 # --- workers (top level so they pickle) -----------------------------------
 
+def _exact_points(m, n: int, point_bound: int) -> FrozenSet[Fraction]:
+    try:
+        return periodic_points_exact(m, n, height_bound=point_bound)
+    except DomainError as exc:
+        raise DomainError(f"{m.describe()}, n={n}: {exc}") from None
+
+
 def _periods_chunk(args) -> List[dict]:
     maps, periods, point_bound = args
     hits = []
     for m in maps:
         for n in periods:
-            pts = periodic_points_exact(m, n, height_bound=point_bound)
+            pts = _exact_points(m, n, point_bound)
             for p in sorted(pts, key=_rat_key):
                 hits.append(
                     {"map": m.describe(), "point": format_rational(p), "period": n}
@@ -139,7 +146,7 @@ def _cycles_chunk(args) -> List[List[Tuple[Fraction, ...]]]:
     for m in maps:
         cycles = []
         for n in _CYCLE_LENGTHS[type(m)]:
-            pts = set(periodic_points_exact(m, n, height_bound=point_bound))
+            pts = set(_exact_points(m, n, point_bound))
             while pts:
                 cyc = cycle_from(m, min(pts, key=_rat_key), n)
                 pts.difference_update(cyc)

@@ -14,8 +14,8 @@ from ratdyn.classification import (
     quad_witness,
 )
 from ratdyn.dynamics import KBMap, QuadraticMap, apply_map, exact_period
-from ratdyn.dynatomic import periodic_points_exact
-from ratdyn.core import ProjectivePoint
+from ratdyn.dynatomic import period4_dynatomic_factors, periodic_points_exact, rational_roots
+from ratdyn.core import ProjectivePoint, enumerate_rationals
 from ratdyn.errors import DomainError
 from tests.conftest import sample_rationals
 
@@ -86,6 +86,28 @@ def test_kb_period4_family_cycle_order(rng):
         for expected in fam.points[1:] + (fam.points[0],):
             pt = apply_map(kbm, pt)
             assert pt.to_rational() == expected
+
+
+def _kb_period4_by_quartic(k, b):
+    # the dynatomic route: rational roots of the quartic factor of Phi*_4
+    quartic, _ = period4_dynatomic_factors(k, b)
+    return frozenset(r for r in rational_roots(quartic) if exact_period(KBMap(k, b), r) == 4)
+
+
+def test_kb_period4_closed_form_matches_quartic_roots():
+    rats = [r for r in enumerate_rationals(6) if r != 0]
+    pairs = [(k, b) for k in rats for b in rats]
+    for m in enumerate_rationals(6):
+        if m not in (0, 1, -1):
+            fam = kb_period4_family(m)
+            assert set(fam.points) <= kb_periodic_points(fam.k, fam.b, 4)
+            pairs += [(fam.k, fam.b), (fam.k, 4 * fam.b), (-fam.k, fam.b)]
+    found = 0
+    for k, b in pairs:
+        pts = kb_periodic_points(k, b, 4)
+        assert pts == _kb_period4_by_quartic(k, b), (k, b)
+        found += bool(pts)
+    assert found >= 2 * 44  # each family map and its b -> 4b rescaling
 
 
 def test_kb_fixed_and_period2_examples():

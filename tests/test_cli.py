@@ -137,6 +137,16 @@ def test_config_file_bad_value_is_domain_error(tmp_path):
     assert str(cfg) in out and "line 2" in out and "height_k = ten" in out
 
 
+def test_config_file_unknown_key_is_domain_error(tmp_path):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("height_b = 2\nheigth_k = 2\n")
+    code, out = run(["scan", "--kind", "kb", "--periods", "1", "--config", str(cfg)])
+    assert code == 1
+    assert str(cfg) in out and "line 2" in out and "'heigth_k'" in out
+    code, out = run(["quartic", "--coeffs", "1,6,7,2,1", "--config", str(cfg)])
+    assert code == 1 and "'heigth_k'" in out
+
+
 def test_config_file_missing_is_domain_error(tmp_path):
     cfg = tmp_path / "missing.cfg"
     code, out = run(["scan", "--kind", "kb", "--periods", "1", "--config", str(cfg)])

@@ -12,6 +12,7 @@ from ratdyn.dynatomic import (
     periodic_points_exact,
     rational_roots,
 )
+from ratdyn import _intpoly
 from ratdyn.errors import DomainError
 from ratdyn.polynomials import Poly
 from tests.conftest import sample_rationals
@@ -205,6 +206,47 @@ def test_rational_roots_height_bound():
     poly = Poly([-101, 1]) * Poly([-2, 1])  # roots 101 and 2
     assert rational_roots(poly) == {F(101), F(2)}
     assert rational_roots(poly, height_bound=50) == {F(2)}
+
+
+def _even_poly(pairs, extra=()):
+    # prod (v^2 z^2 - u^2) over the pairs (u, v), times rootless even factors
+    p = [1]
+    for u, v in pairs:
+        p = _intpoly.pmul(p, [-u * u, 0, v * v])
+    for f in extra:
+        p = _intpoly.pmul(p, f)
+    return p
+
+
+def _general_branch_roots(poly, height_bound):
+    # the factor (17z - 1) breaks the parity, so the general branch runs;
+    # planted denominators stay below 17, so 1/17 is never a planted root
+    mixed = _intpoly.pmul(poly, [-1, 17])
+    assert any(mixed[1::2])
+    return set(_intpoly.rational_roots_int(mixed, height_bound)) - {F(1, 17)}
+
+
+def test_even_branch_matches_general_branch(rng):
+    B = 12
+    cases = [
+        ([(1, 2), (1, 2)], ()),  # (4z^2 - 1)^2: repeated root
+        ([(B, 1), (B + 1, 1), (5, B), (7, B + 1)], ()),  # heights B and B+1
+        ([(B, 5), (3, 7)], ([-3, 0, 2], [1, 0, 1])),  # with rootless factors
+        ([(2, 3), (B + 1, B)], ([5, 0, 0, 0, 1],)),
+    ]
+    for _ in range(15):
+        rs = [F(rng.randint(1, B + 3), rng.randint(1, B + 3)) for _ in range(rng.randint(1, 4))]
+        pairs = [(r.numerator, r.denominator) for r in rs]
+        cases.append((pairs, ([-2, 0, 1],) if rng.random() < 0.5 else ()))
+    for pairs, extra in cases:
+        poly = _even_poly(pairs, extra)
+        planted = {s * F(u, v) for u, v in pairs for s in (1, -1)}
+        for bound in (None, B):
+            want = {r for r in planted
+                    if bound is None or max(abs(r.numerator), r.denominator) <= bound}
+            got = _intpoly.rational_roots_int(poly, bound)
+            assert got == sorted(want)
+            assert set(got) == _general_branch_roots(poly, bound)
 
 
 def test_periodic_points_exact_examples():

@@ -76,6 +76,24 @@ def test_scans_reject_workers_below_one():
             quartic_rational_points(QuarticCurve(F(1), F(6), F(7), F(2), F(1)), 5, workers=bad)
 
 
+def test_worker_errors_name_map_and_period(monkeypatch):
+    from ratdyn import search
+
+    real = search.periodic_points_exact
+
+    def failing(m, n, **kw):
+        if m.describe() == "kb:k=2,b=-1" and n == 4:
+            raise DomainError("dynatomic division failed")
+        return real(m, n, **kw)
+
+    monkeypatch.setattr(search, "periodic_points_exact", failing)
+    msg = "kb:k=2,b=-1, n=4: dynatomic division failed"
+    with pytest.raises(DomainError, match=msg):
+        scan_kb_periods(2, 2, 10, {1, 4}, workers=1)
+    with pytest.raises(DomainError, match=msg):
+        scan_intersection_bound(2, 10, workers=1)
+
+
 def test_scan_hits_in_enumeration_order():
     rep = scan_quadratic_periods(3, 50, {1, 2})
     maps = [h["map"] for h in rep.hits]
