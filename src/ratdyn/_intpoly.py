@@ -1,8 +1,8 @@
 """Integer polynomial helpers and integer factoring for root extraction.
 
-Coefficient vectors are plain ``list[int]`` in ascending degree.  The scan
-loops run entirely on these (no Fraction overhead); results are converted at
-the boundary.  Factoring is trial division plus Brent's cycle method with a
+Coefficient vectors are plain ``list[int]`` in ascending degree.  The
+dynatomic route runs entirely on these (no Fraction overhead); results are
+converted at the boundary.  Factoring is trial division plus Brent's cycle method with a
 Miller-Rabin primality test; dynatomic coefficients are highly smooth
 (products of small map parameters), so this never stalls in practice.
 """
@@ -227,7 +227,7 @@ def rational_roots_int(coeffs: Sequence[int], height_bound: Optional[int] = None
     Candidates u/v come from u | a0, v | a_lead (rational root theorem);
     when P(z) = Q(z^2) is even, w = u^2/v^2 is a root of Q, so u^2 | a0 and
     v^2 | a_lead.  With ``height_bound`` the candidates are enumerated only
-    up to the bound by direct trial, which keeps huge scan coefficients
+    up to the bound by direct trial, which keeps huge dynatomic coefficients
     cheap; without it they are built from a prime factorization.  The classical
     (u - v) | P(1) and (u + v) | P(-1) filters and a single-word modular
     check reject almost every candidate before any big evaluation.

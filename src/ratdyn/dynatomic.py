@@ -181,8 +181,8 @@ def rational_roots(p: Poly, height_bound: Optional[int] = None) -> FrozenSet[Fra
 
     Denominators are cleared and the rational root theorem is applied to
     integer divisor pairs.  ``height_bound`` restricts the search to roots of
-    height <= bound (used by the scans, where coefficients are huge but only
-    bounded points matter).
+    height <= bound (for huge coefficients when only bounded points matter,
+    as in the scans' dynatomic oracle).
     """
     if p.is_zero:
         raise DomainError("zero polynomial has all roots")

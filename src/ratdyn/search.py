@@ -1,22 +1,31 @@
-"""Height-bounded brute-force oracles.
+"""Height-bounded scans and the quartic point search.
 
 Scans enumerate exact rationals in the documented order (ascending height,
-then numerator, then denominator), find each map's points of exact period n
-with ``dynatomic.periodic_points_exact`` (integer-scaled period polynomials,
-one exact division, bounded rational-root extraction, exact-period filter),
-and produce reports that are pure functions of their inputs.  Workers
-partition the list of maps into contiguous chunks and merge in chunk order,
-so any worker count yields byte-identical canonical output; ``elapsed`` is
-carried on the report object but never serialized.
+then numerator, then denominator) and find each map's points of exact
+period n and height <= B with a good-reduction sieve.  Every sieve prime p
+exceeds 2B and every numerator and denominator of the maps' parameters, so
+each map has good reduction at p and reduction commutes with iteration: a
+rational point of exact period n reduces to a residue z with f^n(z) == z in
+P^1(F_p), and a point u/v with v <= B reduces to an affine residue.  The
+sieve iterates every map over all of F_p with numpy; each periodic residue
+r mod the first prime and each v <= B leave at most one u in [-B, B] with
+u = r v mod p; the other primes' masks filter those candidates, and
+``exact_period`` confirms the survivors.  A scan thus finds exactly the
+points of height <= B and exact period n: the set that
+``dynatomic.periodic_points_exact`` returns with ``height_bound=B``.
+Workers partition the list of maps into contiguous chunks and merge in
+chunk order, so any worker count yields byte-identical canonical output;
+``elapsed`` is carried on the report object but never serialized.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from multiprocessing import get_context
 from typing import Dict, FrozenSet, List, Sequence, Tuple
@@ -31,8 +40,7 @@ from .core import (
     is_rational_square,
     rational_sqrt,
 )
-from .dynamics import KBMap, QuadraticMap, cycle_from
-from .dynatomic import periodic_points_exact
+from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period
 from .errors import DomainError, parameter_excluded
 
 __all__ = [
@@ -114,26 +122,114 @@ def _check_periods(periods) -> Tuple[int, ...]:
     return ps
 
 
+# --- the good-reduction sieve ----------------------------------------------
+
+_PRIMES = 3  # sieve primes per chunk
+_BLOCK = 64  # maps per mask block
+_CELLS = 2**16  # cap on maps * p and on residues * bound in one array
+
+
+def _inverses(p: int) -> np.ndarray:
+    """x^(p-2) mod p for x = 0..p: inverses mod p, and 0 at 0 and at p."""
+    x, out, e = np.arange(p + 1, dtype=np.int64) % p, 1, p - 2
+    while e:  # square and multiply
+        if e & 1:
+            out = out * x % p
+        x, e = x * x % p, e >> 1
+    return out
+
+
+def _period_bits(quad: bool, coef: np.ndarray, p: int, inv: np.ndarray, periods) -> np.ndarray:
+    """bits[i, z] has bit n - 1 set when f_i^n(z) == z in P^1(F_p), for n in
+    ``periods``; ``coef`` holds each map's (c) or (k, b) mod p.  Residue p
+    is infinity, fixed by both families; a KB map sends 0 there.  A step is
+    a lookup in the maps' step tables, laid end to end."""
+    z = np.arange(p + 1, dtype=np.int64)
+    a, b = coef[:, :1], coef[:, -1:]
+    step = z * z + a if quad else a * z + b * inv
+    step %= p
+    step[:, [p] if quad else [0, p]] = p
+    off = np.arange(len(coef))[:, None] * (p + 1)
+    step += off
+    table, start = step.ravel(), off + z[:p]
+    bits = np.zeros(start.shape, dtype=np.uint8)
+    z = start
+    for n in range(1, periods[-1] + 1):
+        z = table[z]
+        if n in periods:
+            bits |= (z == start).astype(np.uint8) << (n - 1)
+    return bits
+
+
+def _candidates(block, periods, bound: int, primes, inverses):
+    """(row, u, v, bits) for each u/v in lowest terms with |u|, v <= bound
+    that is periodic mod every prime under the block's ``row``-th map."""
+    fr = [[(x.numerator, x.denominator) for x in astuple(m)] for m in block]
+    num, den = np.moveaxis(np.array(fr, dtype=np.int64), -1, 0)
+    quad = isinstance(block[0], QuadraticMap)
+    bits = [_period_bits(quad, num % p * inv[den] % p, p, inv, periods) for p, inv in zip(primes, inverses)]
+    # a periodic residue r mod p1 and a v <= bound leave one u = r v mod p1
+    # in a window of length p1 > 2 * bound; it is a candidate if |u| <= bound
+    p1 = primes[0]
+    rows, rs = np.nonzero(bits[0])
+    per = max(1, _CELLS // bound)
+    for at in range(0, len(rs), per):
+        row, r = rows[at : at + per, None], rs[at : at + per, None]
+        v = np.arange(1, bound + 1, dtype=np.int64)
+        u = r * v
+        u %= p1
+        u[u > bound] -= p1
+        flag = bits[0][row, r] * (u >= -bound)
+        for q, inv, bq in zip(primes[1:], inverses[1:], bits[1:]):
+            flag &= bq[row, u * inv[v] % q]
+            live = np.nonzero(flag)
+            row, u, v, flag = (np.broadcast_to(a, flag.shape)[live] for a in (row, u, v, flag))
+        keep = np.gcd(u, v) == 1
+        yield from zip(*(a[keep].tolist() for a in (row, u, v, flag)))
+
+
+def _exact_points(m, n: int, candidates) -> FrozenSet[Fraction]:
+    """The candidates of exact period n, by the dynatomic route's certificate."""
+    return frozenset(r for r in candidates if exact_period(m, r) == n)
+
+
+def _sieve(maps, periods_of, bound: int) -> List[Dict[int, List[Fraction]]]:
+    """Per map m, its points of exact period n with height <= ``bound`` for
+    each n in ``periods_of[type(m)]``, in ``_rat_key`` order (see the module docstring)."""
+    top = max([2 * bound] + [height(x) for m in maps for x in astuple(m)])
+    ps = (p for p in itertools.count(top + 1) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+    primes = list(itertools.islice(ps, _PRIMES))
+    inverses = [_inverses(p) for p in primes]
+    rows = max(1, min(_BLOCK, _CELLS // primes[-1]))
+    found = [{n: [] for n in periods_of[type(m)]} for m in maps]
+    for cls, periods in periods_of.items():
+        idx = [i for i, m in enumerate(maps) if type(m) is cls]
+        for at in range(0, len(idx), rows):
+            part = idx[at : at + rows]
+            for i, u, v, f in _candidates([maps[i] for i in part], periods, bound, primes, inverses):
+                for n in periods:
+                    if f >> (n - 1) & 1:
+                        found[part[i]][n].append(Fraction(u, v))
+    for m, cands in zip(maps, found):
+        for n, pts in cands.items():
+            try:
+                cands[n] = sorted(_exact_points(m, n, pts), key=_rat_key)
+            except DomainError as exc:
+                raise DomainError(f"{m.describe()}, n={n}: {exc}") from None
+    return found
+
+
 # --- workers (top level so they pickle) -----------------------------------
-
-def _exact_points(m, n: int, point_bound: int) -> FrozenSet[Fraction]:
-    try:
-        return periodic_points_exact(m, n, height_bound=point_bound)
-    except DomainError as exc:
-        raise DomainError(f"{m.describe()}, n={n}: {exc}") from None
-
 
 def _periods_chunk(args) -> List[dict]:
     maps, periods, point_bound = args
-    hits = []
-    for m in maps:
-        for n in periods:
-            pts = _exact_points(m, n, point_bound)
-            for p in sorted(pts, key=_rat_key):
-                hits.append(
-                    {"map": m.describe(), "point": format_rational(p), "period": n}
-                )
-    return hits
+    found = _sieve(maps, {QuadraticMap: periods, KBMap: periods}, point_bound)
+    return [
+        {"map": m.describe(), "point": format_rational(p), "period": n}
+        for m, pts in zip(maps, found)
+        for n in periods
+        for p in pts[n]
+    ]
 
 
 _CYCLE_LENGTHS = {QuadraticMap: (1, 2, 3), KBMap: (1, 2, 4)}
@@ -143,10 +239,10 @@ def _cycles_chunk(args) -> List[List[Tuple[Fraction, ...]]]:
     """Per map: its rational cycles, each a tuple in orbit order."""
     maps, point_bound = args
     out = []
-    for m in maps:
+    for m, found in zip(maps, _sieve(maps, _CYCLE_LENGTHS, point_bound)):
         cycles = []
         for n in _CYCLE_LENGTHS[type(m)]:
-            pts = set(_exact_points(m, n, point_bound))
+            pts = set(found[n])
             while pts:
                 cyc = cycle_from(m, min(pts, key=_rat_key), n)
                 pts.difference_update(cyc)
@@ -161,25 +257,19 @@ def _run_chunks(worker, chunks, workers: int):
     try:
         with get_context("fork").Pool(min(workers, len(chunks))) as pool:
             return pool.map(worker, chunks)
-    except (OSError, ImportError):
-        return [worker(ch) for ch in chunks]
+    except (OSError, ImportError) as exc:
+        raise DomainError(f"worker pool failed: {exc}") from None
 
 
 def _split(seq: Sequence, parts: int) -> List[Sequence]:
-    parts = max(1, min(parts, len(seq)))
-    size, extra = divmod(len(seq), parts)
-    out = []
-    at = 0
-    for i in range(parts):
-        step = size + (1 if i < extra else 0)
-        out.append(seq[at : at + step])
-        at += step
-    return [s for s in out if s]
+    """``seq`` in at most ``parts`` contiguous nonempty pieces."""
+    ends = [len(seq) * i // parts for i in range(parts + 1)]
+    return [seq[a:b] for a, b in zip(ends, ends[1:]) if a < b]
 
 
 def _map_over(worker, maps: list, workers: int, *args) -> list:
     """``worker`` over contiguous chunks of ``maps``, merged in chunk order."""
-    chunks = [(chunk,) + args for chunk in _split(maps, workers * 8)]
+    chunks = [(chunk,) + args for chunk in _split(maps, workers * 8 if workers > 1 else 1)]
     out: list = []
     for part in _run_chunks(worker, chunks, workers):
         out.extend(part)
@@ -187,7 +277,7 @@ def _map_over(worker, maps: list, workers: int, *args) -> list:
 
 
 def _check_scan(height_point: int, workers: int) -> None:
-    if height_point < 1:
+    if not 1 <= height_point <= 10**6:  # the sieve holds arrays of ~2 * height_point
         raise parameter_excluded("height_point", height_point)
     if workers < 1:
         raise parameter_excluded("workers", workers)

@@ -171,6 +171,21 @@ def test_scan_workers_zero_exits_1():
     assert code == 1 and out == "parameter excluded: workers=0"
 
 
+def test_scan_failed_worker_pool_exits_1(monkeypatch):
+    from ratdyn import search
+
+    class NoFork:
+        def Pool(self, processes):
+            raise OSError("cannot fork")
+
+    monkeypatch.setattr(search, "get_context", lambda method: NoFork())
+    code, out = run(
+        ["scan", "--kind", "quad", "--height-c", "3", "--height-point", "10",
+         "--periods", "1", "--workers", "2"]
+    )
+    assert code == 1 and out == "worker pool failed: cannot fork"
+
+
 def test_quartic_negative_workers_exits_1():
     code, out = run(["quartic", "--coeffs", "1,6,7,2,1", "--height", "20", "--workers", "-4"])
     assert code == 1 and out == "parameter excluded: workers=-4"

@@ -1,7 +1,14 @@
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ratdyn import search
+from ratdyn.classification import kb_period4_family, period3_family
+from ratdyn.core import height
+from ratdyn.dynamics import KBMap, QuadraticMap
+from ratdyn.dynatomic import periodic_points_exact
 from ratdyn.errors import DomainError
 from ratdyn.search import (
     QuarticCurve,
@@ -64,6 +71,17 @@ def test_scans_reject_point_bound_below_one():
             scan_intersection_bound(2, bad)
 
 
+def test_scans_reject_point_bound_above_sieve_limit():
+    # the sieve's arrays grow with the point bound; past 10**6 it refuses
+    bad = 10**6 + 1
+    with pytest.raises(DomainError, match=f"height_point={bad}"):
+        scan_quadratic_periods(2, bad, {1})
+    with pytest.raises(DomainError, match=f"height_point={bad}"):
+        scan_kb_periods(2, 2, bad, {1})
+    with pytest.raises(DomainError, match=f"height_point={bad}"):
+        scan_intersection_bound(2, bad)
+
+
 def test_scans_reject_workers_below_one():
     for bad in (0, -4):
         with pytest.raises(DomainError, match=f"workers={bad}"):
@@ -77,21 +95,141 @@ def test_scans_reject_workers_below_one():
 
 
 def test_worker_errors_name_map_and_period(monkeypatch):
-    from ratdyn import search
+    # the sieve confirms every (map, n) through _exact_points, even with no
+    # candidates; an error there names the map and n
+    real = search._exact_points
 
-    real = search.periodic_points_exact
-
-    def failing(m, n, **kw):
+    def failing(m, n, candidates):
         if m.describe() == "kb:k=2,b=-1" and n == 4:
-            raise DomainError("dynatomic division failed")
-        return real(m, n, **kw)
+            raise DomainError("exact-period check failed")
+        return real(m, n, candidates)
 
-    monkeypatch.setattr(search, "periodic_points_exact", failing)
-    msg = "kb:k=2,b=-1, n=4: dynatomic division failed"
+    monkeypatch.setattr(search, "_exact_points", failing)
+    msg = "kb:k=2,b=-1, n=4: exact-period check failed"
     with pytest.raises(DomainError, match=msg):
         scan_kb_periods(2, 2, 10, {1, 4}, workers=1)
     with pytest.raises(DomainError, match=msg):
         scan_intersection_bound(2, 10, workers=1)
+
+
+def test_failed_worker_pool_is_domain_error(monkeypatch):
+    class NoFork:
+        def Pool(self, processes):
+            raise OSError("cannot fork")
+
+    monkeypatch.setattr(search, "get_context", lambda method: NoFork())
+    msg = "worker pool failed: cannot fork"
+    with pytest.raises(DomainError, match=msg):
+        scan_quadratic_periods(3, 10, {1}, workers=2)
+    with pytest.raises(DomainError, match=msg):
+        scan_intersection_bound(2, 10, workers=2)
+    with pytest.raises(DomainError, match=msg):
+        quartic_rational_points(QuarticCurve(F(1), F(6), F(7), F(2), F(1)), 20, workers=2)
+    # one worker never builds a pool
+    assert scan_quadratic_periods(2, 10, {1}, workers=1).hits
+
+
+# --- the sieve against the dynatomic route ----------------------------------
+
+def _rationals(max_height, nonzero=False):
+    r = st.builds(F, st.integers(-max_height, max_height), st.integers(1, max_height))
+    return r.filter(lambda x: x != 0) if nonzero else r
+
+
+_MAPS = st.one_of(
+    st.builds(QuadraticMap, _rationals(60)),
+    st.builds(KBMap, _rationals(60, nonzero=True), _rationals(60, nonzero=True)),
+)
+_PERIODS = st.sets(st.integers(1, 8), min_size=1, max_size=2).map(sorted).map(tuple)
+
+
+def _assert_sieve_is_dynatomic(maps, periods_of, bound):
+    found = search._sieve(maps, periods_of, bound)
+    for m, pts in zip(maps, found):
+        for n in periods_of[type(m)]:
+            want = sorted(periodic_points_exact(m, n, height_bound=bound), key=search._rat_key)
+            assert pts[n] == want, (m.describe(), n, bound)
+    return found
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_MAPS, min_size=1, max_size=6), _PERIODS, _PERIODS, st.integers(1, 8))
+@example([QuadraticMap(F(-13)), KBMap(F(4, 3), F(-10, 3))], (2,), (4,), 1)
+@example([KBMap(F(4, 3), F(-10, 3)), QuadraticMap(F(-29, 16))], (3,), (4,), 2)
+def test_sieve_matches_dynatomic_on_mixed_chunks(maps, quad_periods, kb_periods, bound):
+    # parameters reach height 60, past 2 * bound, so the sieve's primes must
+    # step past them; a chunk mixes both families, as the intersection scan's do
+    _assert_sieve_is_dynatomic(maps, {QuadraticMap: quad_periods, KBMap: kb_periods}, bound)
+
+
+def _planted(kind, z, k):
+    """A map with z on a cycle, and the cycle's length."""
+    if kind == "quad1":
+        return QuadraticMap(z - z * z), 1
+    if kind == "quad2":  # z -> -z-1 -> z
+        return QuadraticMap(-(z * z + z + 1)), 2
+    if kind == "kb1":
+        return KBMap(k, z * z * (1 - k)), 1
+    return KBMap(k, -z * z * (1 + k)), 2  # z -> -z -> z
+
+
+@st.composite
+def _planted_cases(draw):
+    kind = draw(st.sampled_from(["quad1", "quad2", "kb1", "kb2", "quad3", "kb4"]))
+    if kind == "quad3":
+        fam = period3_family(draw(_rationals(2, nonzero=True).filter(lambda t: t != -1)))
+        m, z, n = QuadraticMap(fam.c), fam.x1, 3
+    elif kind == "kb4":
+        fam = kb_period4_family(draw(_rationals(3).filter(lambda t: t not in (0, 1, -1))))
+        m, z, n = KBMap(fam.k, fam.b), fam.points[0], 4
+    else:
+        h = draw(st.integers(1, 8))
+        u, v = draw(st.sampled_from([(s * h, w) for s in (1, -1) for w in range(1, h + 1)]
+                                    + [(w, h) for w in range(-h, h + 1)]))
+        k = draw(_rationals(20, nonzero=True).filter(lambda x: x not in (1, -1)))
+        if math.gcd(u, v) != 1 or (kind.startswith("kb") and u == 0):
+            u, v = h, 1
+        z = F(u, v)
+        m, n = _planted(kind, z, k)
+        if kind == "quad2" and z == F(-1, 2):
+            n = 1
+    return m, z, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(_planted_cases(), st.integers(0, 1), _PERIODS)
+@example((QuadraticMap(F(0)), F(1), 1), 0, (1,))
+@example((QuadraticMap(F(-2)), F(2), 1), 1, (1, 8))
+@example((KBMap(F(3), F(-8)), F(2), 1), 0, (1, 7))
+def test_sieve_finds_planted_points_of_height_bound(case, shift, periods):
+    # the planted point has height exactly B (shift 0) or B + 1 (shift 1)
+    m, z, n = case
+    bound = height(z) - shift
+    if bound < 1:
+        return
+    periods = tuple(sorted(set(periods) | {n}))
+    found = _assert_sieve_is_dynatomic([m], {type(m): periods}, bound)[0]
+    assert (z in found[n]) == (shift == 0)
+
+
+def test_quartic_kernels_agree_across_the_int64_switch():
+    # y^2 = t^4 + 2000001 has t = +-1000 (y = 1000001); quartic_rational_points
+    # takes the numpy kernel while its overflow limit is below 2**62
+    curve = QuarticCurve(F(1), F(0), F(0), F(0), F(2000001))
+    L, A = curve.integer_form()
+
+    def limit(bound):
+        return (sum(abs(a) for a in A) + 1) * (bound + 1) ** 4 * L
+
+    below = max(b for b in range(1000, 1300) if limit(b) < 2**62)
+    assert limit(below + 1) >= 2**62
+    for bound in (below, below + 1):
+        for vlo, vhi in ((1, 3), (bound - 1, bound + 1)):
+            args = (vlo, vhi, bound, L, A)
+            got = search._quartic_chunk_numpy(args)
+            assert sorted(got) == sorted(search._quartic_chunk_python(args))
+            if vlo == 1:
+                assert {(1000, 1), (-1000, 1)} <= set(got)
 
 
 def test_scan_hits_in_enumeration_order():
