@@ -176,6 +176,14 @@ class ProjectivePoint:
     def from_rational(cls, r: Fraction) -> "ProjectivePoint":
         return cls(r.numerator, r.denominator)
 
+    @classmethod
+    def _canonical(cls, x: int, y: int) -> "ProjectivePoint":
+        """Wrap a pair already in canonical form, skipping the gcd."""
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "x", x)
+        object.__setattr__(pt, "y", y)
+        return pt
+
     @property
     def is_infinity(self) -> bool:
         return self.y == 0
@@ -185,9 +193,6 @@ class ProjectivePoint:
         if self.y == 0:
             return None
         return Fraction(self.x, self.y)
-
-    def point_height(self) -> int:
-        return max(abs(self.x), abs(self.y))
 
     def __repr__(self):
         return f"ProjectivePoint({self.x}, {self.y})"

@@ -2,17 +2,18 @@
 
 ``QuadraticMap(c)`` is f(z) = z^2 + c with homogeneous form
 [x^2 + c y^2 : y^2]; ``KBMap(k, b)`` is phi(z) = k z + b/z with homogeneous
-form [k x^2 + b y^2 : x y].  Orbits are computed with exact projective
-arithmetic and cycle detection by a visited-point set: over Q an orbit
-either repeats or its heights blow up, and the step bound (plus an optional
-height bound) handles wandering points.
+form [k x^2 + b y^2 : x y].  Orbits are computed on coprime int pairs with
+cycle detection by a visited-point set: over Q an orbit either repeats or
+its heights blow up.  ``exact_period`` stops at the map's proven escape
+bound K(m), ``orbit`` at its step bound and optional height bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from math import gcd
+from typing import Callable, Optional, Tuple, Union
 
 from .core import ProjectivePoint, is_rational_square
 from .errors import DomainError, parameter_excluded
@@ -32,11 +33,10 @@ __all__ = [
 
 DEFAULT_MAX_STEPS = 64
 
-# Wandering orbits of both families square their heights every step, so a
-# walk that passes this bound cannot be closing up on any cycle of a map
-# with desk-scale coefficients; it reports bound-exceeded instead of
-# computing astronomically large exact values.  Pass height_bound=None to
-# disable the guard.
+# ``orbit``'s default display guard for library callers: wandering orbits
+# square their heights every step.  It proves nothing about cycles;
+# ``exact_period`` and ``periodic_points_exact`` stop at the map's proven
+# escape bound K(m) instead.  Pass height_bound=None to disable the guard.
 DEFAULT_HEIGHT_BOUND = 10**150
 
 
@@ -79,27 +79,49 @@ def aut_is_c2(m: KBMap) -> bool:
     return m.k != Fraction(-1, 2)
 
 
+def _walker(m: Map) -> Tuple[Callable[[int, int], Tuple[int, int]], int]:
+    """The step (x, y) -> (F, G) / gcd(F, G) on canonical coprime pairs, and K.
+
+    H(m(P)) >= H(P)^2 / K, so past K heights grow strictly: no cycle has a
+    point above K.  For coprime (x, y) the identities
+      quad, c = n/d:  d^2 x^3 = (d x) F - (n x) G,  d^2 y^3 = (d y) G
+      KB, A = kn bd, B = bn kd, C = kd bd:
+          B (C x F - B y G) = ABC x^3,  A (C y F - A x G) = ABC y^3
+    show gcd(F, G) | e = d^2 (resp. ABC), which the step uses, and give
+    K = d + |n| (resp. max(|B|(C+|B|), |A|(C+|A|))); compare Silverman,
+    The Arithmetic of Dynamical Systems, Prop. 2.13.
+    """
+    if quad := isinstance(m, QuadraticMap):  # (F, G) = (a x^2 + b y^2, c y^2)
+        n, d = m.c.as_integer_ratio()
+        a, b, c, e, bound = d, n, d, d * d, d + abs(n)
+    else:  # (F, G) = (a x^2 + b y^2, c x y)
+        (kn, kd), (bn, bd) = m.k.as_integer_ratio(), m.b.as_integer_ratio()
+        a, b, c = kn * bd, bn * kd, kd * bd
+        e, bound = a * b * c, max(abs(b) * (c + abs(b)), abs(a) * (c + abs(a)))
+
+    def step(x, y):
+        f, g = a * x * x + b * y * y, c * y * (y if quad else x)
+        h = gcd(gcd(f, e), g) * (1 if (g or f) > 0 else -1)  # y > 0, or (1 : 0)
+        return f // h, g // h
+
+    return step, bound
+
+
 def apply_map(m: Map, p: ProjectivePoint) -> ProjectivePoint:
     """Exact image of p in P^1(Q), canonicalized.
 
     Infinity is fixed by both families; a KB map sends 0 to infinity.
     """
-    x, y = p.x, p.y
-    if isinstance(m, QuadraticMap):
-        cn, cd = m.c.numerator, m.c.denominator
-        return ProjectivePoint(cd * x * x + cn * y * y, cd * y * y)
-    kn, kd = m.k.numerator, m.k.denominator
-    bn, bd = m.b.numerator, m.b.denominator
-    return ProjectivePoint(kn * bd * x * x + bn * kd * y * y, kd * bd * x * y)
+    return ProjectivePoint._canonical(*_walker(m)[0](p.x, p.y))
 
 
 def cycle_from(m: Map, start: Fraction, length: int) -> Tuple[Fraction, ...]:
     """``start`` and its next ``length - 1`` images, for a finite cycle."""
-    pt = ProjectivePoint.from_rational(start)
+    step, x, y = _walker(m)[0], start.numerator, start.denominator
     out = []
     for _ in range(length):
-        out.append(pt.to_rational())
-        pt = apply_map(m, pt)
+        out.append(Fraction(x, y) if y else None)
+        x, y = step(x, y)
     return tuple(out)
 
 
@@ -137,38 +159,46 @@ def orbit(
     """
     if max_steps < 1:
         raise parameter_excluded("max_steps", max_steps)
-    seen = [start]
-    index = {start: 0}
+    if height_bound is not None and height_bound < 1:
+        raise parameter_excluded("height_bound", height_bound)
+    step = _walker(m)[0]
+    seen = [(start.x, start.y)]
+    index = {seen[0]: 0}
     while True:
-        nxt = apply_map(m, seen[-1])
-        hit = index.get(nxt)
-        if hit is not None:
-            return OrbitReport(tuple(seen[:hit]), tuple(seen[hit:]), "periodic")
-        if len(seen) >= max_steps:
-            return OrbitReport(tuple(seen), (), "bound-exceeded")
-        if height_bound is not None and nxt.point_height() > height_bound:
-            seen.append(nxt)
-            return OrbitReport(tuple(seen), (), "bound-exceeded")
-        index[nxt] = len(seen)
+        nxt = step(*seen[-1])
+        if nxt in index or len(seen) >= max_steps:
+            break
         seen.append(nxt)
-
-
-def _as_point(p) -> ProjectivePoint:
-    if isinstance(p, ProjectivePoint):
-        return p
-    return ProjectivePoint.from_rational(Fraction(p))
+        if height_bound is not None and max(abs(nxt[0]), nxt[1]) > height_bound:
+            break
+        index[nxt] = len(seen) - 1
+    hit = index.get(nxt, len(seen))
+    points = tuple(ProjectivePoint._canonical(x, y) for x, y in seen)
+    return OrbitReport(points[:hit], points[hit:], "periodic" if hit < len(seen) else "bound-exceeded")
 
 
 def exact_period(m: Map, p, max_steps: int = DEFAULT_MAX_STEPS) -> Optional[int]:
     """Least n <= max_steps with m^n(p) == p, or None.
 
     Returns None for points that are preperiodic with a nonempty tail and for
-    points whose orbit did not close within the bound.  Accepts a
-    ProjectivePoint or anything convertible to Fraction.
+    points whose orbit did not close within the bound.  A walk that passes
+    the map's escape bound K (``_walker``) stops at once: no cycle lies above
+    it.  Accepts a ProjectivePoint or anything convertible to Fraction.
     """
-    rep = orbit(m, _as_point(p), max_steps=max_steps)
-    if rep.status == "periodic" and not rep.tail:
-        return len(rep.cycle)
+    if max_steps < 1:
+        raise parameter_excluded("max_steps", max_steps)
+    step, bound = _walker(m)
+    if not isinstance(p, (ProjectivePoint, Fraction)):
+        p = Fraction(p)
+    start = x, y = (p.x, p.y) if isinstance(p, ProjectivePoint) else p.as_integer_ratio()
+    seen = {start}
+    for n in range(1, max_steps + 1):
+        if abs(x) > bound or y > bound:
+            return None
+        x, y = step(x, y)
+        if (x, y) in seen:
+            return n if (x, y) == start else None
+        seen.add((x, y))
     return None
 
 

@@ -28,8 +28,7 @@ from .classification import (
     period3_family,
     period3_tau_cubics,
 )
-from .core import ProjectivePoint
-from .dynamics import KBMap, Map, QuadraticMap, cycle_from, exact_period, orbit
+from .dynamics import KBMap, Map, QuadraticMap, cycle_from, exact_period
 from .dynatomic import rational_roots
 from .errors import DomainError, parameter_excluded
 
@@ -172,16 +171,12 @@ def triples_period3(
 def orbit_intersection(m1: Map, m2: Map, p: Fraction) -> FrozenSet[Fraction]:
     """Exact intersection of the two orbit sets of a common periodic point."""
     p = Fraction(p)
-    start = ProjectivePoint.from_rational(p)
-    reps = []
+    sets = []
     for m in (m1, m2):
-        rep = orbit(m, start)
-        if not (rep.is_periodic and not rep.tail):
+        n = exact_period(m, p)
+        if n is None:
             raise DomainError("not a common periodic point")
-        reps.append(rep)
-    sets = [
-        {pt.to_rational() for pt in rep.cycle} for rep in reps
-    ]
+        sets.append(set(cycle_from(m, p, n)))
     return frozenset(sets[0] & sets[1])
 
 

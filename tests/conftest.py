@@ -2,6 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
+
+from ratdyn.dynamics import KBMap, QuadraticMap
+
+# 2-cycle points {p, -p-1} of z^2 - (p^2+p+1) just below and just above
+# 10**150, the former absolute height guard of every orbit walk
+GUARD_SIDES = [10**150 - 2, 10**151]
 
 
 def sample_rationals(rng, count, bound, nonzero=False, exclude=()):
@@ -24,3 +31,15 @@ def sample_rationals(rng, count, bound, nonzero=False, exclude=()):
 @pytest.fixture
 def rng():
     return random.Random(20110)
+
+
+def rationals(max_height, nonzero=False):
+    """Hypothesis strategy for rationals n/d with |n|, d <= max_height."""
+    r = st.builds(Fraction, st.integers(-max_height, max_height), st.integers(1, max_height))
+    return r.filter(lambda x: x != 0) if nonzero else r
+
+
+RANDOM_MAPS = st.one_of(
+    st.builds(QuadraticMap, rationals(60)),
+    st.builds(KBMap, rationals(60, nonzero=True), rationals(60, nonzero=True)),
+)

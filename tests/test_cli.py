@@ -6,6 +6,7 @@ import pytest
 from ratdyn.cli import parse_map, run
 from ratdyn.dynamics import KBMap, QuadraticMap
 from ratdyn.errors import DomainError
+from tests.conftest import GUARD_SIDES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -82,6 +83,25 @@ def test_exit_codes():
     assert code == 0
     code, out = run(["intersect", "--map1", "quad:c=0", "--map2", "kb:k=1,b=1", "--point", "2"])
     assert code == 1 and "not a common periodic point" in out
+
+
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_orbit_height_bound_below_one_exits_1(bound):
+    code, out = run(["orbit", "--map", "quad:c=0", "--point", "3", "--height-bound", bound])
+    assert code == 1 and out == f"parameter excluded: height_bound={bound}"
+
+
+def test_period_max_steps_zero_exits_1():
+    code, out = run(["period", "--map", "quad:c=0", "--point", "0", "--max-steps", "0"])
+    assert code == 1 and out == "parameter excluded: max_steps=0"
+
+
+@pytest.mark.parametrize("p", GUARD_SIDES, ids=["below", "above"])
+def test_period_of_two_cycle_on_both_sides_of_old_guard(p):
+    c = -(p * p + p + 1)
+    for point in (p, -p - 1):
+        code, out = run(["period", "--map", f"quad:c={c}", "--point", str(point)])
+        assert code == 0 and json.loads(out)["exact_period"] == 2
 
 
 def test_domain_error_for_degenerate_kb():

@@ -1,11 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ratdyn.classification import quad_periodic_points
 from ratdyn.core import INFINITY, ProjectivePoint
 from ratdyn.dynamics import (
     KBMap,
     QuadraticMap,
+    _walker,
     apply_map,
     aut_is_c2,
     cycle_from,
@@ -14,8 +17,10 @@ from ratdyn.dynamics import (
     normalize_quadratic,
     orbit,
 )
+from ratdyn.dynatomic import periodic_points_exact
 from ratdyn.errors import DomainError
-from tests.conftest import sample_rationals
+from ratdyn.simultaneous import two_point_intersection_mixed
+from tests.conftest import GUARD_SIDES, RANDOM_MAPS, rationals, sample_rationals
 
 
 def pt(r):
@@ -73,6 +78,12 @@ def test_orbit_height_guard_reports_bound_exceeded():
     rep = orbit(QuadraticMap(F(0)), pt(2), 64, height_bound=10**6)
     assert rep.status == "bound-exceeded"
     assert len(rep.tail) < 64
+
+
+def test_orbit_rejects_height_bound_below_one():
+    for bad in (0, -5):
+        with pytest.raises(DomainError, match=f"height_bound={bad}"):
+            orbit(QuadraticMap(F(0)), pt(2), height_bound=bad)
 
 
 def test_exact_period_examples():
@@ -168,3 +179,52 @@ def test_cycle_from_matches_orbit_cycle():
         rep = orbit(m, pt(p))
         assert rep.is_periodic and not rep.tail
         assert cycle_from(m, p, len(rep.cycle)) == tuple(vals(rep.cycle)), (m, p)
+
+
+@pytest.mark.parametrize("p", GUARD_SIDES, ids=["below", "above"])
+def test_quad_two_cycle_on_both_sides_of_old_guard(p):
+    p = F(p)
+    m = QuadraticMap(-(p * p + p + 1))
+    assert exact_period(m, p) == 2 and exact_period(m, -p - 1) == 2
+    assert periodic_points_exact(m, 2) == quad_periodic_points(m.c, 2) == {p, -p - 1}
+
+
+@st.composite
+def _map_and_start(draw):
+    """A random map, or one with a planted cycle through p, and a start."""
+    p = draw(st.one_of(rationals(50), rationals(10**100)).filter(lambda r: r not in (0, -1, F(-1, 2))))
+    kind = draw(st.sampled_from(["random", "quad1", "kb1", "quad2", "kb4"]))
+    if kind == "random":
+        m = draw(RANDOM_MAPS)
+    elif kind == "quad1":
+        m = QuadraticMap(p - p * p)
+    elif kind == "kb1":
+        k = draw(rationals(60, nonzero=True).filter(lambda r: r != 1))
+        m = KBMap(k, p * p * (1 - k))
+    else:
+        t = two_point_intersection_mixed(p, draw(st.sampled_from([1, -1])))
+        m = t.quadratic() if kind == "quad2" else t.kb()
+    return m, draw(st.one_of(st.just(p), rationals(8), rationals(10**100)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_map_and_start())
+def test_step_matches_fraction_arithmetic(case):
+    m, p = case
+    img = p * p + m.c if isinstance(m, QuadraticMap) else (m.k * p + m.b / p if p else None)
+    want = (1, 0) if img is None else (img.numerator, img.denominator)
+    assert _walker(m)[0](p.numerator, p.denominator) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_map_and_start(), st.integers(1, 6))
+@example((QuadraticMap(F(-(10**302 + 10**151 + 1))), F(10**151)), 2)
+@example((two_point_intersection_mixed(F(10**151), -1).kb(), F(-(10**151) - 1)), 4)
+def test_exact_period_matches_unguarded_orbit(case, steps):
+    m, p = case
+    rep = orbit(m, pt(p), max_steps=steps, height_bound=None)
+    want = len(rep.cycle) if rep.is_periodic and not rep.tail else None
+    assert exact_period(m, p, max_steps=steps) == want
+    if want is not None:
+        bound = _walker(m)[1]
+        assert all(max(abs(q.x), q.y) <= bound for q in rep.cycle)

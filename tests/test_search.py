@@ -17,6 +17,7 @@ from ratdyn.search import (
     scan_kb_periods,
     scan_quadratic_periods,
 )
+from tests.conftest import RANDOM_MAPS, rationals
 
 def test_quad_scan_small_boxes():
     rep = scan_quadratic_periods(5, 50, {3})
@@ -131,15 +132,6 @@ def test_failed_worker_pool_is_domain_error(monkeypatch):
 
 # --- the sieve against the dynatomic route ----------------------------------
 
-def _rationals(max_height, nonzero=False):
-    r = st.builds(F, st.integers(-max_height, max_height), st.integers(1, max_height))
-    return r.filter(lambda x: x != 0) if nonzero else r
-
-
-_MAPS = st.one_of(
-    st.builds(QuadraticMap, _rationals(60)),
-    st.builds(KBMap, _rationals(60, nonzero=True), _rationals(60, nonzero=True)),
-)
 _PERIODS = st.sets(st.integers(1, 8), min_size=1, max_size=2).map(sorted).map(tuple)
 
 
@@ -153,7 +145,7 @@ def _assert_sieve_is_dynatomic(maps, periods_of, bound):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(_MAPS, min_size=1, max_size=6), _PERIODS, _PERIODS, st.integers(1, 8))
+@given(st.lists(RANDOM_MAPS, min_size=1, max_size=6), _PERIODS, _PERIODS, st.integers(1, 8))
 @example([QuadraticMap(F(-13)), KBMap(F(4, 3), F(-10, 3))], (2,), (4,), 1)
 @example([KBMap(F(4, 3), F(-10, 3)), QuadraticMap(F(-29, 16))], (3,), (4,), 2)
 def test_sieve_matches_dynatomic_on_mixed_chunks(maps, quad_periods, kb_periods, bound):
@@ -177,16 +169,16 @@ def _planted(kind, z, k):
 def _planted_cases(draw):
     kind = draw(st.sampled_from(["quad1", "quad2", "kb1", "kb2", "quad3", "kb4"]))
     if kind == "quad3":
-        fam = period3_family(draw(_rationals(2, nonzero=True).filter(lambda t: t != -1)))
+        fam = period3_family(draw(rationals(2, nonzero=True).filter(lambda t: t != -1)))
         m, z, n = QuadraticMap(fam.c), fam.x1, 3
     elif kind == "kb4":
-        fam = kb_period4_family(draw(_rationals(3).filter(lambda t: t not in (0, 1, -1))))
+        fam = kb_period4_family(draw(rationals(3).filter(lambda t: t not in (0, 1, -1))))
         m, z, n = KBMap(fam.k, fam.b), fam.points[0], 4
     else:
         h = draw(st.integers(1, 8))
         u, v = draw(st.sampled_from([(s * h, w) for s in (1, -1) for w in range(1, h + 1)]
                                     + [(w, h) for w in range(-h, h + 1)]))
-        k = draw(_rationals(20, nonzero=True).filter(lambda x: x not in (1, -1)))
+        k = draw(rationals(20, nonzero=True).filter(lambda x: x not in (1, -1)))
         if math.gcd(u, v) != 1 or (kind.startswith("kb") and u == 0):
             u, v = h, 1
         z = F(u, v)

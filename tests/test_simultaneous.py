@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ratdyn.dynamics import KBMap, QuadraticMap, exact_period
+from ratdyn.dynamics import KBMap, QuadraticMap, cycle_from, exact_period
 from ratdyn.errors import DomainError
 from ratdyn.simultaneous import (
     kb_pair_family,
@@ -16,7 +16,7 @@ from ratdyn.simultaneous import (
     two_point_intersection_mixed,
     two_point_intersection_period3,
 )
-from tests.conftest import sample_rationals
+from tests.conftest import GUARD_SIDES, sample_rationals
 
 
 def check_triple(trip):
@@ -121,6 +121,16 @@ def test_two_point_intersection_mixed_size_two(rng):
             got = orbit_intersection(t.quadratic(), t.kb(), p)
             assert got == {p, -p - 1}
             assert len(got) == 2
+
+
+@pytest.mark.parametrize("p", GUARD_SIDES, ids=["below", "above"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_two_point_intersection_mixed_on_both_sides_of_old_guard(p, sign):
+    p = F(p)
+    t = two_point_intersection_mixed(p, sign)
+    assert exact_period(t.kb(), p) == 4 and exact_period(t.quadratic(), p) == 2
+    assert set(cycle_from(t.kb(), p, 4)) == {p, -p - 1, -p, p + 1}
+    assert orbit_intersection(t.quadratic(), t.kb(), p) == {p, -p - 1}
 
 
 def test_two_point_intersection_period3():
