@@ -1,129 +1,43 @@
-"""Integer polynomial helpers and integer factoring for root extraction.
+"""Integer polynomial helpers and rational-root extraction.
 
 Coefficient vectors are plain ``list[int]`` in ascending degree.  The
 dynatomic route runs entirely on these (no Fraction overhead); results are
-converted at the boundary.  Factoring is trial division plus Brent's cycle method with a
-Miller-Rabin primality test; dynatomic coefficients are highly smooth
-(products of small map parameters), so this never stalls in practice.
+converted at the boundary.
+
+Rational roots are found p-adically (Loos, SIAM J. Comput. 1983; von zur
+Gathen & Gerhard, *Modern Computer Algebra*, 5.10 and 15.4), with no
+factoring of coefficients:
+
+1. Take the smallest prime ``p`` that does not divide ``a_lead`` and at
+   which every root of ``P mod p`` is simple.  A root ``u/v`` in lowest
+   terms has ``v | a_lead``, so ``p`` does not divide ``v`` and ``u/v``
+   reduces to a root of ``P mod p``.  A square-free ``P`` has only finitely
+   many primes where two roots meet, so such a ``p`` exists; a repeated
+   rational root makes every prime fail, so after three failed primes
+   ``P`` is replaced once by its square-free part ``P / gcd(P, P')``.
+2. Newton-lift every root mod ``p`` until ``p^k > 2 N D``, where
+   ``N = min(|a0|, B)`` and ``D = min(|a_lead|, B)`` bound ``|u|`` and
+   ``v`` (``B`` is the optional height bound).  A simple root lifts to
+   exactly one root mod ``p^k``, which for a rational root is ``u/v``.
+3. Rational reconstruction (half extended Euclid) recovers ``u/v``: two
+   fractions within the bounds that agree mod ``p^k > 2 N D`` are equal,
+   so the reconstruction is unique.  Each candidate is kept only when the
+   exact homogeneous value ``P(u, v)`` is 0.
 """
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import math
-import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, parameter_excluded
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-
-
-def is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    # deterministic for n < 3.3e24 with these bases
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent(n: int, rng: random.Random) -> int:
-    if n % 2 == 0:
-        return 2
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def factorize(n: int) -> Dict[int, int]:
-    """Prime factorization of |n| (n != 0)."""
-    if n == 0:
-        raise DomainError("parameter excluded: n=0")
-    n = abs(n)
-    out: Dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 7
-    steps = (4, 2, 4, 2, 4, 6, 2, 6)  # wheel mod 30
-    i = 0
-    while f * f <= n and f < 100000:
-        if n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        else:
-            f += steps[i & 7]
-            i += 1
-    if n == 1:
-        return out
-    rng = random.Random(0xD1CE)
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _brent(m, rng)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def all_divisors(n: int, power: int = 1) -> List[int]:
-    """All positive d with d**power dividing |n|, ascending."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**i for d in divs for i in range(e // power + 1)]
-    divs.sort()
-    return divs
-
-
-def divisors_up_to(n: int, bound: int, power: int = 1) -> List[int]:
-    """Positive d <= bound with d**power dividing |n|, by direct trial."""
-    n = abs(n)
-    return [d for d in range(1, bound + 1) if n % d**power == 0]
+# failed primes before the square-free part replaces P
+_FAILS_BEFORE_SQUAREFREE = 3
+# a prime for the modular square-free test, 2^31 - 1
+_M31 = (1 << 31) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -221,86 +135,160 @@ def phom_eval(c: Sequence[int], u: int, v: int) -> int:
     return acc
 
 
-def rational_roots_int(coeffs: Sequence[int], height_bound: Optional[int] = None) -> List[Fraction]:
-    """Rational roots of an integer polynomial via divisor pairs.
+def _pgcd(a: List[int], b: List[int]) -> List[int]:
+    """Primitive gcd of two primitive integer polynomials, by evaluation.
 
-    Candidates u/v come from u | a0, v | a_lead (rational root theorem);
-    when P(z) = Q(z^2) is even, w = u^2/v^2 is a root of Q, so u^2 | a0 and
-    v^2 | a_lead.  With ``height_bound`` the candidates are enumerated only
-    up to the bound by direct trial, which keeps huge dynatomic coefficients
-    cheap; without it they are built from a prime factorization.  The classical
-    (u - v) | P(1) and (u + v) | P(-1) filters and a single-word modular
-    check reject almost every candidate before any big evaluation.
+    GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 1989): for
+    xi > 2 min(|a|, |b|) + 2, the primitive part of the balanced base-xi
+    digits of gcd(a(xi), b(xi)) is gcd(a, b) whenever it divides a and b.
+    That integer is e g(xi), with e dividing the resultant of a/g and b/g,
+    so once xi > 2 e |g| it always does; xi is squared after each miss.
+    A try costs one big-integer gcd, where a PRS builds coefficients that
+    grow with the degree.
     """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    while True:
+        gamma, digits = math.gcd(phom_eval(a, xi, 1), phom_eval(b, xi, 1)), []
+        while gamma:
+            digits.append((gamma + xi // 2) % xi - xi // 2)
+            gamma = (gamma - digits[-1]) // xi
+        g = pprimitive(digits)
+        try:
+            pdiv_exact(a, g), pdiv_exact(b, g)
+            return g
+        except DomainError:
+            xi *= xi
+
+
+def _coprime_mod(a: Sequence[int], b: Sequence[int], q: int) -> bool:
+    """Whether a and b have a constant gcd mod the prime q (Euclid in F_q[x])."""
+    a, b = pstrip([x % q for x in a]), pstrip([x % q for x in b])
+    while b:
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            f, shift = a[-1] * inv % q, len(a) - len(b)
+            for j, cb in enumerate(b):
+                a[shift + j] = (a[shift + j] - f * cb) % q
+            a = pstrip(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def _squarefree(c: List[int]) -> List[int]:
+    """c / gcd(c, c').
+
+    When q = 2^31 - 1 does not divide a_lead, a common factor of c and c'
+    over Z reduces to one mod q; so a constant gcd mod q, found in O(deg^2)
+    word operations, shows c square-free without the integer gcd, whose
+    evaluations have about deg * bits bits.
+    """
+    c, der = pprimitive(c), pprimitive([i * a for i, a in enumerate(c)][1:])
+    if c[-1] % _M31 and _coprime_mod(c, der, _M31):
+        return c
+    return pdiv_exact(c, _pgcd(c, der))
+
+
+def _simple_roots_mod(c: Sequence[int], p: int) -> Optional[List[int]]:
+    """The roots of c mod p, or None when one of them is a repeated root."""
+    desc = [a % p for a in reversed(c)]
+    roots = []
+    for x in range(p):
+        val = 0
+        for a in desc:
+            val = (val * x + a) % p
+        if val == 0:
+            roots.append(x)
+    for x in roots:
+        val = der = 0
+        for a in desc:
+            der, val = (der * x + val) % p, (val * x + a) % p
+        if der == 0:
+            return None
+    return roots
+
+
+def _lift(c: Sequence[int], roots: List[int], p: int, bound: int) -> Tuple[List[int], int]:
+    """Newton-lift simple roots mod p to roots mod m = p^(2^j) > bound."""
+    m = p
+    while roots and m <= bound:
+        m *= m
+        desc = [a % m for a in reversed(c)]
+        lifted = []
+        for r in roots:
+            val = der = 0
+            for a in desc:
+                der = (der * r + val) % m
+                val = (val * r + a) % m
+            lifted.append((r - val * pow(der, -1, m)) % m)
+        roots = lifted
+    return roots, m
+
+
+def _reconstruct(r: int, m: int, n_max: int, d_max: int) -> Optional[Tuple[int, int]]:
+    """The u/v with |u| <= n_max, 0 < v <= d_max and u = r v mod m, if any.
+
+    Half extended Euclid on (m, r), stopped at the first remainder <= n_max;
+    the answer is unique when m > 2 n_max d_max (Wang's reconstruction).
+    """
+    r0, r1, t0, t1 = m, r, 0, 1
+    while r1 > n_max:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    return (r1, t1) if t1 <= d_max else None
+
+
+def rational_roots_int(coeffs: Sequence[int], height_bound: Optional[int] = None) -> List[Fraction]:
+    """Sorted distinct rational roots of an integer polynomial.
+
+    With ``height_bound = B`` only roots of height at most ``B`` are
+    returned; ``B < 1`` is a domain error.  Linear and quadratic polynomials
+    are solved directly, higher degrees by p-adic lifting (module docstring).
+    No root is missed: a root ``u/v`` reduces to a simple root mod ``p``,
+    since ``p`` divides neither ``a_lead`` nor ``v``; that root has a unique
+    lift mod ``p^k > 2 N D``; and only ``u/v`` reconstructs from it within
+    ``|u| <= N``, ``v <= D``.  Nothing else is returned: every candidate
+    is checked by exact evaluation.
+    """
+    if height_bound is not None and height_bound < 1:
+        raise parameter_excluded("height_bound", height_bound)
     c = pstrip(coeffs)
     if not c:
         raise DomainError("zero polynomial has all roots")
     roots: List[Fraction] = []
-    shift = 0
-    while c and c[0] == 0:
-        shift += 1
-        c = c[1:]
-    if shift:
-        roots.append(Fraction(0))
-    if len(c) <= 1:
-        return sorted(roots)
+    while c[0] == 0:
+        roots, c = [Fraction(0)], c[1:]
     if len(c) == 2:
-        r = Fraction(-c[0], c[1])
-        if height_bound is None or max(abs(r.numerator), r.denominator) <= height_bound:
-            roots.append(r)
-        return sorted(roots)
-    if len(c) == 3:
-        # quadratic: exact discriminant test beats divisor enumeration
+        roots.append(Fraction(-c[0], c[1]))
+    elif len(c) == 3:  # quadratic: exact discriminant test
         a0, a1, a2 = c
         disc = a1 * a1 - 4 * a2 * a0
-        if disc >= 0:
-            s = math.isqrt(disc)
-            if s * s == disc:
-                for num in (-a1 + s, -a1 - s):
-                    r = Fraction(num, 2 * a2)
-                    if height_bound is None or max(abs(r.numerator), r.denominator) <= height_bound:
-                        roots.append(r)
-        return sorted(set(roots))
-
-    a0, alead = c[0], c[-1]
-    # P(z) = Q(z^2) (a0 != 0 here): a root u/v has u^2 | a0 and v^2 | a_lead
-    power = 1 if any(c[1::2]) else 2
-    if height_bound is None:
-        us, vs = all_divisors(a0, power), all_divisors(alead, power)
-    else:
-        us = divisors_up_to(a0, height_bound, power)
-        vs = divisors_up_to(alead, height_bound, power)
-
-    # integer Cauchy windows: every root u/v has |u| <= ub*v and v <= lb*|u|
-    ub = max(abs(x) for x in c[:-1]) // abs(alead) + 2
-    lb = max(abs(x) for x in c[1:]) // abs(a0) + 2
-
-    p_at_1 = sum(c)
-    p_at_m1 = sum(v if i % 2 == 0 else -v for i, v in enumerate(c))
-    mod = (1 << 61) - 1
-    cmod = [v % mod for v in c]
-
-    for v in vs:
-        lo = bisect.bisect_left(us, -(-v // lb))
-        hi = bisect.bisect_right(us, ub * v)
-        for au in us[lo:hi]:
-            if math.gcd(au, v) != 1:
-                continue
-            for u in (au, -au):
-                d1 = u - v
-                if (p_at_1 % d1 if d1 else p_at_1) != 0:
-                    continue
-                d2 = u + v
-                if (p_at_m1 % d2 if d2 else p_at_m1) != 0:
-                    continue
-                acc = 0
-                vp = 1
-                um = u % mod
-                for i in range(len(c) - 1, -1, -1):
-                    acc = (acc * um + cmod[i] * vp) % mod
-                    vp = vp * v % mod
-                if acc:
-                    continue
-                if phom_eval(c, u, v) == 0:
-                    roots.append(Fraction(u, v))
+        s = math.isqrt(max(disc, 0))
+        if s * s == disc:
+            roots += [Fraction(-a1 + s, 2 * a2), Fraction(-a1 - s, 2 * a2)]
+    elif len(c) > 3:
+        roots += _padic_roots(c, height_bound)
+    if height_bound is not None:
+        roots = [r for r in roots if max(abs(r.numerator), r.denominator) <= height_bound]
     return sorted(set(roots))
+
+
+def _padic_roots(c: List[int], height_bound: Optional[int]) -> List[Fraction]:
+    """The rational roots of height <= height_bound of c, where c[0] != 0."""
+    fails = 0
+    for p in itertools.count(2):  # primes not dividing a_lead, by trial division
+        if c[-1] % p == 0 or not all(p % d for d in range(2, math.isqrt(p) + 1)):
+            continue
+        mod_roots = _simple_roots_mod(c, p)
+        if mod_roots is not None:
+            break
+        fails += 1
+        if fails == _FAILS_BEFORE_SQUAREFREE:
+            c = _squarefree(c)
+    n_max, d_max = abs(c[0]), abs(c[-1])
+    if height_bound is not None:
+        n_max, d_max = min(n_max, height_bound), min(d_max, height_bound)
+    lifted, m = _lift(c, mod_roots, p, 2 * n_max * d_max)
+    uvs = [_reconstruct(r, m, n_max, d_max) for r in lifted]
+    return [Fraction(*uv) for uv in uvs if uv is not None and phom_eval(c, *uv) == 0]

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
+from ._intpoly import rational_roots_int
 from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period
-from .dynatomic import dynatomic_polynomial, rational_roots
+from .dynatomic import dynatomic_int
 from .core import rational_sqrt
 from .errors import DomainError, parameter_excluded
 from .polynomials import Poly
@@ -57,7 +58,7 @@ def quad_periodic_points(c: Fraction, n: int) -> FrozenSet[Fraction]:
         sigma = s / 2
         return frozenset({-_HALF + sigma, -_HALF - sigma})
     if n == 3:
-        return rational_roots(dynatomic_polynomial(QuadraticMap(c), 3))
+        return frozenset(rational_roots_int(dynatomic_int(QuadraticMap(c), 3)))
     raise parameter_excluded("n", n)
 
 
@@ -203,15 +204,8 @@ def quad_witness(c: Fraction, n: int) -> Optional[Fraction]:
         return None if s is None or s == 0 else s / 2
     if n == 3:
         pts = quad_periodic_points(c, 3)
-        if not pts:
-            return None
-        taus = []
-        for q in pts:
-            for cubic in period3_tau_cubics(q):
-                for t in rational_roots(cubic):
-                    if t not in (0, -1) and period3_family(t).c == c:
-                        taus.append(t)
-        return min(taus) if taus else None
+        return min((t for q in pts for t in period3_taus(q) if period3_family(t).c == c),
+                   default=None)
     raise parameter_excluded("n", n)
 
 
@@ -233,6 +227,20 @@ def kb_witness(k: Fraction, b: Fraction, n: int) -> Optional[Fraction]:
             return None
         return cyc[0] / cyc[1]
     raise parameter_excluded("n", n)
+
+
+def period3_taus(q: Fraction) -> List[Fraction]:
+    """The sorted rational tau with x1(tau) = q; none is 0 or -1.
+
+    The x1 cubic cleared of 2 tau (tau + 1) is, for q = qn/qd,
+    qd tau^3 + (2qd - 2qn) tau^2 + (qd - 2qn) tau + qd; it is qd at both
+    tau = 0 and tau = -1.  The x2 and x3 cubics add no c: sigma(tau) =
+    -1/(tau + 1) keeps c, and x2(sigma t) = x1(t), x3(sigma^2 t) = x1(t),
+    so a tau with x2(tau) = q or x3(tau) = q is sigma or sigma^2 of a root
+    of this cubic.
+    """
+    qn, qd = Fraction(q).as_integer_ratio()
+    return rational_roots_int([qd, qd - 2 * qn, 2 * qd - 2 * qn, qd])
 
 
 def period3_tau_cubics(q: Fraction):

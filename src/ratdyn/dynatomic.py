@@ -179,10 +179,16 @@ def period4_dynatomic_factors(k: Fraction, b: Fraction) -> Tuple[Poly, Poly]:
 def rational_roots(p: Poly, height_bound: Optional[int] = None) -> FrozenSet[Fraction]:
     """All rational roots of p (multiplicities discarded).
 
-    Denominators are cleared and the rational root theorem is applied to
-    integer divisor pairs.  ``height_bound`` restricts the search to roots of
-    height <= bound (for huge coefficients when only bounded points matter,
-    as in the scans' dynatomic oracle).
+    Denominators are cleared, and the roots of the integer polynomial are
+    found by p-adic lifting (``_intpoly.rational_roots_int``): the roots
+    mod the smallest prime ``p`` not dividing ``a_lead`` at which they are
+    all simple are Newton-lifted to ``p^k > 2 N D`` and rationally
+    reconstructed, and each candidate is checked exactly.  A root ``u/v``
+    has ``|u| <= N = |a0|`` and ``v <= D = |a_lead|``, and reduces to a
+    simple root mod ``p``, whose unique lift gives back ``u/v``; so no root
+    is missed.  ``height_bound = B`` restricts the result to roots of
+    height <= B (``N``, ``D`` are capped at ``B``, so huge coefficients stay
+    cheap when only bounded points matter); ``B < 1`` is a domain error.
     """
     if p.is_zero:
         raise DomainError("zero polynomial has all roots")

@@ -26,10 +26,9 @@ from typing import Dict, FrozenSet, List, Tuple
 from .classification import (
     kb_map_with_fixed_and_period2,
     period3_family,
-    period3_tau_cubics,
+    period3_taus,
 )
 from .dynamics import KBMap, Map, QuadraticMap, cycle_from, exact_period
-from .dynatomic import rational_roots
 from .errors import DomainError, parameter_excluded
 
 __all__ = [
@@ -422,22 +421,15 @@ def quadratics_with_periodic_point(q: Fraction) -> List[SharedMapEntry]:
     """Every c with q periodic for z^2 + c (periods up to 3; at most three).
 
     Period 1 forces c = q - q^2 and period 2 forces c = -(q^2 + q + 1).
-    A period-3 orbit exists only when one of the three tau-cubics
-    x_i(tau) = q has a rational root tau outside {0, -1}; tau then pins c.
+    A period-3 orbit exists only when the tau-cubic x1(tau) = q has a
+    rational root (``period3_taus``); tau then pins c.
     Entries are verified by direct iteration and deduplicated by c.
     """
     q = Fraction(q)
     candidates: List[Tuple[Fraction, int]] = [
         (q - q * q, 1),
         (-(q * q + q + 1), 2),
-    ]
-    for cubic in period3_tau_cubics(q):
-        for tau in rational_roots(cubic):
-            if tau == 0 or tau == -1:
-                continue
-            fam = period3_family(tau)
-            if q in fam.points:
-                candidates.append((fam.c, 3))
+    ] + [(period3_family(tau).c, 3) for tau in period3_taus(q)]
 
     entries: List[SharedMapEntry] = []
     seen = set()

@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ratdyn.dynamics import KBMap, QuadraticMap, exact_period
 from ratdyn.dynatomic import (
@@ -247,6 +249,154 @@ def test_even_branch_matches_general_branch(rng):
             got = _intpoly.rational_roots_int(poly, bound)
             assert got == sorted(want)
             assert set(got) == _general_branch_roots(poly, bound)
+
+
+def _divisors(n):
+    n = abs(n)
+    return [d for d in range(1, math.isqrt(n) + 1) if n % d == 0 for d in {d, n // d}]
+
+
+def _brute_roots(coeffs, height_bound=None):
+    # independent oracle: every u/v with u | a0, v | a_lead, tested by
+    # v^deg P(u/v) == 0, evaluated from the top coefficient down
+    c = _intpoly.pstrip(coeffs)
+    roots = set()
+    while c[0] == 0:
+        roots.add(F(0))
+        c = c[1:]
+    for u in _divisors(c[0]):
+        for v in _divisors(c[-1]):
+            for s in (u, -u):
+                acc, vk = 0, 1
+                for a in reversed(c):
+                    acc, vk = acc * s + a * vk, vk * v
+                if acc == 0:
+                    roots.add(F(s, v))
+    if height_bound is not None:
+        roots = {r for r in roots if max(abs(r.numerator), r.denominator) <= height_bound}
+    return sorted(roots)
+
+
+def _planted(factors):
+    p = [1]
+    for f in factors:
+        p = _intpoly.pmul(p, f)
+    return p
+
+
+_SMALL_POLYS = st.builds(
+    lambda roots, rest: _planted([[-u, v] for u, v in roots] + [rest]),
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)), max_size=4),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SMALL_POLYS, st.one_of(st.none(), st.integers(1, 15)))
+@example([1, -2, 1, 0, 0], None)  # (z - 1)^2 z^2
+@example([-6, 11, -6, 1], 2)  # roots 1, 2, 3
+def test_rational_roots_match_divisor_oracle(poly, height_bound):
+    assert _intpoly.rational_roots_int(poly, height_bound) == _brute_roots(poly, height_bound)
+
+
+def test_rational_roots_repeated_roots():
+    # every prime sees a repeated root, so the square-free part takes over
+    rootless = [3, 1, 0, 1]
+    for mult in (2, 3):
+        for roots in ([(1, 2)], [(-3, 7), (5, 1)], [(2, 3), (0, 1), (-1, 1)]):
+            poly = _planted([[-u, v] for u, v in roots] * mult + [rootless])
+            want = sorted({F(u, v) for u, v in roots})
+            assert _intpoly.rational_roots_int(poly) == want == _brute_roots(poly)
+
+
+def test_rational_roots_leading_coefficient_with_small_primes():
+    a = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19
+    poly = _planted([[-1, a], [23, 2 * a], [5, 0, 0, a]])
+    assert _intpoly.rational_roots_int(poly) == [F(-23, 2 * a), F(1, a)]
+    assert _intpoly.rational_roots_int(poly, a) == [F(1, a)]
+
+
+def test_rational_roots_collide_at_small_primes():
+    # square-free, with roots -2/19, 7/10, 13/17, 13/5 that meet mod each of
+    # the first four primes not dividing a_lead = 2^4 5^3 17 19
+    poly = [56784, 229736, -2457560, 4472288, -1439000, -1653400, 646000]
+    for p in (3, 7, 11, 13):
+        assert _intpoly._simple_roots_mod(poly, p) is None
+    want = [F(-2, 19), F(7, 10), F(13, 17), F(13, 5)]
+    assert _intpoly.rational_roots_int(poly) == want == _brute_roots(poly)
+
+
+def _prs_gcd(a, b):
+    # reference: Euclid on pseudo-remainders, primitive part at each step
+    a, b = _intpoly.pprimitive(a), _intpoly.pprimitive(b)
+    while len(b) > 1:
+        r = list(a)
+        while len(r) >= len(b):
+            top, shift = r[-1], len(r) - len(b)
+            r = [x * b[-1] for x in r]
+            for j, cb in enumerate(b):
+                r[shift + j] -= top * cb
+            r = _intpoly.pstrip(r)
+        a, b = b, _intpoly.pprimitive(r)
+    return a if not b else [1]
+
+
+def test_polynomial_gcd_matches_prs(rng):
+    # cofactors such as z(z+1) are even at every integer, so the first
+    # evaluation point can give a gcd with an extra integer factor
+    cofactors = [[1], [0, 1, 1], [0, 2, 3, 1], [2, 3, 1], [6, 11, 6, 1]]
+    for _ in range(300):
+        common = [rng.randint(-20, 20) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 9)]
+        a, b = common, common
+        for _ in range(2):
+            a = _intpoly.pmul(a, [rng.randint(-30, 30) for _ in range(rng.randint(1, 4))] + [1])
+            b = _intpoly.pmul(b, [rng.randint(-30, 30) for _ in range(rng.randint(1, 4))] + [1])
+        a, b = _intpoly.pmul(a, rng.choice(cofactors)), _intpoly.pmul(b, rng.choice(cofactors))
+        a, b = _intpoly.pprimitive(a), _intpoly.pprimitive(b)
+        assert _intpoly._pgcd(a, b) == _prs_gcd(a, b)
+
+
+def test_rational_roots_repeated_root_of_high_degree():
+    # a degree-128 Phi*_7 with 869-bit coefficients times (3z - 1)^2: every
+    # prime sees the double root 1/3, so the square-free part is taken
+    poly = dynatomic_polynomial(KBMap(F(-23, 30), F(29, 21)), 7) * Poly([1, -6, 9])
+    assert rational_roots(poly, height_bound=10) == {F(1, 3)}
+
+
+@pytest.mark.parametrize("c", [F(1, 4), F(-3, 4), F(-5, 4), F(-7, 4)])
+def test_rational_roots_of_parabolic_dynatomics(c):
+    # Phi_n at c = 1/4 and -3/4 has a repeated rational root (1/2, -1/2)
+    for n in (1, 2, 3, 4):
+        for build in (dynatomic_polynomial, period_polynomial):
+            poly = build(QuadraticMap(c), n).content_den_cleared()
+            assert _intpoly.rational_roots_int(poly) == _brute_roots(poly)
+
+
+def test_rational_roots_at_height_bound_edges():
+    for B in (1, 2, 7, 30):
+        roots = [F(B, 1), F(-1, B), F(B + 1, B), F(-B, B + 1), F(B + 1, 1)]
+        poly = _planted([[-r.numerator, r.denominator] for r in roots] + [[1, 1, 1]])
+        for bound in (B, B + 1):
+            got = _intpoly.rational_roots_int(poly, bound)
+            assert got == _brute_roots(poly, bound)
+            assert got == sorted({r for r in roots if max(abs(r.numerator), r.denominator) <= bound})
+
+
+def test_rational_roots_with_hard_to_factor_constant_term():
+    p1, p2 = 2**61 - 1, 2**89 - 1  # a0 = p1 p2 is a 150-bit semiprime
+    poly = _planted([[p1, 1], [p2, 2], [1, 0, 1]])
+    assert poly[0] == p1 * p2
+    assert _intpoly.rational_roots_int(poly) == [F(-p2, 2), F(-p1)]
+    assert _intpoly.rational_roots_int(poly, 2**61) == [F(-p1)]
+    assert _intpoly.rational_roots_int([p1 * p2, 1, 0, 1]) == []
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_rational_roots_reject_height_bound_below_one(bound):
+    with pytest.raises(DomainError, match=f"parameter excluded: height_bound={bound}"):
+        rational_roots(Poly([0, -1, 1]), height_bound=bound)
+    with pytest.raises(DomainError, match=f"parameter excluded: height_bound={bound}"):
+        periodic_points_exact(QuadraticMap(F(-2)), 1, height_bound=bound)
 
 
 def test_periodic_points_exact_examples():

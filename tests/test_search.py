@@ -148,6 +148,7 @@ def _assert_sieve_is_dynatomic(maps, periods_of, bound):
 @given(st.lists(RANDOM_MAPS, min_size=1, max_size=6), _PERIODS, _PERIODS, st.integers(1, 8))
 @example([QuadraticMap(F(-13)), KBMap(F(4, 3), F(-10, 3))], (2,), (4,), 1)
 @example([KBMap(F(4, 3), F(-10, 3)), QuadraticMap(F(-29, 16))], (3,), (4,), 2)
+@example([KBMap(F(-23, 30), F(29, 21))], (1,), (8,), 8)  # square-free Phi*_8, 3 bad primes
 def test_sieve_matches_dynatomic_on_mixed_chunks(maps, quad_periods, kb_periods, bound):
     # parameters reach height 60, past 2 * bound, so the sieve's primes must
     # step past them; a chunk mixes both families, as the intersection scan's do

@@ -2,9 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from ratdyn.classification import period3_family, period3_tau_cubics, quad_witness
+from ratdyn.core import enumerate_rationals
 from ratdyn.dynamics import KBMap, QuadraticMap, cycle_from, exact_period
+from ratdyn.dynatomic import rational_roots
 from ratdyn.errors import DomainError
 from ratdyn.simultaneous import (
+    SharedMapEntry,
     kb_pair_family,
     maps_with_both_periodic,
     orbit_intersection,
@@ -310,3 +314,35 @@ def test_quadratics_with_periodic_point_bounded(rng):
         for e in entries:
             assert exact_period(QuadraticMap(e.c), q) == e.period
             assert e.cycle[0] == q and len(e.cycle) == e.period
+
+
+def _three_cubic_taus(q):
+    # every tau outside {0, -1} with x1, x2 or x3 (tau) = q, one Poly cubic each
+    return [t for cubic in period3_tau_cubics(q) for t in rational_roots(cubic)
+            if t not in (0, -1) and q in period3_family(t).points]
+
+
+def _three_cubic_entries(q):
+    candidates = [(q - q * q, 1), (-(q * q + q + 1), 2)]
+    candidates += [(period3_family(t).c, 3) for t in _three_cubic_taus(q)]
+    entries, seen = [], set()
+    for c, period in candidates:
+        m = QuadraticMap(c)
+        if c not in seen and exact_period(m, q) == period:
+            seen.add(c)
+            entries.append(SharedMapEntry(c, period, cycle_from(m, q, period)))
+    return entries
+
+
+def test_x1_cubic_matches_three_cubic_route():
+    # sigma(tau) = -1/(tau+1) permutes x1, x2, x3 at fixed c, so the x1 cubic
+    # alone gives every c, in the same order
+    qs = list(enumerate_rationals(40))
+    entries = [quadratics_with_periodic_point(q) for q in qs]
+    assert entries == [_three_cubic_entries(q) for q in qs]
+    assert (len(qs), sum(map(len, entries))) == (1959, 3928)
+    period3 = {e.c: e.cycle for es in entries for e in es if e.period == 3}
+    assert period3
+    for c, cycle in period3.items():
+        taus = [t for q in cycle for t in _three_cubic_taus(q) if period3_family(t).c == c]
+        assert quad_witness(c, 3) == min(taus)
