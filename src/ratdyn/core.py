@@ -113,23 +113,12 @@ def count_rationals(bound: int) -> int:
     """Number of rationals of height <= bound (totient sum, no enumeration)."""
     if bound < 1:
         raise DomainError(f"parameter excluded: bound={bound}")
-    tot = 3  # height 1: -1, 0, 1
-    for h in range(2, bound + 1):
-        tot += 4 * _totient(h)
-    return tot
-
-
-def _totient(n: int) -> int:
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    phi = list(range(bound + 1))  # Euler's totient, by sieve
+    for p in range(2, bound + 1):
+        if phi[p] == p:  # p is prime
+            for k in range(p, bound + 1, p):
+                phi[k] -= phi[k] // p
+    return 3 + 4 * sum(phi[2:])  # height 1: -1, 0, 1
 
 
 def parse_rational(text: str) -> Fraction:

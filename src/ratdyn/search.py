@@ -16,6 +16,22 @@ points of height <= B and exact period n: the set that
 Workers partition the list of maps into contiguous chunks and merge in
 chunk order, so any worker count yields byte-identical canonical output;
 ``elapsed`` is carried on the report object but never serialized.
+
+The quartic search finds the points of y^2 = quartic(t) with height(t) <= B.
+For t = u/v the curve value is F(u, v) / (L v^4), with L the lcm of the
+coefficients' denominators and F the integer binary quartic, so t is a
+point iff L F(u, v) is a perfect square.  For each modulus m in
+``_SQUARE_MODULI`` (64, 63, 65, 11, 17, ..., 53) a table says whether
+L F(u, v) is a square mod m; coefficients are reduced mod m first, so
+nothing overflows at any coefficient size.  Each table becomes m Python
+ints, one per v mod m, whose bit i says whether u = i - B passes: sum(m)
+(2B + 1) bits, about 1.36 MB at B = 10^4, built once per call and passed
+to every chunk.  For each v <= B the kernel ANDs its masks, walks the set
+bits, drops u with gcd(u, v) != 1 (they repeat a t of smaller v), and
+confirms each survivor with an exact isqrt.  A perfect square is a
+square mod every m, so no point is missed; isqrt decides exactly, so no
+false point is reported.  Survivors are coprime with |u|, v <= B, so
+each t appears once, has height <= B, and y = isqrt(L F(u, v)) / (L v^2).
 """
 
 from __future__ import annotations
@@ -25,7 +41,7 @@ import io
 import itertools
 import math
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import get_context
 from typing import Dict, FrozenSet, List, Sequence, Tuple
@@ -38,7 +54,6 @@ from .core import (
     format_rational,
     height,
     is_rational_square,
-    rational_sqrt,
 )
 from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period
 from .errors import DomainError, parameter_excluded
@@ -164,7 +179,7 @@ def _period_bits(quad: bool, coef: np.ndarray, p: int, inv: np.ndarray, periods)
 def _candidates(block, periods, bound: int, primes, inverses):
     """(row, u, v, bits) for each u/v in lowest terms with |u|, v <= bound
     that is periodic mod every prime under the block's ``row``-th map."""
-    fr = [[(x.numerator, x.denominator) for x in astuple(m)] for m in block]
+    fr = [[(x.numerator, x.denominator) for x in vars(m).values()] for m in block]
     num, den = np.moveaxis(np.array(fr, dtype=np.int64), -1, 0)
     quad = isinstance(block[0], QuadraticMap)
     bits = [_period_bits(quad, num % p * inv[den] % p, p, inv, periods) for p, inv in zip(primes, inverses)]
@@ -196,7 +211,7 @@ def _exact_points(m, n: int, candidates) -> FrozenSet[Fraction]:
 def _sieve(maps, periods_of, bound: int) -> List[Dict[int, List[Fraction]]]:
     """Per map m, its points of exact period n with height <= ``bound`` for
     each n in ``periods_of[type(m)]``, in ``_rat_key`` order (see the module docstring)."""
-    top = max([2 * bound] + [height(x) for m in maps for x in astuple(m)])
+    top = max([2 * bound] + [height(x) for m in maps for x in vars(m).values()])
     ps = (p for p in itertools.count(top + 1) if all(p % q for q in range(2, math.isqrt(p) + 1)))
     primes = list(itertools.islice(ps, _PRIMES))
     inverses = [_inverses(p) for p in primes]
@@ -442,38 +457,47 @@ class QuarticReport:
         }
 
 
-def _quartic_chunk_numpy(args) -> List[Tuple[int, int]]:
-    vlo, vhi, bound, L, A = args
-    A4, A3, A2, A1, A0 = A
-    us = np.arange(-bound, bound + 1, dtype=np.int64)
-    found = []
-    for v in range(vlo, vhi):
-        v2, v3, v4 = v * v, v**3, v**4
-        N = (((A4 * us + A3 * v) * us + A2 * v2) * us + A1 * v3) * us + A0 * v4
-        N = N * L
-        nonneg = N >= 0
-        Nn = np.where(nonneg, N, 0)
-        r = np.rint(np.sqrt(Nn.astype(np.float64))).astype(np.int64)
-        ok = nonneg & (
-            (r * r == Nn) | ((r - 1) * (r - 1) == Nn) | ((r + 1) * (r + 1) == Nn)
-        )
-        for i in np.nonzero(ok)[0]:
-            found.append((int(us[i]), v))
-    return found
+# moduli of the residue square test, most selective first: 64, 63, 65, 11
+# (Cohen, Alg. 1.7.3), then the primes 17..53
+_SQUARE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
-def _quartic_chunk_python(args) -> List[Tuple[int, int]]:
-    vlo, vhi, bound, L, A = args
+def _square_masks(bound: int, L: int, A) -> List[Tuple[int, List[int]]]:
+    """(m, masks) per modulus m: bit i of masks[v % m] is set when
+    L * F(i - bound, v) is a square mod m, F the curve's binary quartic."""
+    out, width = [], 2 * bound + 1
+    full = (1 << width) - 1
+    for m in _SQUARE_MODULI:
+        u, v = (np.arange(m) - bound) % m, np.arange(m)[:, None]  # bit i: u = i - bound
+        squares = np.zeros(m, dtype=bool)
+        squares[np.arange(m) ** 2 % m] = True
+        a4, a3, a2, a1, a0 = (a % m for a in A)  # every term stays below 65**5
+        F = a4 * u**4 + a3 * u**3 * v + a2 * u**2 * v**2 + a1 * u * v**3 + a0 * v**4
+        period = np.packbits(squares[L % m * F % m], axis=1, bitorder="little")
+        # each row's m bits, repeated along the width: the copies never overlap
+        repeat = ((1 << m * (width // m + 1)) - 1) // ((1 << m) - 1)
+        out.append((m, [int.from_bytes(row.tobytes(), "little") * repeat & full for row in period]))
+    return out
+
+
+def _quartic_chunk(args) -> List[Tuple[int, int, int]]:
+    """(u, v, r) for each coprime u, v with |u| <= bound, v in ``vs`` and
+    L * F(u, v) == r**2: the masks' AND, then an exact isqrt."""
+    vs, bound, L, A, masks = args
     A4, A3, A2, A1, A0 = A
     found = []
-    for v in range(vlo, vhi):
-        v2, v3, v4 = v * v, v**3, v**4
-        for u in range(-bound, bound + 1):
-            N = ((((A4 * u + A3 * v) * u + A2 * v2) * u + A1 * v3) * u + A0 * v4) * L
-            if N >= 0:
-                r = math.isqrt(N)
-                if r * r == N:
-                    found.append((u, v))
+    for v in vs:
+        bits = -1
+        for m, mask in masks:
+            bits &= mask[v % m]
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            u = low.bit_length() - 1 - bound
+            if math.gcd(u, v) == 1:
+                N = L * ((((A4 * u + A3 * v) * u + A2 * v * v) * u + A1 * v**3) * u + A0 * v**4)
+                if N >= 0 and (r := math.isqrt(N)) * r == N:
+                    found.append((u, v, r))
     return found
 
 
@@ -483,49 +507,35 @@ def quartic_rational_points(
     """All affine rational points (t, y) with height(t) <= bound, plus the
     infinity flag (two rational points at infinity iff a4 is a square).
 
-    For t = u/v the curve value clears to an integer that must be a perfect
-    square; candidates from a vectorized pass are confirmed with exact
-    integer arithmetic.
+    For t = u/v the curve value is F(u, v) / (L v^4), with L the lcm of the
+    coefficients' denominators and F the integer binary quartic, so t is a
+    point iff L F(u, v) is a perfect square.  For each modulus m in
+    ``_SQUARE_MODULI`` (64, 63, 65, 11, 17, ..., 53) a table says whether
+    L F(u, v) is a square mod m; coefficients are reduced mod m first, so
+    nothing overflows at any coefficient size.  Each table becomes m Python
+    ints, one per v mod m, whose bit i says whether u = i - B passes: sum(m)
+    (2B + 1) bits, about 1.36 MB at B = 10^4, built once per call and passed
+    to every chunk.  For each v <= B the kernel ANDs its masks, walks the set
+    bits, drops u with gcd(u, v) != 1 (they repeat a t of smaller v), and
+    confirms each survivor with an exact isqrt.  A perfect square is a
+    square mod every m, so no point is missed; isqrt decides exactly, so no
+    false point is reported.  Survivors are coprime with |u|, v <= B, so
+    each t appears once, has height <= B, and y = isqrt(L F(u, v)) / (L v^2).
     """
     if bound < 1:
         raise parameter_excluded("bound", bound)
     if workers < 1:
         raise parameter_excluded("workers", workers)
     L, A = curve.integer_form()
-    # int64 fast path only when no intermediate can overflow
-    limit = (sum(abs(a) for a in A) + 1) * (bound + 1) ** 4 * L
-    chunk_fn = _quartic_chunk_numpy if limit < 2**62 else _quartic_chunk_python
     t0 = time.perf_counter()
-    vs = list(range(1, bound + 1))
-    parts = _split(vs, workers * 4)
-    chunks = [(p[0], p[-1] + 1, bound, L, A) for p in parts]
-    raw: List[Tuple[int, int]] = []
-    for part in _run_chunks(chunk_fn, chunks, workers):
-        raw.extend(part)
-
+    masks = _square_masks(bound, L, A)
+    chunks = [(vs, bound, L, A, masks) for vs in _split(range(1, bound + 1), workers)]
     pts = {}
-    for u, v in raw:
-        t = Fraction(u, v)
-        if height(t) > bound or t in pts:
-            continue
-        val = (
-            curve.a4 * t**4
-            + curve.a3 * t**3
-            + curve.a2 * t**2
-            + curve.a1 * t
-            + curve.a0
-        )
-        y = rational_sqrt(val)
-        if y is not None:
-            pts[t] = y
+    for part in _run_chunks(_quartic_chunk, chunks, workers):
+        pts.update((Fraction(u, v), Fraction(r, L * v * v)) for u, v, r in part)
     affine: List[Tuple[Fraction, Fraction]] = []
     for t in sorted(pts, key=_rat_key):
-        y = pts[t]
-        if y == 0:
-            affine.append((t, y))
-        else:
-            affine.append((t, -y))
-            affine.append((t, y))
+        affine.extend((t, y) for y in sorted({-pts[t], pts[t]}))
     return QuarticReport(
         curve,
         bound,

@@ -43,6 +43,17 @@ GOLDEN_CASES = {
         "--height-point", "20", "--periods", "1,2",
     ],
     "quartic_curve1_h50.json": ["quartic", "--coeffs", "1,6,7,2,1", "--height", "50"],
+    # the README example, also diffed against the installed console script in CI
+    "quartic_curve1_h10000.json": ["quartic", "--coeffs", "1,6,7,2,1", "--height", "10000"],
+    # an integer form past 2**62, the limit of the former int64 kernel
+    "quartic_large_h50.json": ["quartic", "--coeffs", "1,6,7,2,1000000000000", "--height", "50"],
+    # 64 * 63 * 65 * 11 divides a0, or L: the first four square masks pass everything
+    "quartic_a0_2882880_h1200.json": ["quartic", "--coeffs", "1,0,0,0,2882880", "--height", "1200"],
+    "quartic_lcm_2882880_h300.json": [
+        "quartic", "--coeffs", "1/64,1/63,1/65,1/11,1", "--height", "300",
+    ],
+    # y^2 = t^4: every t is a point
+    "quartic_t4_h6.json": ["quartic", "--coeffs", "1,0,0,0,0", "--height", "6"],
 }
 
 

@@ -124,3 +124,27 @@ def test_point_text_grammar():
     assert format_point(INFINITY) == "inf"
     assert parse_point("-3/2") == ProjectivePoint(-3, 2)
     assert format_point(ProjectivePoint(-3, 2)) == "-3/2"
+
+
+def _trial_division_totient(n: int) -> int:
+    result, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            result -= result // p
+        p += 1
+    if m > 1:
+        result -= result // m
+    return result
+
+
+def test_count_rationals_matches_trial_division_totients():
+    # count_rationals sieves the totients; the reference factors each h
+    expected, total = {}, 3
+    for h in range(2, 10**4 + 1):
+        total += 4 * _trial_division_totient(h)
+        expected[h] = total
+    expected[1] = 3
+    for bound in list(range(1, 200)) + [1000, 1200, 4096, 9973, 10**4]:
+        assert count_rationals(bound) == expected[bound], bound

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as F
 
@@ -205,9 +206,30 @@ def test_sieve_finds_planted_points_of_height_bound(case, shift, periods):
     assert (z in found[n]) == (shift == 0)
 
 
-def test_quartic_kernels_agree_across_the_int64_switch():
-    # y^2 = t^4 + 2000001 has t = +-1000 (y = 1000001); quartic_rational_points
-    # takes the numpy kernel while its overflow limit is below 2**62
+def _brute_points(curve, bound, vs):
+    """{(t, y >= 0)} on the curve for t = u/v in lowest terms with |u| <= bound
+    and v in ``vs``: an exact isqrt on every coprime (u, v), no sieve."""
+    D = math.lcm(*(a.denominator for a in curve.coefficients()))
+    c = [int(a * D) for a in curve.coefficients()]
+    out = set()
+    for v in vs:
+        for u in range(-bound, bound + 1):
+            # y^2 = N / (D v^2)^2 at t = u/v
+            N = D * sum(a * u ** (4 - i) * v**i for i, a in enumerate(c))
+            if math.gcd(u, v) == 1 and N >= 0 and math.isqrt(N) ** 2 == N:
+                out.add((F(u, v), F(math.isqrt(N), D * v * v)))
+    return out
+
+
+def _kernel_points(curve, bound, vlo, vhi):
+    L, A = curve.integer_form()
+    found = search._quartic_chunk((range(vlo, vhi), bound, L, A, search._square_masks(bound, L, A)))
+    return {(F(u, v), F(r, L * v * v)) for u, v, r in found}
+
+
+def test_quartic_kernel_matches_brute_force_across_the_old_int64_switch():
+    # y^2 = t^4 + 2000001 has t = +-1000 (y = 1000001); a former int64 kernel
+    # ran only while this overflow estimate stayed below 2**62
     curve = QuarticCurve(F(1), F(0), F(0), F(0), F(2000001))
     L, A = curve.integer_form()
 
@@ -218,11 +240,49 @@ def test_quartic_kernels_agree_across_the_int64_switch():
     assert limit(below + 1) >= 2**62
     for bound in (below, below + 1):
         for vlo, vhi in ((1, 3), (bound - 1, bound + 1)):
-            args = (vlo, vhi, bound, L, A)
-            got = search._quartic_chunk_numpy(args)
-            assert sorted(got) == sorted(search._quartic_chunk_python(args))
+            got = _kernel_points(curve, bound, vlo, vhi)
+            assert got == _brute_points(curve, bound, range(vlo, vhi))
             if vlo == 1:
-                assert {(1000, 1), (-1000, 1)} <= set(got)
+                assert {(F(1000), F(1000001)), (F(-1000), F(1000001))} <= got
+
+
+def test_quartic_kernel_matches_brute_force_on_rational_coefficients():
+    curve = QuarticCurve(F(1, 4), F(0), F(-3, 2), F(1), F(9, 4))
+    assert _kernel_points(curve, 40, 1, 40) == _brute_points(curve, 40, range(1, 40))
+
+
+# a rational whose numerator and denominator have up to 10**e, e in 0..14
+COEFFS = st.integers(0, 14).flatmap(
+    lambda e: st.builds(F, st.integers(-(10**e), 10**e), st.integers(1, 10**e))
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.tuples(COEFFS.filter(bool), COEFFS, COEFFS, COEFFS, COEFFS),
+    st.integers(1, 80),
+    st.none() | st.tuples(rationals(80), rationals(10**7)),
+)
+@example((F(1), F(0), F(0), F(0), F(2882880)), 70, None)  # 64*63*65*11 | a0
+@example((F(1, 64), F(1, 63), F(1, 65), F(1, 11), F(1)), 40, None)  # and | L
+@example((F(1), F(0), F(0), F(0), F(0)), 9, None)  # every t is a point
+@example((F(-3), F(2), F(5), F(0), F(0)), 30, (F(1, 2), F(3)))  # a4 < 0
+@example((F(10**14 - 1, 10**14), F(-(10**14)), F(3), F(0), F(1)), 5, (F(-5, 3), F(7, 9)))
+def test_quartic_search_matches_brute_force(coeffs, bound, plant):
+    # plant (t0, y0) on the curve by solving for a0
+    if plant is not None:
+        t0, y0 = plant
+        a0 = y0 * y0 - sum(a * t0 ** (4 - i) for i, a in enumerate(coeffs[:4]))
+        coeffs = coeffs[:4] + (a0,)
+    curve = QuarticCurve(*coeffs)
+    rep = quartic_rational_points(curve, bound)
+    pts = sorted(_brute_points(curve, bound, range(1, bound + 1)),
+                 key=lambda p: (height(p[0]), p[0].numerator, p[0].denominator))
+    assert rep.affine == tuple((t, y) for t, s in pts for y in sorted({-s, s}))
+    if plant is not None and height(t0) <= bound:
+        assert {(t0, y0), (t0, -y0)} <= set(rep.affine)
+    many = quartic_rational_points(curve, bound, workers=3)
+    assert json.dumps(many.canonical_dict()) == json.dumps(rep.canonical_dict())
 
 
 def test_scan_hits_in_enumeration_order():
@@ -309,17 +369,6 @@ def test_quartic_infinity_flag_follows_leading_square():
     assert not rep.infinite_points
     rep = quartic_rational_points(QuarticCurve(F(4), F(0), F(0), F(0), F(1)), 20)
     assert rep.infinite_points
-
-
-def test_quartic_python_fallback_agrees():
-    # rational coefficients force the integer form through the same path;
-    # compare the numpy fast path against the pure-python chunk directly
-    from ratdyn.search import _quartic_chunk_numpy, _quartic_chunk_python
-
-    curve = QuarticCurve(F(1, 4), F(0), F(-3, 2), F(1), F(9, 4))
-    L, A = curve.integer_form()
-    args = (1, 40, 40, L, A)
-    assert sorted(_quartic_chunk_numpy(args)) == sorted(_quartic_chunk_python(args))
 
 
 def test_quartic_rejects_degenerate_leading_coefficient():
