@@ -11,6 +11,7 @@ names the violated precondition), 2 usage error.  JSON output is canonical
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -227,6 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     for child in sub.choices.values():
         child._negative_number_matcher = matcher
     return top
+
+
+_parser = functools.cache(build_parser)  # a build costs ~30 parses: once per process
 
 
 def _cmd_orbit(args) -> Tuple[int, str]:
@@ -601,9 +605,8 @@ _HANDLERS = {
 
 def run(argv) -> Tuple[int, str]:
     """Parse argv and execute; returns (exit_code, output_text)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return (0 if exc.code == 0 else 2), ""
     try:

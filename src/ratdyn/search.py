@@ -10,9 +10,11 @@ P^1(F_p), and a point u/v with v <= B reduces to an affine residue.  The
 sieve iterates every map over all of F_p with numpy; each periodic residue
 r mod the first prime and each v <= B leave at most one u in [-B, B] with
 u = r v mod p; the other primes' masks filter those candidates, and
-``exact_period`` confirms the survivors.  A scan thus finds exactly the
-points of height <= B and exact period n: the set that
-``dynatomic.periodic_points_exact`` returns with ``height_bound=B``.
+``exact_period`` confirms the survivors.  A quad map z^2 + c is sieved only
+if den(c) = e^2 with e <= B, and only with v = e, the one denominator its
+periodic points can have (Walde-Russo; proof at ``_root_den``).  A scan
+thus finds exactly the points of height <= B and exact period n: the set
+that ``dynatomic.periodic_points_exact`` returns with ``height_bound=B``.
 Workers partition the list of maps into contiguous chunks and merge in
 chunk order, so any worker count yields byte-identical canonical output;
 ``elapsed`` is carried on the report object but never serialized.
@@ -176,21 +178,33 @@ def _period_bits(quad: bool, coef: np.ndarray, p: int, inv: np.ndarray, periods)
     return bits
 
 
+def _root_den(c: Fraction) -> int:
+    """e if den(c) = e^2, else 0.  A rational periodic point z of z^2 + c
+    has denominator e, and none exists if den(c) is not a square (Walde-Russo,
+    Amer. Math. Monthly 1994).  At each prime p, with delta = v_p(c): if
+    delta >= 0 and v_p(z) < 0, or delta < 0 and 2 v_p(z) != delta, the
+    iterates' valuations fall strictly, so z never recurs.  Hence delta is
+    even and v_p(z) = min(0, delta / 2)."""
+    e = math.isqrt(c.denominator)
+    return e if e * e == c.denominator else 0
+
+
 def _candidates(block, periods, bound: int, primes, inverses):
     """(row, u, v, bits) for each u/v in lowest terms with |u|, v <= bound
-    that is periodic mod every prime under the block's ``row``-th map."""
+    that is periodic mod every prime under the block's ``row``-th map; for a
+    quad map, v is its one possible denominator ``_root_den(c)``."""
     fr = [[(x.numerator, x.denominator) for x in vars(m).values()] for m in block]
     num, den = np.moveaxis(np.array(fr, dtype=np.int64), -1, 0)
     quad = isinstance(block[0], QuadraticMap)
     bits = [_period_bits(quad, num % p * inv[den] % p, p, inv, periods) for p, inv in zip(primes, inverses)]
     # a periodic residue r mod p1 and a v <= bound leave one u = r v mod p1
     # in a window of length p1 > 2 * bound; it is a candidate if |u| <= bound
-    p1 = primes[0]
+    p1, e = primes[0], np.array([_root_den(m.c) for m in block]) if quad else None
     rows, rs = np.nonzero(bits[0])
-    per = max(1, _CELLS // bound)
+    per = max(1, _CELLS // (1 if quad else bound))
     for at in range(0, len(rs), per):
         row, r = rows[at : at + per, None], rs[at : at + per, None]
-        v = np.arange(1, bound + 1, dtype=np.int64)
+        v = e[row] if quad else np.arange(1, bound + 1, dtype=np.int64)
         u = r * v
         u %= p1
         u[u > bound] -= p1
@@ -210,7 +224,8 @@ def _exact_points(m, n: int, candidates) -> FrozenSet[Fraction]:
 
 def _sieve(maps, periods_of, bound: int) -> List[Dict[int, List[Fraction]]]:
     """Per map m, its points of exact period n with height <= ``bound`` for
-    each n in ``periods_of[type(m)]``, in ``_rat_key`` order (see the module docstring)."""
+    each n in ``periods_of[type(m)]``, in ``_rat_key`` order (see the module
+    docstring).  A quad map is sieved only if ``0 < _root_den(c) <= bound``."""
     top = max([2 * bound] + [height(x) for m in maps for x in vars(m).values()])
     ps = (p for p in itertools.count(top + 1) if all(p % q for q in range(2, math.isqrt(p) + 1)))
     primes = list(itertools.islice(ps, _PRIMES))
@@ -218,7 +233,9 @@ def _sieve(maps, periods_of, bound: int) -> List[Dict[int, List[Fraction]]]:
     rows = max(1, min(_BLOCK, _CELLS // primes[-1]))
     found = [{n: [] for n in periods_of[type(m)]} for m in maps]
     for cls, periods in periods_of.items():
-        idx = [i for i, m in enumerate(maps) if type(m) is cls]
+        # by ``_root_den``, no other quad map has a periodic point of height <= bound
+        idx = [i for i, m in enumerate(maps)
+               if type(m) is cls and (cls is KBMap or 0 < _root_den(m.c) <= bound)]
         for at in range(0, len(idx), rows):
             part = idx[at : at + rows]
             for i, u, v, f in _candidates([maps[i] for i in part], periods, bound, primes, inverses):

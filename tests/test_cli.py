@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from ratdyn import cli
 from ratdyn.cli import parse_map, run
 from ratdyn.dynamics import KBMap, QuadraticMap
 from ratdyn.errors import DomainError
@@ -42,6 +43,15 @@ GOLDEN_CASES = {
         "scan", "--kind", "kb", "--height-k", "3", "--height-b", "3",
         "--height-point", "20", "--periods", "1,2",
     ],
+    # 45 hits; also diffed against the installed console script in CI
+    "scan_quad_h20_p100.json": [
+        "scan", "--kind", "quad", "--height-c", "20", "--height-point", "100", "--periods", "1,2,3",
+    ],
+    # many maps have sqrt(den(c)) > 3, so the sieve drops them unsearched
+    "scan_quad_h40_p3.json": [
+        "scan", "--kind", "quad", "--height-c", "40", "--height-point", "3", "--periods", "1,2,3",
+    ],
+    "scan_intersection_h5_p50.json": ["scan", "--kind", "intersection", "--height", "5", "--height-point", "50"],
     "quartic_curve1_h50.json": ["quartic", "--coeffs", "1,6,7,2,1", "--height", "50"],
     # the README example, also diffed against the installed console script in CI
     "quartic_curve1_h10000.json": ["quartic", "--coeffs", "1,6,7,2,1", "--height", "10000"],
@@ -70,6 +80,27 @@ def test_json_round_trips_bytes(name):
     assert code == 0
     reparsed = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
     assert reparsed == out
+
+
+def test_memoized_parser_matches_a_fresh_one(monkeypatch, capsys):
+    # one process, one parser: help, usage and domain errors leave nothing
+    # behind that changes a later call's code, text or printed output
+    calls = [
+        (["--help"], 0),
+        (["orbit", "--map", "quad:c=-13"], 2),  # missing --point
+        (["scan", "--kind", "quad", "--height-point", "0"], 1),
+        (["scan", "--kind", "quad", "--height-c", "6", "--height-point", "30", "--periods", "1,2,3"], 0),
+        (["quartic", "--coeffs", "1,6,7,2,1", "--height", "50"], 0),
+        (["classify", "--map", "quad:c=-29/16"], 0),
+        (["orbit", "--map", "quad:c=-13", "--point", "3"], 0),
+    ]
+    memo = [(run(argv), capsys.readouterr()) for argv, _ in calls]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [(run(argv), capsys.readouterr()) for argv, _ in calls]
+    assert memo == fresh
+    assert [code for (code, _), _ in memo] == [code for _, code in calls]
+    assert memo[0][1].out.startswith("usage: ratdyn") and "--point" in memo[1][1].err
 
 
 def test_parse_map():

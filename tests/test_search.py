@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ratdyn import search
 from ratdyn.classification import kb_period4_family, period3_family
-from ratdyn.core import height
+from ratdyn.core import enumerate_rationals, height
 from ratdyn.dynamics import KBMap, QuadraticMap
 from ratdyn.dynatomic import periodic_points_exact
 from ratdyn.errors import DomainError
@@ -154,6 +154,33 @@ def test_sieve_matches_dynatomic_on_mixed_chunks(maps, quad_periods, kb_periods,
     # parameters reach height 60, past 2 * bound, so the sieve's primes must
     # step past them; a chunk mixes both families, as the intersection scan's do
     _assert_sieve_is_dynatomic(maps, {QuadraticMap: quad_periods, KBMap: kb_periods}, bound)
+
+
+def test_quad_periodic_points_have_denominator_sqrt_den_c():
+    # the lemma the sieve prunes with, checked on the unbounded dynatomic
+    # route, which does not use it
+    hits = 0
+    for c in enumerate_rationals(30):
+        e = math.isqrt(c.denominator)
+        for n in (1, 2, 3):
+            pts = periodic_points_exact(QuadraticMap(c), n)
+            if e * e != c.denominator:
+                assert not pts, (c, n)
+            assert all(z.denominator == e for z in pts), (c, n)
+            hits += len(pts)
+    assert hits > 0
+
+
+@pytest.mark.parametrize("c, bound, n, want", [
+    (F(-3, 4), 2, 1, {F(-1, 2)}),  # sqrt(den(c)) = B: kept
+    (F(-29, 16), 3, 3, set()),  # sqrt(den(c)) = B + 1: dropped
+    (F(-29, 16), 4, 3, {F(-1, 4)}),  # its cycle-mates 5/4, -7/4 exceed B
+])
+def test_sieve_keeps_quad_maps_with_sqrt_den_c_up_to_the_bound(c, bound, n, want):
+    m = QuadraticMap(c)
+    found = _assert_sieve_is_dynatomic([m], {QuadraticMap: (1, 2, 3)}, bound)[0]
+    assert set(found[n]) == want
+    assert set(periodic_points_exact(m, n, height_bound=bound)) == want
 
 
 def _planted(kind, z, k):
