@@ -5,7 +5,9 @@
 form [k x^2 + b y^2 : x y].  Orbits are computed on coprime int pairs with
 cycle detection by a visited-point set: over Q an orbit either repeats or
 its heights blow up.  ``exact_period`` stops at the map's proven escape
-bound K(m), ``orbit`` at its step bound and optional height bound.
+bound K(m), ``orbit`` at its step bound and optional height bound.  Every
+walk takes one ``step`` on the map's integer record, built once per map on
+first use and kept in its ``__dict__``, off the dataclass fields.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from .core import ProjectivePoint, is_rational_square
+from .core import ProjectivePoint, format_rational, is_rational_square
 from .errors import DomainError, parameter_excluded
 
 __all__ = [
@@ -40,15 +42,49 @@ DEFAULT_MAX_STEPS = 64
 DEFAULT_HEIGHT_BOUND = 10**150
 
 
+class _StepRecord:
+    """``m._record`` = (quad, a, b, c, e, K): built on first read, then kept in
+    m's ``__dict__``, shadowing this descriptor, off the dataclass fields.
+
+    ``step`` sends a canonical coprime pair (x, y) to (F, G) / gcd(F, G), with
+    (F, G) = (a x^2 + b y^2, c y^2) for a quad map and (a x^2 + b y^2, c x y)
+    for a KB map.  H(m(P)) >= H(P)^2 / K, so past K heights grow strictly: no
+    cycle has a point above K.  For coprime (x, y) the identities
+      quad, c = n/d:  d^2 x^3 = (d x) F - (n x) G,  d^2 y^3 = (d y) G
+      KB, A = kn bd, B = bn kd, C = kd bd:
+          B (C x F - B y G) = ABC x^3,  A (C y F - A x G) = ABC y^3
+    show gcd(F, G) | e = d^2 (resp. ABC), which the step uses, and give
+    K = d + |n| (resp. max(|B|(C+|B|), |A|(C+|A|))); compare Silverman,
+    The Arithmetic of Dynamical Systems, Prop. 2.13.
+    """
+
+    def __get__(self, m: Map, cls=None) -> tuple:
+        if quad := isinstance(m, QuadraticMap):
+            n, d = m.c.as_integer_ratio()
+            rec = quad, d, n, d, d * d, d + abs(n)
+        else:
+            (kn, kd), (bn, bd) = m.k.as_integer_ratio(), m.b.as_integer_ratio()
+            a, b, c = kn * bd, bn * kd, kd * bd
+            rec = quad, a, b, c, a * b * c, max(abs(b) * (c + abs(b)), abs(a) * (c + abs(a)))
+        return m.__dict__.setdefault("_record", rec)
+
+
+def step(rec: tuple, x: int, y: int) -> Tuple[int, int]:
+    """The image of the canonical pair (x, y) under the map of ``rec``."""
+    quad, a, b, c, e, _ = rec
+    f, g = a * x * x + b * y * y, c * y * (y if quad else x)
+    h = gcd(f, e, g) * (1 if (g or f) > 0 else -1)  # y > 0, or (1 : 0)
+    return f // h, g // h
+
+
 @dataclass(frozen=True)
 class QuadraticMap:
     """f(z) = z^2 + c."""
 
     c: Fraction
+    _record = _StepRecord()
 
     def describe(self) -> str:
-        from .core import format_rational
-
         return f"quad:c={format_rational(self.c)}"
 
 
@@ -58,6 +94,7 @@ class KBMap:
 
     k: Fraction
     b: Fraction
+    _record = _StepRecord()
 
     def __post_init__(self):
         if self.k == 0:
@@ -66,8 +103,6 @@ class KBMap:
             raise parameter_excluded("b", 0)
 
     def describe(self) -> str:
-        from .core import format_rational
-
         return f"kb:k={format_rational(self.k)},b={format_rational(self.b)}"
 
 
@@ -79,50 +114,20 @@ def aut_is_c2(m: KBMap) -> bool:
     return m.k != Fraction(-1, 2)
 
 
-def _walker(m: Map) -> Tuple[Callable[[int, int], Tuple[int, int]], int]:
-    """The step (x, y) -> (F, G) / gcd(F, G) on canonical coprime pairs, and K.
-
-    H(m(P)) >= H(P)^2 / K, so past K heights grow strictly: no cycle has a
-    point above K.  For coprime (x, y) the identities
-      quad, c = n/d:  d^2 x^3 = (d x) F - (n x) G,  d^2 y^3 = (d y) G
-      KB, A = kn bd, B = bn kd, C = kd bd:
-          B (C x F - B y G) = ABC x^3,  A (C y F - A x G) = ABC y^3
-    show gcd(F, G) | e = d^2 (resp. ABC), which the step uses, and give
-    K = d + |n| (resp. max(|B|(C+|B|), |A|(C+|A|))); compare Silverman,
-    The Arithmetic of Dynamical Systems, Prop. 2.13.
-    """
-    if quad := isinstance(m, QuadraticMap):  # (F, G) = (a x^2 + b y^2, c y^2)
-        n, d = m.c.as_integer_ratio()
-        a, b, c, e, bound = d, n, d, d * d, d + abs(n)
-    else:  # (F, G) = (a x^2 + b y^2, c x y)
-        (kn, kd), (bn, bd) = m.k.as_integer_ratio(), m.b.as_integer_ratio()
-        a, b, c = kn * bd, bn * kd, kd * bd
-        e, bound = a * b * c, max(abs(b) * (c + abs(b)), abs(a) * (c + abs(a)))
-
-    def step(x, y):
-        f, g = a * x * x + b * y * y, c * y * (y if quad else x)
-        h = gcd(gcd(f, e), g) * (1 if (g or f) > 0 else -1)  # y > 0, or (1 : 0)
-        return f // h, g // h
-
-    return step, bound
-
-
 def apply_map(m: Map, p: ProjectivePoint) -> ProjectivePoint:
     """Exact image of p in P^1(Q), canonicalized.
 
     Infinity is fixed by both families; a KB map sends 0 to infinity.
     """
-    return ProjectivePoint._canonical(*_walker(m)[0](p.x, p.y))
+    return ProjectivePoint._canonical(*step(m._record, p.x, p.y))
 
 
 def cycle_from(m: Map, start: Fraction, length: int) -> Tuple[Fraction, ...]:
     """``start`` and its next ``length - 1`` images, for a finite cycle."""
-    step, x, y = _walker(m)[0], start.numerator, start.denominator
-    out = []
-    for _ in range(length):
-        out.append(Fraction(x, y) if y else None)
-        x, y = step(x, y)
-    return tuple(out)
+    rec, pts = m._record, [start.as_integer_ratio()]
+    while len(pts) < length:
+        pts.append(step(rec, *pts[-1]))
+    return tuple(Fraction(x, y) if y else None for x, y in pts[:length])
 
 
 @dataclass(frozen=True)
@@ -161,15 +166,14 @@ def orbit(
         raise parameter_excluded("max_steps", max_steps)
     if height_bound is not None and height_bound < 1:
         raise parameter_excluded("height_bound", height_bound)
-    step = _walker(m)[0]
-    seen = [(start.x, start.y)]
-    index = {seen[0]: 0}
+    rec, x, y = m._record, start.x, start.y
+    seen, index = [(x, y)], {(x, y): 0}
     while True:
-        nxt = step(*seen[-1])
+        nxt = x, y = step(rec, x, y)
         if nxt in index or len(seen) >= max_steps:
             break
         seen.append(nxt)
-        if height_bound is not None and max(abs(nxt[0]), nxt[1]) > height_bound:
+        if height_bound is not None and max(abs(x), y) > height_bound:
             break
         index[nxt] = len(seen) - 1
     hit = index.get(nxt, len(seen))
@@ -182,22 +186,24 @@ def exact_period(m: Map, p, max_steps: int = DEFAULT_MAX_STEPS) -> Optional[int]
 
     Returns None for points that are preperiodic with a nonempty tail and for
     points whose orbit did not close within the bound.  A walk that passes
-    the map's escape bound K (``_walker``) stops at once: no cycle lies above
-    it.  Accepts a ProjectivePoint or anything convertible to Fraction.
+    the map's escape bound K (``_StepRecord``) stops at once: no cycle lies
+    above it.  Accepts a ProjectivePoint or anything convertible to Fraction.
     """
     if max_steps < 1:
         raise parameter_excluded("max_steps", max_steps)
-    step, bound = _walker(m)
+    rec, bound = m._record, m._record[-1]
     if not isinstance(p, (ProjectivePoint, Fraction)):
         p = Fraction(p)
     start = x, y = (p.x, p.y) if isinstance(p, ProjectivePoint) else p.as_integer_ratio()
+    if abs(x) > bound or y > bound:
+        return None
     seen = {start}
     for n in range(1, max_steps + 1):
-        if abs(x) > bound or y > bound:
-            return None
-        x, y = step(x, y)
+        x, y = step(rec, x, y)
         if (x, y) in seen:
             return n if (x, y) == start else None
+        if abs(x) > bound or y > bound:
+            return None
         seen.add((x, y))
     return None
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import FrozenSet, List, Optional, Tuple
 
 from . import _intpoly
-from .dynamics import DEFAULT_MAX_STEPS, Map, QuadraticMap, exact_period
+from .dynamics import DEFAULT_MAX_STEPS, Map, exact_period
 from .errors import DomainError, parameter_excluded
 from .polynomials import HomogeneousPoly, Poly
 
@@ -84,14 +84,8 @@ def _int_iterates(m: Map, n: int) -> Tuple[List[Tuple[List[int], List[int]]], in
         raise parameter_excluded("n", n)
     # f_1 = A z^2 + B and f' = A f^2 + B g^2, where A/D and B/D are the
     # map's z^2 and constant coefficients (1, c or k, b); g' = D g^2 for
-    # z^2 + c and D f g for kz + b/z
-    quad = isinstance(m, QuadraticMap)
-    if quad:
-        A, B, D = m.c.denominator, m.c.numerator, m.c.denominator
-    else:
-        kn, kd = m.k.numerator, m.k.denominator
-        bn, bd = m.b.numerator, m.b.denominator
-        A, B, D = kn * bd, bn * kd, kd * bd
+    # z^2 + c and D f g for kz + b/z: the integers of the map's orbit step
+    quad, A, B, D, _, _ = m._record
     f, g = [B, 0, A], ([D] if quad else [0, D])
     pairs = [(f, g)]
     for _ in range(n - 1):

@@ -193,7 +193,7 @@ def _candidates(block, periods, bound: int, primes, inverses):
     """(row, u, v, bits) for each u/v in lowest terms with |u|, v <= bound
     that is periodic mod every prime under the block's ``row``-th map; for a
     quad map, v is its one possible denominator ``_root_den(c)``."""
-    fr = [[(x.numerator, x.denominator) for x in vars(m).values()] for m in block]
+    fr = [[getattr(m, f).as_integer_ratio() for f in m.__dataclass_fields__] for m in block]
     num, den = np.moveaxis(np.array(fr, dtype=np.int64), -1, 0)
     quad = isinstance(block[0], QuadraticMap)
     bits = [_period_bits(quad, num % p * inv[den] % p, p, inv, periods) for p, inv in zip(primes, inverses)]
@@ -226,7 +226,7 @@ def _sieve(maps, periods_of, bound: int) -> List[Dict[int, List[Fraction]]]:
     """Per map m, its points of exact period n with height <= ``bound`` for
     each n in ``periods_of[type(m)]``, in ``_rat_key`` order (see the module
     docstring).  A quad map is sieved only if ``0 < _root_den(c) <= bound``."""
-    top = max([2 * bound] + [height(x) for m in maps for x in vars(m).values()])
+    top = max([2 * bound] + [height(getattr(m, f)) for m in maps for f in m.__dataclass_fields__])
     ps = (p for p in itertools.count(top + 1) if all(p % q for q in range(2, math.isqrt(p) + 1)))
     primes = list(itertools.islice(ps, _PRIMES))
     inverses = [_inverses(p) for p in primes]

@@ -1,14 +1,16 @@
+import dataclasses
+import pickle
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ratdyn.classification import quad_periodic_points
-from ratdyn.core import INFINITY, ProjectivePoint
+from ratdyn import dynamics
+from ratdyn.classification import kb_period4_family, period3_family, quad_periodic_points
+from ratdyn.core import INFINITY, ProjectivePoint, enumerate_rationals
 from ratdyn.dynamics import (
     KBMap,
     QuadraticMap,
-    _walker,
     apply_map,
     aut_is_c2,
     cycle_from,
@@ -16,6 +18,7 @@ from ratdyn.dynamics import (
     kb_conjugate_equivalent,
     normalize_quadratic,
     orbit,
+    step,
 )
 from ratdyn.dynatomic import periodic_points_exact
 from ratdyn.errors import DomainError
@@ -213,7 +216,7 @@ def test_step_matches_fraction_arithmetic(case):
     m, p = case
     img = p * p + m.c if isinstance(m, QuadraticMap) else (m.k * p + m.b / p if p else None)
     want = (1, 0) if img is None else (img.numerator, img.denominator)
-    assert _walker(m)[0](p.numerator, p.denominator) == want
+    assert step(m._record, p.numerator, p.denominator) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -226,5 +229,59 @@ def test_exact_period_matches_unguarded_orbit(case, steps):
     want = len(rep.cycle) if rep.is_periodic and not rep.tail else None
     assert exact_period(m, p, max_steps=steps) == want
     if want is not None:
-        bound = _walker(m)[1]
+        bound = m._record[-1]
         assert all(max(abs(q.x), q.y) <= bound for q in rep.cycle)
+
+
+def _planted():
+    """(map, point, n): planted cycles of exact period n = 1, 2, 3, 4."""
+    fam3, fam4 = period3_family(F(1)), kb_period4_family(F(2))
+    return [
+        (QuadraticMap(F(-6)), F(3), 1),
+        (QuadraticMap(F(-13)), F(3), 2),
+        (QuadraticMap(fam3.c), fam3.x1, 3),
+        (KBMap(fam4.k, fam4.b), fam4.points[0], 4),
+    ]
+
+
+@pytest.mark.parametrize("m, p, n", _planted(), ids=["quad1", "quad2", "quad3", "kb4"])
+def test_exact_period_contract_edges(m, p, n, monkeypatch):
+    assert exact_period(m, p, max_steps=n) == n
+    if n > 1:
+        assert exact_period(m, p, max_steps=n - 1) is None
+    bound = m._record[-1]
+    for start in (bound + 1, -bound - 1, F(1, bound + 1)):
+        assert exact_period(m, start) is None
+        assert exact_period(m, start, max_steps=10**6) is None
+    for start in (p, F(0), F(1), F(-1), F(2), F(bound), F(bound + 1)):
+        want = exact_period(m, start)
+        assert exact_period(m, pt(start)) == want
+        if start.denominator == 1:
+            assert exact_period(m, int(start)) == want
+    assert exact_period(m, INFINITY) == 1
+    if isinstance(m, KBMap):
+        assert exact_period(m, 0) is None
+    # the walk stops at the first image past the bound, or once it closes
+    walked = []
+    monkeypatch.setattr(dynamics, "step", lambda rec, x, y: walked.append(x) or step(rec, x, y))
+    assert exact_period(m, p) == n and len(walked) == n
+    walked.clear()
+    assert exact_period(m, bound + 1) is None and walked == []
+    walked.clear()
+    assert max(abs(v) for v in step(m._record, bound, 1)) > bound
+    assert exact_period(m, bound) is None and walked == [bound]
+
+
+@pytest.mark.parametrize("make", [lambda: QuadraticMap(F(-29, 16)), lambda: KBMap(F(4, 3), F(-10, 3))])
+def test_step_record_is_invisible(make):
+    m = make()
+    seen = lambda m: (m, hash(m), repr(m), m.describe(), dataclasses.fields(m))
+    before, cold = seen(m), pickle.loads(pickle.dumps(m))
+    starts = list(enumerate_rationals(12)) + [INFINITY]
+    answers = [exact_period(m, p) for p in starts]
+    assert "_record" in vars(m) and "_record" not in vars(cold)
+    assert seen(m) == before and seen(make()) == before
+    warm = pickle.loads(pickle.dumps(m))
+    for other in (cold, warm):
+        assert seen(other) == before
+        assert [exact_period(other, p) for p in starts] == answers

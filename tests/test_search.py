@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from ratdyn import search
 from ratdyn.classification import kb_period4_family, period3_family
 from ratdyn.core import enumerate_rationals, height
-from ratdyn.dynamics import KBMap, QuadraticMap
+from ratdyn.dynamics import KBMap, QuadraticMap, exact_period
 from ratdyn.dynatomic import periodic_points_exact
 from ratdyn.errors import DomainError
 from ratdyn.search import (
@@ -415,3 +415,27 @@ def test_scan_reports_are_pure_functions():
     b = scan_kb_periods(3, 3, 30, {1, 2})
     assert a.canonical_dict() == b.canonical_dict()
     assert a.elapsed >= 0 and "elapsed" not in a.canonical_dict()
+
+
+def test_step_records_change_no_sieve_input_or_scan_bytes():
+    """A map's cached step record is kept off its parameters: maps whose
+    record is filled, pickled to two workers or not, sieve as fresh maps do."""
+    periods = (1, 2, 3, 4)
+
+    def fresh():
+        box = [r for r in enumerate_rationals(3) if r != 0]
+        return [QuadraticMap(c) for c in enumerate_rationals(12)] + [KBMap(k, b) for k in box for b in box]
+
+    warm = fresh()
+    for m in warm:
+        exact_period(m, F(1))
+    assert all("_record" in vars(m) for m in warm)
+    want = search._map_over(search._periods_chunk, fresh(), 1, periods, 20)
+    assert want and search._map_over(search._periods_chunk, warm, 1, periods, 20) == want
+    assert search._map_over(search._periods_chunk, warm, 2, periods, 20) == want
+    for scan in (
+        lambda w: scan_quadratic_periods(8, 50, (1, 2, 3), workers=w),
+        lambda w: scan_kb_periods(3, 3, 50, (1, 2, 4), workers=w),
+        lambda w: scan_intersection_bound(3, 50, workers=w),
+    ):
+        assert json.dumps(scan(2).canonical_dict()) == json.dumps(scan(1).canonical_dict())
