@@ -67,6 +67,83 @@ GOLDEN_CASES = {
 }
 
 
+# table and csv views, frozen byte for byte like the JSON golden files
+VIEW_CASES = {
+    # empty tail and empty cycle print "-"
+    "orbit_quad_c-13_p3.table.txt": ["orbit", "--map", "quad:c=-13", "--point", "3"],
+    "orbit_quad_c0_p2_steps5.table.txt": [
+        "orbit", "--map", "quad:c=0", "--point", "2", "--max-steps", "5",
+    ],
+    "period_kb_43_p2.table.txt": ["period", "--map", "kb:k=4/3,b=-10/3", "--point", "2"],
+    "period_quad_c0_p2.table.txt": ["period", "--map", "quad:c=0", "--point", "2"],
+    "dynatomic_quad_c-3_n2.table.txt": ["dynatomic", "--map", "quad:c=-3", "--n", "2"],
+    # witnesses print as JSON; rows with no points print "-"
+    "classify_quad_c-29-16.table.txt": ["classify", "--map", "quad:c=-29/16"],
+    # also diffed against the installed console script in CI
+    "classify_kb_43.table.txt": ["classify", "--map", "kb:k=4/3,b=-10/3"],
+    "family_fixed_p32.table.txt": [
+        "family", "--kind", "fixed", "--p", "3/2", "--n", "1", "--q", "1",
+    ],
+    "family_kbpair_row3.table.txt": [
+        "family", "--kind", "kbpair", "--row", "3", "--p", "3/5", "--s1", "2", "--s2", "1/3",
+    ],
+    "family_intersect_kbkb_case1.table.txt": [
+        "family", "--kind", "intersect-kbkb", "--case", "1", "--p", "2", "--s1", "3", "--s2", "5",
+    ],
+    "intersect_c-13.table.txt": [
+        "intersect", "--map1", "quad:c=-13", "--map2", "kb:k=24/7,b=-300/7", "--point", "3",
+    ],
+    "shared_q101-40.table.txt": ["shared", "--q", "101/40"],
+    "shared_q101-40.csv.txt": ["shared", "--q", "101/40"],
+    "simul_a1_b2.table.txt": ["simul", "--a", "1", "--b", "2"],
+    # the infinite case shows k_formula and b_formula under k and b
+    "simul_a1_b-1.table.txt": ["simul", "--a", "1", "--b", "-1"],
+    "scan_kb_h2_p10.table.txt": [
+        "scan", "--kind", "kb", "--height-k", "2", "--height-b", "2",
+        "--height-point", "10", "--periods", "1",
+    ],
+    # also diffed against the installed console script in CI
+    "scan_kb_h2_p10.csv.txt": [
+        "scan", "--kind", "kb", "--height-k", "2", "--height-b", "2",
+        "--height-point", "10", "--periods", "1",
+    ],
+    # no hits: the summary alone, and the csv header alone
+    "scan_quad_h3_p10_n3.table.txt": [
+        "scan", "--kind", "quad", "--height-c", "3", "--height-point", "10", "--periods", "3",
+    ],
+    "scan_quad_h3_p10_n3.csv.txt": [
+        "scan", "--kind", "quad", "--height-c", "3", "--height-point", "10", "--periods", "3",
+    ],
+    "scan_intersection_h5_p50.table.txt": [
+        "scan", "--kind", "intersection", "--height", "5", "--height-point", "50",
+    ],
+    "scan_intersection_h5_p50.csv.txt": [
+        "scan", "--kind", "intersection", "--height", "5", "--height-point", "50",
+    ],
+    "scan_intersection_h1_p5.table.txt": [
+        "scan", "--kind", "intersection", "--height", "1", "--height-point", "5",
+    ],
+    "scan_intersection_h1_p5.csv.txt": [
+        "scan", "--kind", "intersection", "--height", "1", "--height-point", "5",
+    ],
+    # the table ends with an infinite_points row that the csv omits
+    "quartic_curve1_h50.table.txt": ["quartic", "--coeffs", "1,6,7,2,1", "--height", "50"],
+    "quartic_curve1_h50.csv.txt": ["quartic", "--coeffs", "1,6,7,2,1", "--height", "50"],
+    "quartic_a4_2_h20.table.txt": ["quartic", "--coeffs", "2,0,0,0,1", "--height", "20"],
+}
+
+
+def _view_argv(name):
+    return VIEW_CASES[name] + ["--format", name.split(".")[-2]]
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_CASES))
+def test_table_and_csv_views_frozen(name):
+    code, out = run(_view_argv(name))
+    assert code == 0
+    assert out + "\n" == (GOLDEN / name).read_text()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_outputs_frozen(name):
     code, out = run(GOLDEN_CASES[name])
