@@ -5,13 +5,17 @@ simul, scan, quartic.  All numbers in and out use the exact rational grammar
 ("n" or "n/d", "inf" for infinity); maps use "quad:c=<rat>" or
 "kb:k=<rat>,b=<rat>".  Exit codes: 0 success, 1 domain error (the message
 names the violated precondition), 2 usage error.  JSON output is canonical
-(sorted keys, compact separators) and round-trips byte for byte.
+(sorted keys, compact separators) and round-trips byte for byte.  Each
+subcommand computes only its JSON payload; the table and csv formats are
+views of that payload (``_VIEWS``), and ``_render`` writes all three.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import re
 import sys
@@ -105,21 +109,11 @@ def _read_config(path: Optional[str]) -> dict:
     return out
 
 
-def _bound(args, config, flag: str, key: str) -> int:
-    val = getattr(args, flag, None)
-    if val is not None:
-        return val
-    return config.get(key, DEFAULT_BOUNDS[key])
-
-
-def _table(rows) -> str:
-    if not rows:
-        return ""
-    widths = [max(len(str(r[i])) for r in rows) for i in range(len(rows[0]))]
-    return "\n".join(
-        "  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in rows
-    )
+def _bound(args, config, key: str, flag: Optional[str] = None) -> int:
+    """The flag (named as the key unless given), else the config file, else
+    the default."""
+    val = getattr(args, flag or key)
+    return val if val is not None else config.get(key, DEFAULT_BOUNDS[key])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,21 +123,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=["json", "table", "csv"], default="json")
-
     p = sub.add_parser("orbit", help="forward orbit with cycle detection")
     p.add_argument("--map", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--max-steps", type=int, default=64)
     p.add_argument("--height-bound", type=int, default=None)
-    add_format(p)
 
     p = sub.add_parser("period", help="exact period of a point, if periodic")
     p.add_argument("--map", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--max-steps", type=int, default=64)
-    add_format(p)
 
     p = sub.add_parser("dynatomic", help="period/dynatomic polynomials")
     p.add_argument("--map", required=True)
@@ -153,12 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["dynatomic", "period", "factor4", "cofactor4"],
         default="dynatomic",
     )
-    add_format(p)
 
     p = sub.add_parser("classify", help="closed-form periodic points per period")
     p.add_argument("--map", required=True)
     p.add_argument("--n", type=int, default=None)
-    add_format(p)
 
     p = sub.add_parser("family", help="simultaneous-periodic-point generators")
     p.add_argument(
@@ -186,22 +173,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", type=int)
     p.add_argument("--s1")
     p.add_argument("--s2")
-    add_format(p)
 
     p = sub.add_parser("intersect", help="orbit intersection at a common periodic point")
     p.add_argument("--map1", required=True)
     p.add_argument("--map2", required=True)
     p.add_argument("--point", required=True)
-    add_format(p)
 
     p = sub.add_parser("shared", help="all z^2+c with the given periodic point")
     p.add_argument("--q", required=True)
-    add_format(p)
 
     p = sub.add_parser("simul", help="KB maps with two prescribed periodic values")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    add_format(p)
 
     p = sub.add_parser("scan", help="height-bounded searches")
     p.add_argument("--kind", required=True, choices=["quad", "kb", "intersection"])
@@ -213,27 +196,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--config", default=None)
-    add_format(p)
 
     p = sub.add_parser("quartic", help="rational points on y^2 = quartic(t)")
     p.add_argument("--coeffs", required=True, help="a4,a3,a2,a1,a0")
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--config", default=None)
-    add_format(p)
 
-    # let bare negative rationals ("-1/2") pass as option values
+    # let bare negative rationals ("-1/2") pass as option values, and give
+    # every subcommand --format as its last option
     matcher = re.compile(r"^-\d+(/\d+)?$")
     top._negative_number_matcher = matcher
     for child in sub.choices.values():
         child._negative_number_matcher = matcher
+        child.add_argument("--format", choices=["json", "table", "csv"], default="json")
     return top
 
 
 _parser = functools.cache(build_parser)  # a build costs ~30 parses: once per process
 
 
-def _cmd_orbit(args) -> Tuple[int, str]:
+def _cmd_orbit(args) -> dict:
     m = parse_map(args.map)
     rep = orbit(
         m,
@@ -241,7 +224,7 @@ def _cmd_orbit(args) -> Tuple[int, str]:
         max_steps=args.max_steps,
         height_bound=args.height_bound,
     )
-    payload = {
+    return {
         "command": "orbit",
         "map": m.describe(),
         "point": args.point,
@@ -249,24 +232,15 @@ def _cmd_orbit(args) -> Tuple[int, str]:
         "tail": [format_point(q) for q in rep.tail],
         "cycle": [format_point(q) for q in rep.cycle],
     }
-    if args.format == "table":
-        rows = [("status", rep.status)]
-        rows.append(("tail", " ".join(format_point(q) for q in rep.tail) or "-"))
-        rows.append(("cycle", " ".join(format_point(q) for q in rep.cycle) or "-"))
-        return 0, _table(rows)
-    return 0, _json(payload)
 
 
-def _cmd_period(args) -> Tuple[int, str]:
+def _cmd_period(args) -> dict:
     m = parse_map(args.map)
     n = exact_period(m, parse_point(args.point), max_steps=args.max_steps)
-    payload = {"command": "period", "map": m.describe(), "point": args.point, "exact_period": n}
-    if args.format == "table":
-        return 0, _table([("exact_period", n if n is not None else "-")])
-    return 0, _json(payload)
+    return {"command": "period", "map": m.describe(), "point": args.point, "exact_period": n}
 
 
-def _cmd_dynatomic(args) -> Tuple[int, str]:
+def _cmd_dynatomic(args) -> dict:
     m = parse_map(args.map)
     if args.which in ("factor4", "cofactor4"):
         if not isinstance(m, KBMap):
@@ -277,17 +251,13 @@ def _cmd_dynatomic(args) -> Tuple[int, str]:
         poly = period_polynomial(m, args.n)
     else:
         poly = dynatomic_polynomial(m, args.n)
-    text = poly.to_string()
-    payload = {
+    return {
         "command": "dynatomic",
         "map": m.describe(),
         "n": args.n,
         "which": args.which,
-        "polynomial": text,
+        "polynomial": poly.to_string(),
     }
-    if args.format == "table":
-        return 0, text
-    return 0, _json(payload)
 
 
 def _classify_one(m, n: int) -> dict:
@@ -309,7 +279,7 @@ def _classify_one(m, n: int) -> dict:
     }
 
 
-def _cmd_classify(args) -> Tuple[int, str]:
+def _cmd_classify(args) -> dict:
     m = parse_map(args.map)
     all_n = (1, 2, 3) if isinstance(m, QuadraticMap) else (1, 2, 4)
     ns = [args.n] if args.n is not None else list(all_n)
@@ -317,20 +287,7 @@ def _cmd_classify(args) -> Tuple[int, str]:
         if n not in all_n:
             raise DomainError(f"parameter excluded: n={n}")
     results = [_classify_one(m, n) for n in ns]
-    payload = {"command": "classify", "map": m.describe(), "results": results}
-    if args.format == "table":
-        rows = [("n", "points", "witness", "cycle")]
-        for r in results:
-            rows.append(
-                (
-                    r["n"],
-                    " ".join(r["points"]) or "-",
-                    _json(r["witness"]) if r["witness"] else "-",
-                    " ".join(r["cycle"]) if r["cycle"] else "-",
-                )
-            )
-        return 0, _table(rows)
-    return 0, _json(payload)
+    return {"command": "classify", "map": m.describe(), "results": results}
 
 
 def _need(args, *names):
@@ -339,98 +296,50 @@ def _need(args, *names):
             raise DomainError(f"parameter excluded: --{name} is required")
 
 
-def _cmd_family(args) -> Tuple[int, str]:
-    kind = args.kind
-    if kind in ("fixed", "period2"):
-        _need(args, "p", "n")
-        param = args.m if args.n == 4 else args.q
-        if param is None:
-            raise DomainError("parameter excluded: --q (or --m for n=4) is required")
-        fn = triples_fixed_point if kind == "fixed" else triples_period2
-        trip = fn(parse_rational(args.p), args.n, parse_rational(param))
-    elif kind == "period3":
-        _need(args, "tau", "i", "n")
-        param = args.m if args.n == 4 else args.q
-        if param is None:
-            raise DomainError("parameter excluded: --q (or --m for n=4) is required")
-        trip = triples_period3(
-            parse_rational(args.tau), args.i, args.n, parse_rational(param)
-        )
-    elif kind == "intersect-mixed":
-        _need(args, "p", "sign")
-        trip = two_point_intersection_mixed(parse_rational(args.p), args.sign)
-    elif kind == "intersect-period3":
-        _need(args, "tau", "i", "j", "sign")
-        trip = two_point_intersection_period3(
-            parse_rational(args.tau), args.i, args.j, args.sign
-        )
-    elif kind == "kbpair":
-        _need(args, "row", "p", "s1", "s2")
-        quad = kb_pair_family(
-            args.row, parse_rational(args.p), parse_rational(args.s1), parse_rational(args.s2)
-        )
-        return _emit_kbpair(args, quad)
-    else:  # intersect-kbkb
-        _need(args, "case", "p", "s1", "s2")
-        quad = two_point_intersection_kb(
-            args.case, parse_rational(args.p), parse_rational(args.s1), parse_rational(args.s2)
-        )
-        return _emit_kbpair(args, quad)
-    payload = {
-        "command": "family",
-        "kind": kind,
-        "k": format_rational(trip.k),
-        "b": format_rational(trip.b),
-        "c": format_rational(trip.c),
-        "f_period": trip.f_period,
-        "phi_period": trip.phi_period,
-        "shared_point": format_rational(trip.shared_point),
-        "parameters": {k: format_rational(v) for k, v in trip.parameters.items()},
-    }
-    if args.format == "table":
-        rows = [
-            ("k", payload["k"]),
-            ("b", payload["b"]),
-            ("c", payload["c"]),
-            ("f_period", trip.f_period),
-            ("phi_period", trip.phi_period),
-            ("shared_point", payload["shared_point"]),
-        ]
-        return 0, _table(rows)
-    return 0, _json(payload)
+# each family kind: its generator and the flags it takes, in call order; "q"
+# stands for --q, or for --m when n = 4
+_FAMILY_KINDS = {
+    "fixed": (triples_fixed_point, ("p", "n", "q")),
+    "period2": (triples_period2, ("p", "n", "q")),
+    "period3": (triples_period3, ("tau", "i", "n", "q")),
+    "kbpair": (kb_pair_family, ("row", "p", "s1", "s2")),
+    "intersect-mixed": (two_point_intersection_mixed, ("p", "sign")),
+    "intersect-period3": (two_point_intersection_period3, ("tau", "i", "j", "sign")),
+    "intersect-kbkb": (two_point_intersection_kb, ("case", "p", "s1", "s2")),
+}
 
 
-def _emit_kbpair(args, quad) -> Tuple[int, str]:
+def _rat_fields(obj, *names) -> dict:
+    return {name: format_rational(getattr(obj, name)) for name in names}
+
+
+def _cmd_family(args) -> dict:
+    fn, flags = _FAMILY_KINDS[args.kind]
+    _need(args, *(flag for flag in flags if flag != "q"))
+    values = [getattr(args, "m" if f == "q" and args.n == 4 else f) for f in flags]
+    if None in values:  # only --q or --m can be missing here
+        raise DomainError("parameter excluded: --q (or --m for n=4) is required")
+    # argparse has typed the integer flags; the others are rationals
+    res = fn(*(v if isinstance(v, int) else parse_rational(v) for v in values))
     payload = {
         "command": "family",
         "kind": args.kind,
-        "k1": format_rational(quad.k1),
-        "b1": format_rational(quad.b1),
-        "k2": format_rational(quad.k2),
-        "b2": format_rational(quad.b2),
-        "periods": list(quad.periods),
-        "shared_point": format_rational(quad.shared_point),
-        "parameters": {k: format_rational(v) for k, v in quad.parameters.items()},
+        **_rat_fields(res, "shared_point"),
+        "parameters": {k: format_rational(v) for k, v in res.parameters.items()},
     }
-    if args.format == "table":
-        rows = [
-            ("k1", payload["k1"]),
-            ("b1", payload["b1"]),
-            ("k2", payload["k2"]),
-            ("b2", payload["b2"]),
-            ("periods", f"{quad.periods[0]},{quad.periods[1]}"),
-            ("shared_point", payload["shared_point"]),
-        ]
-        return 0, _table(rows)
-    return 0, _json(payload)
+    if args.kind in ("kbpair", "intersect-kbkb"):
+        payload.update(_rat_fields(res, "k1", "b1", "k2", "b2"), periods=list(res.periods))
+    else:
+        payload.update(_rat_fields(res, "k", "b", "c"))
+        payload.update(f_period=res.f_period, phi_period=res.phi_period)
+    return payload
 
 
-def _cmd_intersect(args) -> Tuple[int, str]:
+def _cmd_intersect(args) -> dict:
     m1, m2 = parse_map(args.map1), parse_map(args.map2)
     p = parse_rational(args.point)
-    common = orbit_intersection(m1, m2, p)
-    ordered = _rat_list(sorted(common))
-    payload = {
+    ordered = _rat_list(sorted(orbit_intersection(m1, m2, p)))
+    return {
         "command": "intersect",
         "map1": m1.describe(),
         "map2": m2.describe(),
@@ -438,40 +347,22 @@ def _cmd_intersect(args) -> Tuple[int, str]:
         "intersection": ordered,
         "size": len(ordered),
     }
-    if args.format == "table":
-        return 0, _table([("intersection", " ".join(ordered)), ("size", len(ordered))])
-    return 0, _json(payload)
 
 
-def _cmd_shared(args) -> Tuple[int, str]:
-    q = parse_rational(args.q)
-    entries = quadratics_with_periodic_point(q)
+def _cmd_shared(args) -> dict:
+    entries = quadratics_with_periodic_point(parse_rational(args.q))
     items = [
-        {
-            "c": format_rational(e.c),
-            "period": e.period,
-            "cycle": _rat_list(e.cycle),
-        }
+        {"c": format_rational(e.c), "period": e.period, "cycle": _rat_list(e.cycle)}
         for e in entries
     ]
-    payload = {"command": "shared", "q": args.q, "entries": items}
-    if args.format == "table":
-        rows = [("c", "period", "cycle")]
-        for it in items:
-            rows.append((it["c"], it["period"], " ".join(it["cycle"])))
-        return 0, _table(rows)
-    if args.format == "csv":
-        lines = ["c,period,cycle"]
-        for it in items:
-            lines.append(f"{it['c']},{it['period']},{' '.join(it['cycle'])}")
-        return 0, "\n".join(lines)
-    return 0, _json(payload)
+    return {"command": "shared", "q": args.q, "entries": items}
 
 
-def _cmd_simul(args) -> Tuple[int, str]:
+def _cmd_simul(args) -> dict:
     res = maps_with_both_periodic(parse_rational(args.a), parse_rational(args.b))
+    payload = {"command": "simul", "a": args.a, "b": args.b, "infinite": res.infinite}
     if res.infinite:
-        fams = [
+        payload["families"] = [
             {
                 "kind": f.kind,
                 "period": f.period,
@@ -482,76 +373,41 @@ def _cmd_simul(args) -> Tuple[int, str]:
             }
             for f in res.families
         ]
-        payload = {
-            "command": "simul",
-            "a": args.a,
-            "b": args.b,
-            "infinite": True,
-            "families": fams,
-        }
-        if args.format == "table":
-            rows = [("kind", "period", "k", "b")]
-            for f in fams:
-                rows.append((f["kind"], f["period"], f["k_formula"], f["b_formula"]))
-            return 0, _table(rows)
-        return 0, _json(payload)
-    items = [
-        {
-            "k": format_rational(e.map.k),
-            "b": format_rational(e.map.b),
-            "period_a": e.period_a,
-            "period_b": e.period_b,
-        }
-        for e in res.maps
-    ]
-    payload = {
-        "command": "simul",
-        "a": args.a,
-        "b": args.b,
-        "infinite": False,
-        "maps": items,
-    }
-    if args.format == "table":
-        rows = [("k", "b", "period_a", "period_b")]
-        for it in items:
-            rows.append((it["k"], it["b"], it["period_a"], it["period_b"]))
-        return 0, _table(rows)
-    return 0, _json(payload)
+    else:
+        payload["maps"] = [
+            {
+                "k": format_rational(e.map.k),
+                "b": format_rational(e.map.b),
+                "period_a": e.period_a,
+                "period_b": e.period_b,
+            }
+            for e in res.maps
+        ]
+    return payload
 
 
-def _cmd_scan(args) -> Tuple[int, str]:
+def _cmd_scan(args) -> dict:
     config = _read_config(args.config)
-    workers = args.workers
+    point = _bound(args, config, "height_point")
     if args.kind == "quad":
-        periods = _parse_periods(args.periods, default="4,5,6")
         report = scan_quadratic_periods(
-            _bound(args, config, "height_c", "height_c"),
-            _bound(args, config, "height_point", "height_point"),
-            periods,
-            workers=workers,
+            _bound(args, config, "height_c"),
+            point,
+            _parse_periods(args.periods, default="4,5,6"),
+            workers=args.workers,
         )
     elif args.kind == "kb":
-        periods = _parse_periods(args.periods, default="5,6")
         report = scan_kb_periods(
-            _bound(args, config, "height_k", "height_k"),
-            _bound(args, config, "height_b", "height_b"),
-            _bound(args, config, "height_point", "height_point"),
-            periods,
-            workers=workers,
+            _bound(args, config, "height_k"),
+            _bound(args, config, "height_b"),
+            point,
+            _parse_periods(args.periods, default="5,6"),
+            workers=args.workers,
         )
     else:
         height = args.height if args.height is not None else config.get("height", 8)
-        report = scan_intersection_bound(
-            height,
-            _bound(args, config, "height_point", "height_point"),
-            workers=workers,
-        )
-    if args.format == "csv":
-        return 0, "\n".join(report.csv_lines())
-    if args.format == "table":
-        rows = [("hits", len(report.hits)), ("scanned", report.scanned_count)]
-        return 0, _table(rows) + ("\n" + "\n".join(report.csv_lines()[1:]) if report.hits else "")
-    return 0, _json(report.canonical_dict())
+        report = scan_intersection_bound(height, point, workers=args.workers)
+    return report.canonical_dict()
 
 
 def _parse_periods(text: Optional[str], default: str):
@@ -562,31 +418,15 @@ def _parse_periods(text: Optional[str], default: str):
         raise DomainError(f"invalid periods list: {raw!r}")
 
 
-def _cmd_quartic(args) -> Tuple[int, str]:
+def _cmd_quartic(args) -> dict:
     config = _read_config(args.config)
     parts = args.coeffs.split(",")
     if len(parts) != 5:
         raise DomainError("parameter excluded: --coeffs needs a4,a3,a2,a1,a0")
     curve = QuarticCurve(*(parse_rational(p) for p in parts))
-    bound = (
-        args.height
-        if args.height is not None
-        else config.get("height_quartic", DEFAULT_BOUNDS["height_quartic"])
-    )
+    bound = _bound(args, config, "height_quartic", flag="height")
     report = quartic_rational_points(curve, bound, workers=args.workers)
-    if args.format == "csv":
-        lines = ["tau,y"]
-        for t, y in report.affine:
-            lines.append(f"{format_rational(t)},{format_rational(y)}")
-        return 0, "\n".join(lines)
-    if args.format == "table":
-        rows = [("tau", "y")] + [
-            (format_rational(t), format_rational(y)) for t, y in report.affine
-        ]
-        rows.append(("infinite_points", report.infinite_points))
-        return 0, _table(rows)
-    payload = {"command": "quartic", **report.canonical_dict()}
-    return 0, _json(payload)
+    return {"command": "quartic", **report.canonical_dict()}
 
 
 _HANDLERS = {
@@ -603,6 +443,91 @@ _HANDLERS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# table and csv: views of the JSON payload
+
+def _cell(value) -> str:
+    """The cell rule of every view: a list is space-joined, None or an empty
+    list is "-", a dict is canonical JSON, anything else is str()."""
+    if value is None or value == []:
+        return "-"
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return _json(value) if isinstance(value, dict) else str(value)
+
+
+def _fields(p: dict, *keys) -> list:
+    """One label-value row per key."""
+    return [(key, p[key]) for key in keys]
+
+
+def _records(records, keys, header=None) -> list:
+    """A header row (the keys, unless given), then the keys of each record."""
+    return [header or keys] + [tuple(r[key] for key in keys) for r in records]
+
+
+def _family_view(p: dict) -> list:
+    if "k1" not in p:
+        return _fields(p, "k", "b", "c", "f_period", "phi_period", "shared_point")
+    periods = ",".join(map(str, p["periods"]))  # "4,4": the one cell not by _cell
+    return _fields(p, "k1", "b1", "k2", "b2") + [("periods", periods)] + _fields(p, "shared_point")
+
+
+def _simul_view(p: dict) -> list:
+    if p["infinite"]:
+        keys = ("kind", "period", "k_formula", "b_formula")
+        return _records(p["families"], keys, header=("kind", "period", "k", "b"))
+    return _records(p["maps"], ("k", "b", "period_a", "period_b"))
+
+
+def _scan_view(p: dict) -> list:
+    kind = p["scan_kind"]
+    keys = ("map1", "map2", "point", "size") if kind == "intersection" else ("map", "point", "period")
+    return [("scan_kind",) + keys] + [(kind,) + tuple(h[k] for k in keys) for h in p["hits"]]
+
+
+_VIEWS = {
+    "orbit": lambda p: _fields(p, "status", "tail", "cycle"),
+    "period": lambda p: _fields(p, "exact_period"),
+    "dynatomic": lambda p: [(p["polynomial"],)],
+    "classify": lambda p: _records(p["results"], ("n", "points", "witness", "cycle")),
+    "family": _family_view,
+    "intersect": lambda p: _fields(p, "intersection", "size"),
+    "shared": lambda p: _records(p["entries"], ("c", "period", "cycle")),
+    "simul": _simul_view,
+    "scan": _scan_view,
+    "quartic": lambda p: [("tau", "y")] + p["affine"],
+}
+
+
+def _table(rows) -> str:
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
+    )
+
+
+def _csv(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().rstrip("\n")
+
+
+def _render(fmt: str, command: str, payload: dict) -> str:
+    """The output text: the JSON payload, or its table or csv view."""
+    if fmt == "json":
+        return _json(payload)
+    rows = [[_cell(v) for v in row] for row in _VIEWS[command](payload)]
+    if fmt == "csv":
+        return _csv(rows)
+    if command == "scan":  # a hits/scanned summary above the hit rows as csv
+        summary = [["hits", str(len(payload["hits"]))], ["scanned", str(payload["scanned_count"])]]
+        return "\n".join([_table(summary)] + _csv(rows).splitlines()[1:])
+    if command == "quartic":  # a row that the csv omits
+        rows.append(["infinite_points", _cell(payload["infinite_points"])])
+    return _table(rows)
+
+
 def run(argv) -> Tuple[int, str]:
     """Parse argv and execute; returns (exit_code, output_text)."""
     try:
@@ -610,9 +535,10 @@ def run(argv) -> Tuple[int, str]:
     except SystemExit as exc:
         return (0 if exc.code == 0 else 2), ""
     try:
-        return _HANDLERS[args.command](args)
+        payload = _HANDLERS[args.command](args)
     except DomainError as exc:
         return 1, str(exc)
+    return 0, _render(args.format, args.command, payload)
 
 
 def main() -> None:

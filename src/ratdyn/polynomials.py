@@ -40,14 +40,6 @@ class Poly:
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls([Fraction(c)])
-
-    @classmethod
-    def variable(cls) -> "Poly":
-        return cls([0, 1])
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -217,34 +209,6 @@ class HomogeneousPoly:
                 acc += c * xp * y ** (self.degree - i)
             xp *= x
         return acc
-
-    def __mul__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        out = [_ZERO] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return HomogeneousPoly(self.degree + other.degree, out)
-
-    def compose_pair(self, f: "HomogeneousPoly", g: "HomogeneousPoly") -> "HomogeneousPoly":
-        """Substitute (x, y) -> (f, g); f and g must share one degree."""
-        if f.degree != g.degree:
-            raise DomainError("parameter excluded: mismatched component degrees")
-        d = self.degree
-        # sum_i coeffs[i] * f^i * g^(d-i)
-        fpow = [HomogeneousPoly(0, [_ONE])]
-        gpow = [HomogeneousPoly(0, [_ONE])]
-        for _ in range(d):
-            fpow.append(fpow[-1] * f)
-            gpow.append(gpow[-1] * g)
-        total = [_ZERO] * (d * f.degree + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                term = fpow[i] * gpow[d - i]
-                for j, v in enumerate(term.coeffs):
-                    total[j] += c * v
-        return HomogeneousPoly(d * f.degree, total)
 
     def dehomogenize(self) -> Poly:
         """Set y = 1."""

@@ -19,27 +19,12 @@ Workers partition the list of maps into contiguous chunks and merge in
 chunk order, so any worker count yields byte-identical canonical output;
 ``elapsed`` is carried on the report object but never serialized.
 
-The quartic search finds the points of y^2 = quartic(t) with height(t) <= B.
-For t = u/v the curve value is F(u, v) / (L v^4), with L the lcm of the
-coefficients' denominators and F the integer binary quartic, so t is a
-point iff L F(u, v) is a perfect square.  For each modulus m in
-``_SQUARE_MODULI`` (64, 63, 65, 11, 17, ..., 53) a table says whether
-L F(u, v) is a square mod m; coefficients are reduced mod m first, so
-nothing overflows at any coefficient size.  Each table becomes m Python
-ints, one per v mod m, whose bit i says whether u = i - B passes: sum(m)
-(2B + 1) bits, about 1.36 MB at B = 10^4, built once per call and passed
-to every chunk.  For each v <= B the kernel ANDs its masks, walks the set
-bits, drops u with gcd(u, v) != 1 (they repeat a t of smaller v), and
-confirms each survivor with an exact isqrt.  A perfect square is a
-square mod every m, so no point is missed; isqrt decides exactly, so no
-false point is reported.  Survivors are coprime with |u|, v <= B, so
-each t appears once, has height <= B, and y = isqrt(L F(u, v)) / (L v^2).
+The quartic search, an exact residue sieve over the curve's binary quartic,
+is described at ``quartic_rational_points``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import time
@@ -112,21 +97,6 @@ class ScanReport:
         if self.periods:
             out["periods"] = list(self.periods)
         return out
-
-    def csv_lines(self) -> List[str]:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        if self.scan_kind == "intersection":
-            writer.writerow(["scan_kind", "map1", "map2", "point", "size"])
-            for h in self.hits:
-                writer.writerow(
-                    [self.scan_kind, h["map1"], h["map2"], h["point"], h["size"]]
-                )
-        else:
-            writer.writerow(["scan_kind", "map", "point", "period"])
-            for h in self.hits:
-                writer.writerow([self.scan_kind, h["map"], h["point"], h["period"]])
-        return out.getvalue().splitlines()
 
 
 def _check_periods(periods) -> Tuple[int, ...]:

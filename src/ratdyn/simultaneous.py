@@ -72,9 +72,10 @@ def _kb_row_period4(p: Fraction, s: Fraction) -> Tuple[Fraction, Fraction]:
 _ROW_BUILDERS = {1: _kb_row_fixed, 2: _kb_row_period2, 4: _kb_row_period4}
 
 
-def _check_s(name: str, s: Fraction, period: int) -> None:
+def _check_s(name: str, s: Fraction, period: int, value=None) -> None:
+    """Reject an excluded s, reported as name=value (by default, name=s)."""
     if s == 0 or s == 1 or (period == 4 and s == -1):
-        raise parameter_excluded(name, s)
+        raise parameter_excluded(name, s if value is None else value)
 
 
 @dataclass(frozen=True)
@@ -97,19 +98,13 @@ class MixedFamilyTriple:
 
 
 def _mixed_kb_part(p: Fraction, n: int, param: Fraction) -> Tuple[Fraction, Fraction]:
-    """(k, b) making p periodic of period n for kz + b/z, q/m parametrized."""
-    if n == 1:
-        if param == 0 or param == -p:
-            raise parameter_excluded("q", param)
-        return (param + p) / p, -param * p
-    if n == 2:
-        if param == 0 or param == p:
-            raise parameter_excluded("q", param)
-        return (param - p) / p, -param * p
-    if n == 4:
-        _check_s("m", param, 4)
-        return _kb_row_period4(p, param)
-    raise parameter_excluded("n", n)
+    """(k, b) making p periodic of period n for kz + b/z: the shared row at
+    s = -q/p (n = 1), s = q/p (n = 2) or s = m (n = 4)."""
+    if n not in _ROW_BUILDERS:
+        raise parameter_excluded("n", n)
+    s = {1: -param / p, 2: param / p, 4: param}[n]
+    _check_s("m" if n == 4 else "q", s, n, param)
+    return _ROW_BUILDERS[n](p, s)
 
 
 def triples_fixed_point(p: Fraction, n: int, param: Fraction) -> MixedFamilyTriple:

@@ -1,5 +1,7 @@
+import csv
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -243,6 +245,61 @@ def test_scan_csv_format():
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "scan_kind,map,point,period"
+
+
+def test_scan_csv_quotes_descriptor_commas():
+    code, out = run(
+        ["scan", "--kind", "kb", "--height-k", "2", "--height-b", "2",
+         "--height-point", "20", "--periods", "1", "--format", "csv"]
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "scan_kind,map,point,period" and len(lines) > 1
+    for line, row in zip(lines[1:], csv.reader(lines[1:])):
+        assert line.startswith('kb,"kb:k=')
+        assert len(row) == 4 and row[0] == "kb" and row[1].startswith("kb:k=")
+
+
+# one invocation per subcommand, and both shapes of family and simul
+CSV_CASES = {
+    "orbit": ["orbit", "--map", "quad:c=-13", "--point", "3"],
+    "period": ["period", "--map", "quad:c=0", "--point", "2"],
+    "dynatomic": ["dynatomic", "--map", "kb:k=1,b=1", "--n", "4", "--which", "factor4"],
+    "classify": ["classify", "--map", "quad:c=-29/16"],
+    "family-triple": [
+        "family", "--kind", "period3", "--tau", "1", "--i", "2", "--n", "1", "--q", "16",
+    ],
+    "family-kbpair": [
+        "family", "--kind", "kbpair", "--row", "3", "--p", "3/5", "--s1", "2", "--s2", "1/3",
+    ],
+    "intersect": [
+        "intersect", "--map1", "quad:c=-13", "--map2", "kb:k=24/7,b=-300/7", "--point", "3",
+    ],
+    "shared": ["shared", "--q", "101/40"],
+    "simul-finite": ["simul", "--a", "1", "--b", "2"],
+    "simul-infinite": ["simul", "--a", "1", "--b", "-1"],
+    "scan": ["scan", "--kind", "intersection", "--height", "5", "--height-point", "50"],
+    "quartic": ["quartic", "--coeffs", "1,6,7,2,1", "--height", "50"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_csv_holds_the_table_cells(case):
+    argv = CSV_CASES[case]
+    code, table = run(argv + ["--format", "table"])
+    assert code == 0
+    code, text = run(argv + ["--format", "csv"])
+    assert code == 0 and not text.startswith("{")
+    rows = list(csv.reader(text.splitlines()))
+    lines = table.splitlines()
+    if argv[0] == "scan":  # the table puts a summary above the csv hit rows
+        assert lines[:2] == [f"hits     {len(rows) - 1}", "scanned  2602"]
+        assert lines[2:] == text.splitlines()[1:]
+        return
+    if argv[0] == "quartic":  # the csv omits the table's infinite_points row
+        assert lines.pop() == "infinite_points  True"
+    # table cells are padded and joined by two or more spaces
+    assert rows == [re.split(r"  +", line) for line in lines]
 
 
 def test_scan_worker_flag_byte_identical():

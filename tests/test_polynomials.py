@@ -64,15 +64,10 @@ def test_even_detection():
     assert not Poly([1, 1]).is_even
 
 
-def test_homogeneous_eval_and_compose():
+def test_homogeneous_evaluate():
     # F(x,y) = x^2 + 3y^2
     f = HomogeneousPoly(2, [3, 0, 1])
     assert f.evaluate(F(2), F(1)) == 7
-    g = HomogeneousPoly(2, [0, 1, 0])  # xy
-    comp = f.compose_pair(f, g)  # F(F, G) degree 4
-    assert comp.degree == 4
-    for x, y in [(F(1), F(2)), (F(-3), F(5)), (F(2, 7), F(1))]:
-        assert comp.evaluate(x, y) == f.evaluate(f.evaluate(x, y), g.evaluate(x, y))
 
 
 def test_homogenize_dehomogenize():

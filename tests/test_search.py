@@ -331,17 +331,6 @@ def test_worker_partitioning_is_invisible():
     assert q1.canonical_dict() == q8.canonical_dict()
 
 
-def test_csv_lines_quote_descriptor_commas():
-    rep = scan_kb_periods(2, 2, 20, {1})
-    lines = rep.csv_lines()
-    assert lines[0] == "scan_kind,map,point,period"
-    import csv as _csv
-
-    rows = list(_csv.reader(lines[1:]))
-    for row in rows:
-        assert len(row) == 4 and row[0] == "kb"
-
-
 def test_intersection_scan_small():
     rep = scan_intersection_bound(4, 50)
     assert rep.hits == ()

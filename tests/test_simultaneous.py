@@ -43,6 +43,20 @@ def test_triples_fixed_point_examples():
         triples_fixed_point(F(3), 1, F(-3))  # q = -p excluded
 
 
+def test_mixed_kb_exclusions_name_the_given_q():
+    # the shared rows run at s = -q/p (n = 1) and s = q/p (n = 2); an
+    # excluded s is reported as the q that was passed
+    for fn in (triples_fixed_point, triples_period2):
+        with pytest.raises(DomainError, match=r"^parameter excluded: q=-3/2$"):
+            fn(F(3, 2), 1, F(-3, 2))
+        with pytest.raises(DomainError, match=r"^parameter excluded: q=3/2$"):
+            fn(F(3, 2), 2, F(3, 2))
+        with pytest.raises(DomainError, match=r"^parameter excluded: q=0$"):
+            fn(F(3, 2), 2, F(0))
+        with pytest.raises(DomainError, match=r"^parameter excluded: m=-1$"):
+            fn(F(3, 2), 4, F(-1))
+
+
 def test_triples_period2_examples():
     t = triples_period2(F(1, 2), 1, F(1))
     assert (t.k, t.b, t.c) == (F(3), F(-1, 2), F(-7, 4))
