@@ -21,6 +21,16 @@ GOLDEN_CASES = {
     "dynatomic_kb_factor4.json": [
         "dynatomic", "--map", "kb:k=1,b=1", "--n", "4", "--which", "factor4",
     ],
+    # KB polynomials are even in z: built in w = z^2, spread back out into z;
+    # the n = 4 one is also diffed against the installed console script in CI
+    "dynatomic_kb_43_n4.json": ["dynatomic", "--map", "kb:k=4/3,b=-10/3", "--n", "4"],
+    # the exact period polynomial keeps its non-integer coefficients
+    "dynatomic_kb_43_period_n3.json": [
+        "dynatomic", "--map", "kb:k=4/3,b=-10/3", "--which", "period", "--n", "3",
+    ],
+    "dynatomic_quad_c-29-16_period_n3.json": [
+        "dynatomic", "--map", "quad:c=-29/16", "--which", "period", "--n", "3",
+    ],
     "classify_quad_c-29-16.json": ["classify", "--map", "quad:c=-29/16"],
     "classify_kb_43.json": ["classify", "--map", "kb:k=4/3,b=-10/3"],
     "family_fixed_p32.json": [
@@ -79,6 +89,7 @@ VIEW_CASES = {
     "period_kb_43_p2.table.txt": ["period", "--map", "kb:k=4/3,b=-10/3", "--point", "2"],
     "period_quad_c0_p2.table.txt": ["period", "--map", "quad:c=0", "--point", "2"],
     "dynatomic_quad_c-3_n2.table.txt": ["dynatomic", "--map", "quad:c=-3", "--n", "2"],
+    "dynatomic_kb_43_n2.table.txt": ["dynatomic", "--map", "kb:k=4/3,b=-10/3", "--n", "2"],
     # witnesses print as JSON; rows with no points print "-"
     "classify_quad_c-29-16.table.txt": ["classify", "--map", "quad:c=-29/16"],
     # also diffed against the installed console script in CI
