@@ -14,7 +14,6 @@ from typing import FrozenSet, List, Optional, Tuple
 
 from ._intpoly import rational_roots_int
 from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period
-from .dynatomic import dynatomic_int
 from .core import rational_sqrt
 from .errors import DomainError, parameter_excluded
 from .polynomials import Poly
@@ -42,7 +41,9 @@ def quad_periodic_points(c: Fraction, n: int) -> FrozenSet[Fraction]:
 
     Period 1: the roots of z^2 - z + c when 1 - 4c is a square (a single
     point when 1 - 4c = 0).  Period 2: the roots of z^2 + z + c + 1 when
-    -4c - 3 is a nonzero square.  Period 3: rational dynatomic roots.
+    -4c - 3 is a nonzero square.  Period 3: the rational roots of
+    Phi*_3 = z^6 + z^5 + (3c+1) z^4 + (2c+1) z^3 + (3c^2+3c+1) z^2
+    + (c+1)^2 z + c^3 + 2c^2 + c + 1, here times d^3 for c = a/d.
     """
     c = Fraction(c)
     if n == 1:
@@ -58,7 +59,11 @@ def quad_periodic_points(c: Fraction, n: int) -> FrozenSet[Fraction]:
         sigma = s / 2
         return frozenset({-_HALF + sigma, -_HALF - sigma})
     if n == 3:
-        return frozenset(rational_roots_int(dynatomic_int(QuadraticMap(c), 3)))
+        a, d = c.as_integer_ratio()
+        return frozenset(rational_roots_int([
+            a**3 + 2 * a * a * d + a * d * d + d**3, (a + d) ** 2 * d,
+            (3 * a * a + 3 * a * d + d * d) * d, (2 * a + d) * d * d, (3 * a + d) * d * d, d**3, d**3,
+        ]))
     raise parameter_excluded("n", n)
 
 

@@ -8,18 +8,25 @@ division of the mu=+1 product by the mu=-1 product.  Every rational point of
 exact period n is a root of Phi*_n; the converse needs an exact-period
 filter because roots can have period strictly dividing n.
 
-Univariate polynomials are the y=1 dehomogenizations.  There is one iterate
-builder, on integer coefficient lists: with D = den(c) for z^2 + c and
-D = den(k) den(b) for kz + b/z, its k-th pair (f_k, g_k) is exactly
-D^(2^k - 1) times the dehomogenized k-th iterate.  The exact iterate and
-period polynomials divide that power back out; the dynatomic polynomial
-needs no division, since constant factors drop out of its canonical form:
-primitive integer coefficients, positive leading coefficient.
+Univariate polynomials are the y=1 dehomogenizations.  They are built
+from one integer iterate tower per map, kept in the map's ``__dict__``
+next to its step record and extended on demand, so the n asked of one map
+share Phi_1..Phi_max.  With D = den(c) for z^2 + c and D = den(k) den(b)
+for kz + b/z, its k-th entry (F_k, G_k) is D^(2^k - 1) times the
+dehomogenized k-th iterate (f_k, g_k).  A KB map is odd, so f_k is even
+and g_k odd: its tower is kept in w = z^2, with f_k = F_k(w) and
+g_k = z G_k(w), at half the degree, and spread back into z at the edge.
+In both families Phi_k = F_k - x G_k, with x = z or w.  The exact iterate
+and period polynomials divide D^(2^k - 1) back out; the dynatomic
+polynomial needs no division, since constant factors drop out of its
+canonical form: primitive integer coefficients, positive leading
+coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Tuple
 
@@ -74,66 +81,80 @@ class IteratePair:
     n: int
 
 
-def _int_iterates(m: Map, n: int) -> Tuple[List[Tuple[List[int], List[int]]], int]:
-    """Integer iterate components (f_k, g_k) for k = 1..n, and the factor D.
+def _tower(m: Map, n: int) -> Tuple[Tuple[List[int], List[int]], ...]:
+    """The first n entries (F_k, G_k) of m's integer iterate tower.
 
-    Each (f_k, g_k) is exactly D^(2^k - 1) times the dehomogenized k-th
-    iterate, with D = den(c) for z^2 + c and D = den(k) den(b) for kz + b/z.
+    f_1 = A z^2 + B and f' = A f^2 + B g^2, where A/D and B/D are the map's
+    z^2 and constant coefficients (1, c or k, b); g' = D g^2 for z^2 + c and
+    D f g for kz + b/z: the integers of the map's orbit step.  In w = z^2 a
+    KB entry steps as F' = A F^2 + B w G^2, G' = D F G.  A longer tower
+    replaces the stored one whole, so a reader never sees a partial one.
     """
     if n < 1:
         raise parameter_excluded("n", n)
-    # f_1 = A z^2 + B and f' = A f^2 + B g^2, where A/D and B/D are the
-    # map's z^2 and constant coefficients (1, c or k, b); g' = D g^2 for
-    # z^2 + c and D f g for kz + b/z: the integers of the map's orbit step
-    quad, A, B, D, _, _ = m._record
-    f, g = [B, 0, A], ([D] if quad else [0, D])
-    pairs = [(f, g)]
-    for _ in range(n - 1):
-        gg = _intpoly.pmul(g, g)
-        f, g = (
-            _intpoly.padd(_intpoly.pscale(_intpoly.pmul(f, f), A), _intpoly.pscale(gg, B)),
-            _intpoly.pscale(gg if quad else _intpoly.pmul(f, g), D),
-        )
-        pairs.append((f, g))
-    return pairs, D
+    tower = m.__dict__.get("_tower", ())
+    if len(tower) < n:
+        quad, A, B, D, _, _ = m._record
+        tower = list(tower) or [([B, 0, A] if quad else [B, A], [D])]
+        while len(tower) < n:
+            f, g = tower[-1]
+            gg = _intpoly.pmul(g, g)
+            tower.append((
+                _intpoly.padd(_intpoly.pscale(_intpoly.pmul(f, f), A),
+                              _intpoly.pscale(gg if quad else [0] + gg, B)),
+                _intpoly.pscale(gg if quad else _intpoly.pmul(f, g), D),
+            ))
+        tower = m.__dict__["_tower"] = tuple(tower)
+    return tower
 
 
-def _exact_iterate(m: Map, n: int) -> Tuple[Poly, Poly]:
-    """The dehomogenized n-th iterate (f_n, g_n) with exact coefficients."""
-    pairs, D = _int_iterates(m, n)
-    scale = D ** (2**n - 1)
-    return tuple(Poly([Fraction(c, scale) for c in v]) for v in pairs[-1])
+def _phi(f: List[int], g: List[int]) -> List[int]:
+    """Phi_k = F_k - x G_k, in x = z (quad) or w = z^2 (KB)."""
+    return _intpoly.psub(f, [0] + g)
+
+
+def _in_z(m: Map, v: List[int], shift: int = 0) -> List[int]:
+    """A tower vector in z: unchanged for a quad map, z^shift v(z^2) for KB."""
+    if m._record[0] or not v:
+        return v
+    out = [0] * (2 * len(v) - 1 + shift)
+    out[shift::2] = v
+    return out
+
+
+def _exact(m: Map, n: int, v: List[int], shift: int = 0) -> Poly:
+    """The exact polynomial of a level-n tower vector: D^(2^n - 1) divided out."""
+    return Poly._of(_in_z(m, v, shift), m._record[3] ** (2**n - 1))
 
 
 def iterate_pair(m: Map, n: int) -> IteratePair:
     """Symbolic homogeneous n-th iterate of the map."""
-    f, g = _exact_iterate(m, n)
+    f, g = _tower(m, n)[n - 1]
     deg = 2**n
     return IteratePair(
-        HomogeneousPoly.homogenize(f, deg), HomogeneousPoly.homogenize(g, deg), n
+        HomogeneousPoly.homogenize(_exact(m, n, f), deg),
+        HomogeneousPoly.homogenize(_exact(m, n, g, 1), deg),
+        n,
     )
 
 
 def period_polynomial(m: Map, n: int) -> Poly:
     """Phi_n(z): the y=1 dehomogenization of y*F_n - x*G_n, exact coefficients."""
-    f, g = _exact_iterate(m, n)
-    return f - Poly([0, 1]) * g
+    return _exact(m, n, _phi(*_tower(m, n)[n - 1]))
 
 
 def dynatomic_int(m: Map, n: int) -> List[int]:
-    """Canonical integer coefficient vector of the n-th dynatomic polynomial."""
-    phis = [_intpoly.psub(f, [0] + g) for f, g in _int_iterates(m, n)[0]]
-    num = [1]
-    den = [1]
+    """Canonical integer coefficient vector of the n-th dynatomic polynomial.
+
+    Only the Phi_d with mu(n/d) != 0 are formed; a KB result is divided in
+    w = z^2 and spread back into z.
+    """
+    tower, factors = _tower(m, n), {1: [], -1: []}
     for d in _divisors(n):
-        mu = moebius(n // d)
-        if mu == 1:
-            num = _intpoly.pmul(num, phis[d - 1])
-        elif mu == -1:
-            den = _intpoly.pmul(den, phis[d - 1])
-    num = _intpoly.pprimitive(num)
-    den = _intpoly.pprimitive(den)
-    return _intpoly.pprimitive(_intpoly.pdiv_exact(num, den))
+        if mu := moebius(n // d):
+            factors[mu].append(_phi(*tower[d - 1]))
+    num, den = (_intpoly.pprimitive(reduce(_intpoly.pmul, factors[mu] or [[1]])) for mu in (1, -1))
+    return _in_z(m, _intpoly.pprimitive(_intpoly.pdiv_exact(num, den)))
 
 
 def dynatomic_polynomial(m: Map, n: int) -> Poly:
@@ -173,21 +194,15 @@ def period4_dynatomic_factors(k: Fraction, b: Fraction) -> Tuple[Poly, Poly]:
 def rational_roots(p: Poly, height_bound: Optional[int] = None) -> FrozenSet[Fraction]:
     """All rational roots of p (multiplicities discarded).
 
-    Denominators are cleared, and the roots of the integer polynomial are
-    found by p-adic lifting (``_intpoly.rational_roots_int``): the roots
-    mod the smallest prime ``p`` not dividing ``a_lead`` at which they are
-    all simple are Newton-lifted to ``p^k > 2 N D`` and rationally
-    reconstructed, and each candidate is checked exactly.  A root ``u/v``
-    has ``|u| <= N = |a0|`` and ``v <= D = |a_lead|``, and reduces to a
-    simple root mod ``p``, whose unique lift gives back ``u/v``; so no root
-    is missed.  ``height_bound = B`` restricts the result to roots of
-    height <= B (``N``, ``D`` are capped at ``B``, so huge coefficients stay
-    cheap when only bounded points matter); ``B < 1`` is a domain error.
+    The roots of p's primitive integer vector, by p-adic lifting
+    (``_intpoly.rational_roots_int``, whose docstring shows that no root is
+    missed).  ``height_bound = B`` keeps the roots of height <= B, so huge
+    coefficients stay cheap when only bounded points matter; ``B < 1`` is a
+    domain error.
     """
     if p.is_zero:
         raise DomainError("zero polynomial has all roots")
-    ints = p.content_den_cleared()
-    return frozenset(_intpoly.rational_roots_int(list(ints), height_bound))
+    return frozenset(_intpoly.rational_roots_int(p.content_den_cleared(), height_bound))
 
 
 def periodic_points_exact(

@@ -1,15 +1,19 @@
 """Univariate and homogeneous bivariate polynomials over Q.
 
-A ``Poly`` is an immutable coefficient tuple in ascending degree with no
-trailing zeros (the zero polynomial is the empty tuple).  A
-``HomogeneousPoly`` of degree d stores d+1 coefficients, entry i being the
-coefficient of x^i * y^(d-i).  Everything is exact ``Fraction`` arithmetic.
+A ``Poly`` stores one integer coefficient vector ``nums`` in ascending
+degree over one positive denominator ``den``, reduced so that no trailing
+coefficient is zero and gcd(content, den) = 1; the zero polynomial is
+``((), 1)``.  That form is unique, so equality and hashing compare it, and
+``+``, ``-`` and ``*`` are the integer vector operations of ``_intpoly``.
+``coeffs`` gives the ``Fraction`` coefficients.  A ``HomogeneousPoly`` of
+degree d stores d+1 ``Fraction`` coefficients, entry i being the
+coefficient of x^i * y^(d-i).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Tuple
 
 from . import _intpoly
@@ -19,120 +23,73 @@ from .errors import DomainError
 __all__ = ["Poly", "HomogeneousPoly"]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _strip(coeffs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(Fraction(c) for c in coeffs[:n])
 
 
 class Poly:
     """Polynomial in one variable with rational coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable = ()):
-        object.__setattr__(self, "coeffs", _strip(list(coeffs)))
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        self._reduce([c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    def _reduce(self, nums: Sequence[int], den: int) -> None:
+        """Store nums / den (den > 0) in the reduced form."""
+        nums = _intpoly.pstrip(nums)
+        g = gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple(v // g for v in nums) if g > 1 else tuple(nums))
+        object.__setattr__(self, "den", den // g if nums else 1)
+
+    @classmethod
+    def _of(cls, nums: Sequence[int], den: int) -> "Poly":
+        """The polynomial nums / den, for an integer vector and a den > 0."""
+        p = object.__new__(cls)
+        p._reduce(nums, den)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
 
     @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coefficients in ascending degree, as ``Fraction``."""
+        return tuple(Fraction(v, self.den) for v in self.nums)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
+        return not self.nums
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
+
+    def _combine(self, other: "Poly", op) -> "Poly":
+        """``op`` (padd or psub) on the two vectors over their least common denominator."""
+        g = gcd(self.den, other.den)
+        a, b = self.den // g, other.den // g
+        return Poly._of(op(_intpoly.pscale(self.nums, b), _intpoly.pscale(other.nums, a)), a * other.den)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return self._combine(other, _intpoly.padd)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._combine(other, _intpoly.psub)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return Poly(out)
+        return Poly._of(_intpoly.pmul(self.nums, other.nums), self.den * other.den)
 
     def scale(self, r) -> "Poly":
         r = Fraction(r)
-        return Poly([c * r for c in self.coeffs])
-
-    def __call__(self, x: Fraction) -> Fraction:
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def divmod(self, other: "Poly") -> Tuple["Poly", "Poly"]:
-        """Long division over Q: self = q*other + r with deg r < deg other."""
-        if other.is_zero:
-            raise DomainError("division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quot = [_ZERO] * (dq + 1)
-        lead = other.coeffs[-1]
-        for i in range(dq, -1, -1):
-            top = rem[i + other.degree]
-            if top:
-                q = top / lead
-                quot[i] = q
-                for j, c in enumerate(other.coeffs):
-                    rem[i + j] -= q * c
-        return Poly(quot), Poly(rem)
-
-    def divide_exact(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise DomainError("dynatomic division failed")
-        return q
-
-    def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd over Q (Euclid)."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero:
-            return a
-        return a.scale(1 / a.coeffs[-1])
-
-    @property
-    def is_even(self) -> bool:
-        """True when only even powers carry nonzero coefficients."""
-        return all(c == 0 for c in self.coeffs[1::2])
+        return Poly._of(_intpoly.pscale(self.nums, r.numerator), self.den * r.denominator)
 
     def content_den_cleared(self) -> Tuple[int, ...]:
         """Integer coefficient vector: denominators cleared, content removed.
@@ -140,22 +97,20 @@ class Poly:
         Sign is normalized so the leading coefficient is positive.  The zero
         polynomial maps to the empty tuple.
         """
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return tuple(_intpoly.pprimitive([int(c * den) for c in self.coeffs]))
+        return tuple(_intpoly.pprimitive(self.nums))
 
     def canonical(self) -> "Poly":
         """Primitive integer coefficients with positive leading coefficient."""
-        return Poly(self.content_den_cleared())
+        return Poly._of(_intpoly.pprimitive(self.nums), 1)
 
     def to_string(self, var: str = "z") -> str:
         """Descending-degree rendering, e.g. ``2*z^4 + 4*z^2 + 1``."""
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
+        coeffs = self.coeffs
         for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
+            c = coeffs[e]
             if c == 0:
                 continue
             mag = format_rational(abs(c))
@@ -200,19 +155,6 @@ class HomogeneousPoly:
 
     def __hash__(self):
         return hash((self.degree, self.coeffs))
-
-    def evaluate(self, x: Fraction, y: Fraction) -> Fraction:
-        acc = _ZERO
-        xp = _ONE
-        for i, c in enumerate(self.coeffs):
-            if c:
-                acc += c * xp * y ** (self.degree - i)
-            xp *= x
-        return acc
-
-    def dehomogenize(self) -> Poly:
-        """Set y = 1."""
-        return Poly(self.coeffs)
 
     @classmethod
     def homogenize(cls, p: Poly, degree: int) -> "HomogeneousPoly":

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ratdyn.dynamics import KBMap, QuadraticMap, exact_period
+from ratdyn.core import enumerate_rationals
 from ratdyn.dynatomic import (
+    dynatomic_int,
     dynatomic_polynomial,
     iterate_pair,
     moebius,
@@ -68,10 +70,15 @@ def test_iterate_degrees_and_coprimality(rng):
         for n in (1, 2, 3, 4):
             ip = iterate_pair(m, n)
             assert ip.F.degree == 2**n and ip.G.degree == 2**n
-            g = ip.F.dehomogenize().gcd(ip.G.dehomogenize())
-            assert g.degree == 0  # no common affine factor
+            f, g = (list(Poly(h.coeffs).content_den_cleared()) for h in (ip.F, ip.G))  # y = 1
+            assert _intpoly._pgcd(f, g) == [1]  # no common affine factor
             # not both divisible by y either
             assert ip.F.coeffs[-1] != 0 or ip.G.coeffs[-1] != 0
+
+
+def at(h, z):
+    """The value h(z, 1) of a HomogeneousPoly h."""
+    return _intpoly.phom_eval(h.coeffs, z, 1)
 
 
 def test_iterate_is_composition(rng):
@@ -82,7 +89,7 @@ def test_iterate_is_composition(rng):
     w = z
     for _ in range(3):
         w = m.k * w + m.b / w
-    assert ip.F.evaluate(z, F(1)) / ip.G.evaluate(z, F(1)) == w
+    assert at(ip.F, z) / at(ip.G, z) == w
 
     # non-unit denominators, n = 1..4: the integer builder's scale D^(2^n-1)
     # must divide back out exactly
@@ -103,9 +110,9 @@ def test_iterate_is_composition(rng):
                         w = w * w + m.c
                     else:
                         w = m.k * w + m.b / w
-                fz, gz = ip.F.evaluate(z, F(1)), ip.G.evaluate(z, F(1))
+                fz, gz = at(ip.F, z), at(ip.G, z)
                 assert fz / gz == w, (m, n, z)
-                assert phi(z) == gz * (w - z), (m, n, z)
+                assert _intpoly.phom_eval(phi.coeffs, z, 1) == gz * (w - z), (m, n, z)
 
 
 def test_period_polynomial_examples():
@@ -135,11 +142,11 @@ def test_dynatomic_examples():
 def test_dynatomic_quad_period2_identity(rng):
     # exact division oracle: Phi_2 / Phi_1 == z^2 + z + c + 1
     for c in sample_rationals(rng, 12, 20):
-        quotient = period_polynomial(QuadraticMap(c), 2).divide_exact(
-            period_polynomial(QuadraticMap(c), 1)
-        )
-        assert quotient == Poly([c + 1, 1, 1])
-        assert dynatomic_polynomial(QuadraticMap(c), 2) == quotient.canonical()
+        phi1, phi2 = (period_polynomial(QuadraticMap(c), n) for n in (1, 2))
+        quotient = Poly([c + 1, 1, 1])
+        assert quotient * phi1 == phi2
+        ints = _intpoly.pdiv_exact(phi2.content_den_cleared(), phi1.content_den_cleared())
+        assert dynatomic_polynomial(QuadraticMap(c), 2) == Poly(ints) == quotient.canonical()
 
 
 def test_dynatomic_degrees():
@@ -473,3 +480,50 @@ def test_dynatomic_rejects_bad_n():
         dynatomic_polynomial(QuadraticMap(F(1)), 0)
     with pytest.raises(DomainError):
         moebius(0)
+
+
+def test_tower_extension_keeps_every_level():
+    # the per-map tower is extended on demand: a map whose tower was first
+    # built past n, and one extended a level at a time, give what a fresh
+    # map gives at n
+    for make in (lambda: QuadraticMap(F(-29, 16)), lambda: KBMap(F(4, 3), F(-10, 3))):
+        grown, stepped = make(), make()
+        dynatomic_int(grown, 6)
+        for n in range(1, 7):
+            fresh = make()
+            assert dynatomic_int(grown, n) == dynatomic_int(stepped, n) == dynatomic_int(fresh, n), n
+            assert period_polynomial(grown, n) == period_polynomial(fresh, n), n
+            assert iterate_pair(grown, n) == iterate_pair(fresh, n), n
+
+
+def test_kb_w_route_matches_z_route_reference():
+    # every KB map of height <= 3 at n = 1..6: the tower built in w = z^2
+    # against the iterates composed in z with Poly, f' = k f^2 + b g^2,
+    # g' = f g from (f, g) = (k z^2 + b, z)
+    z = Poly([0, 1])
+    ks = [r for r in enumerate_rationals(3) if r != 0]
+    for k in ks:
+        for b in ks:
+            m, f, g = KBMap(k, b), Poly([b, 0, k]), z
+            phis = []
+            for n in range(1, 7):
+                if n > 1:
+                    f, g = f * f * Poly([k]) + g * g * Poly([b]), f * g
+                phis.append(f - z * g)
+                ip = iterate_pair(m, n)
+                assert Poly(ip.F.coeffs) == f and Poly(ip.G.coeffs) == g, (m, n)
+                assert period_polynomial(m, n) == phis[-1], (m, n)
+                # prod_{d | n} Phi*_d recomposes Phi_n up to a constant
+                prod = Poly([1])
+                for d in range(1, n + 1):
+                    if n % d == 0:
+                        prod = prod * Poly(dynatomic_int(m, d))
+                assert prod.canonical() == phis[-1].canonical(), (m, n)
+            for n in (1, 2, 4):
+                for bound in (None, 1, 3):
+                    # roots found in w, against roots found in z
+                    roots = _intpoly.rational_roots_int(dynatomic_int(m, n), bound)
+                    expected = {r for r in roots if exact_period(m, r) == n}
+                    assert periodic_points_exact(m, n, height_bound=bound) == expected, (m, n, bound)
+    with pytest.raises(DomainError, match="parameter excluded: height_bound=-3"):
+        periodic_points_exact(KBMap(F(1), F(1)), 4, height_bound=-3)
