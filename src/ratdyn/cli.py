@@ -32,8 +32,9 @@ from .classification import (
 from .core import format_point, format_rational, parse_point, parse_rational
 from .dynamics import KBMap, QuadraticMap, exact_period, orbit
 from .dynatomic import dynatomic_polynomial, period4_dynatomic_factors, period_polynomial
-from .errors import DomainError
+from .errors import DomainError, parameter_excluded
 from .search import (
+    _ALLOWED_PERIODS,
     DEFAULT_BOUNDS,
     QuarticCurve,
     quartic_rational_points,
@@ -242,6 +243,8 @@ def _cmd_period(args) -> dict:
 
 def _cmd_dynatomic(args) -> dict:
     m = parse_map(args.map)
+    if args.n not in _ALLOWED_PERIODS:  # the scans' periods; Phi_n's degree doubles per n
+        raise parameter_excluded("n", args.n)
     if args.which in ("factor4", "cofactor4"):
         if not isinstance(m, KBMap):
             raise DomainError("parameter excluded: factor4 requires a kb map")

@@ -6,18 +6,22 @@ period n and height <= B with a good-reduction sieve.  Every sieve prime p
 exceeds 2B and every numerator and denominator of the maps' parameters, so
 each map has good reduction at p and reduction commutes with iteration: a
 rational point of exact period n reduces to a residue z with f^n(z) == z in
-P^1(F_p), and a point u/v with v <= B reduces to an affine residue.  The
-sieve iterates every map over all of F_p with numpy; each periodic residue
-r mod the first prime and each v <= B leave at most one u in [-B, B] with
-u = r v mod p; the other primes' masks filter those candidates, and
-``exact_period`` confirms the survivors.  A quad map z^2 + c is sieved only
-if den(c) = e^2 with e <= B, and only with v = e, the one denominator its
-periodic points can have (Walde-Russo; proof at ``_root_den``).  A scan
-thus finds exactly the points of height <= B and exact period n: the set
-that ``dynatomic.periodic_points_exact`` returns with ``height_bound=B``.
-Workers partition the list of maps into contiguous chunks and merge in
-chunk order, so any worker count yields byte-identical canonical output;
-``elapsed`` is carried on the report object but never serialized.
+P^1(F_p), and a point u/v with v <= B reduces to an affine residue.  At
+the first prime the sieve iterates every map over all of F_p with numpy;
+each periodic residue r and each v <= B leave at most one candidate u in
+[-B, B] with u = r v mod p.  Each later prime q iterates only the
+candidates' residues u / v mod q, or, when they outnumber its step table's
+cells, every residue once, and drops the candidates that do not recur.
+``exact_period`` confirms each survivor in one call; only maps with a point
+are sorted.  A quad map z^2 + c is sieved only if den(c) = e^2 with e <= B,
+and only with v = e, the one denominator its periodic points can have
+(Walde-Russo; proof at ``_root_den``); a quad scan builds only those maps.
+A scan thus finds exactly the points of height <= B and exact period n:
+the set that ``dynatomic.periodic_points_exact`` returns with
+``height_bound=B``.  Workers partition the list of maps into contiguous
+chunks and merge in chunk order, so any worker count yields byte-identical
+canonical output; ``elapsed`` is carried on the report object but never
+serialized.
 
 The quartic search, an exact residue sieve over the curve's binary quartic,
 is described at ``quartic_rational_points``.
@@ -126,21 +130,23 @@ def _inverses(p: int) -> np.ndarray:
     return out
 
 
-def _period_bits(quad: bool, coef: np.ndarray, p: int, inv: np.ndarray, periods) -> np.ndarray:
-    """bits[i, z] has bit n - 1 set when f_i^n(z) == z in P^1(F_p), for n in
-    ``periods``; ``coef`` holds each map's (c) or (k, b) mod p.  Residue p
-    is infinity, fixed by both families; a KB map sends 0 there.  A step is
-    a lookup in the maps' step tables, laid end to end."""
+def _steps(quad: bool, coef: np.ndarray, p: int, inv: np.ndarray) -> np.ndarray:
+    """The maps' step tables mod p, laid end to end: entry i (p + 1) + z is
+    i (p + 1) + f_i(z).  ``coef`` holds each map's (c) or (k, b) mod p.
+    Residue p is infinity, fixed by both families; a KB map sends 0 there."""
     z = np.arange(p + 1, dtype=np.int64)
     a, b = coef[:, :1], coef[:, -1:]
     step = z * z + a if quad else a * z + b * inv
     step %= p
     step[:, [p] if quad else [0, p]] = p
-    off = np.arange(len(coef))[:, None] * (p + 1)
-    step += off
-    table, start = step.ravel(), off + z[:p]
-    bits = np.zeros(start.shape, dtype=np.uint8)
-    z = start
+    step += np.arange(len(coef))[:, None] * (p + 1)
+    return step.ravel()
+
+
+def _walk(table: np.ndarray, start: np.ndarray, periods) -> np.ndarray:
+    """bits[j] has bit n - 1 set when ``start[j]`` comes back after n steps
+    through ``table``, for n in ``periods``."""
+    bits, z = np.zeros(start.shape, dtype=np.uint8), start
     for n in range(1, periods[-1] + 1):
         z = table[z]
         if n in periods:
@@ -148,29 +154,31 @@ def _period_bits(quad: bool, coef: np.ndarray, p: int, inv: np.ndarray, periods)
     return bits
 
 
-def _root_den(c: Fraction) -> int:
-    """e if den(c) = e^2, else 0.  A rational periodic point z of z^2 + c
+def _root_den(d: int) -> int:
+    """e if d = den(c) = e^2, else 0.  A rational periodic point z of z^2 + c
     has denominator e, and none exists if den(c) is not a square (Walde-Russo,
     Amer. Math. Monthly 1994).  At each prime p, with delta = v_p(c): if
     delta >= 0 and v_p(z) < 0, or delta < 0 and 2 v_p(z) != delta, the
     iterates' valuations fall strictly, so z never recurs.  Hence delta is
     even and v_p(z) = min(0, delta / 2)."""
-    e = math.isqrt(c.denominator)
-    return e if e * e == c.denominator else 0
+    e = math.isqrt(d)
+    return e if e * e == d else 0
 
 
-def _candidates(block, periods, bound: int, primes, inverses):
+def _candidates(quad: bool, num, den, e, periods, bound: int, primes, inverses):
     """(row, u, v, bits) for each u/v in lowest terms with |u|, v <= bound
-    that is periodic mod every prime under the block's ``row``-th map; for a
-    quad map, v is its one possible denominator ``_root_den(c)``."""
-    fr = [[getattr(m, f).as_integer_ratio() for f in m.__dataclass_fields__] for m in block]
-    num, den = np.moveaxis(np.array(fr, dtype=np.int64), -1, 0)
-    quad = isinstance(block[0], QuadraticMap)
-    bits = [_period_bits(quad, num % p * inv[den] % p, p, inv, periods) for p, inv in zip(primes, inverses)]
+    that is periodic mod every prime under the ``row``-th map, whose
+    parameters are num / den; a quad map tries only v = e[row], its one
+    possible denominator (``_root_den``).  The first prime walks every
+    residue.  Each later prime walks only the candidates still standing, or,
+    when they outnumber its table's cells, every residue once, and looks the
+    candidates up."""
+    tables = [_steps(quad, num % p * inv[den] % p, p, inv) for p, inv in zip(primes, inverses)]
+    p1 = primes[0]
+    bits = _walk(tables[0], np.arange(tables[0].size), periods).reshape(len(num), p1 + 1)[:, :p1]
     # a periodic residue r mod p1 and a v <= bound leave one u = r v mod p1
     # in a window of length p1 > 2 * bound; it is a candidate if |u| <= bound
-    p1, e = primes[0], np.array([_root_den(m.c) for m in block]) if quad else None
-    rows, rs = np.nonzero(bits[0])
+    rows, rs = np.nonzero(bits)
     per = max(1, _CELLS // (1 if quad else bound))
     for at in range(0, len(rs), per):
         row, r = rows[at : at + per, None], rs[at : at + per, None]
@@ -178,47 +186,57 @@ def _candidates(block, periods, bound: int, primes, inverses):
         u = r * v
         u %= p1
         u[u > bound] -= p1
-        flag = bits[0][row, r] * (u >= -bound)
-        for q, inv, bq in zip(primes[1:], inverses[1:], bits[1:]):
-            flag &= bq[row, u * inv[v] % q]
-            live = np.nonzero(flag)
-            row, u, v, flag = (np.broadcast_to(a, flag.shape)[live] for a in (row, u, v, flag))
+        flag = bits[row, r] * (u >= -bound)
+        for q, inv, table in zip(primes[1:], inverses[1:], tables[1:]):
+            at_q = row * (q + 1) + u * inv[v] % q
+            full = at_q.size >= table.size
+            walked = _walk(table, np.arange(table.size) if full else at_q, periods)
+            flag &= walked[at_q] if full else walked
+            live = flag != 0
+            row, u, v, flag = (np.broadcast_to(a, live.shape)[live] for a in (row, u, v, flag))
         keep = np.gcd(u, v) == 1
         yield from zip(*(a[keep].tolist() for a in (row, u, v, flag)))
-
-
-def _exact_points(m, n: int, candidates) -> FrozenSet[Fraction]:
-    """The candidates of exact period n, by the dynatomic route's certificate."""
-    return frozenset(r for r in candidates if exact_period(m, r) == n)
 
 
 def _sieve(maps, periods_of, bound: int) -> List[Dict[int, List[Fraction]]]:
     """Per map m, its points of exact period n with height <= ``bound`` for
     each n in ``periods_of[type(m)]``, in ``_rat_key`` order (see the module
-    docstring).  A quad map is sieved only if ``0 < _root_den(c) <= bound``."""
-    top = max([2 * bound] + [height(getattr(m, f)) for m in maps for f in m.__dataclass_fields__])
+    docstring).  A quad map is sieved only if ``0 < _root_den(den(c)) <=
+    bound``; each surviving candidate takes one ``exact_period`` call, and
+    only maps with a point sort anything.  Maps with no point share one
+    read-only dict per family."""
+    # per family, its maps' parameter integers, read once into an int64 array
+    # (a Python list per map would hold ~0.2 KB each)
+    ints = {cls: np.fromiter((x for m in maps if type(m) is cls for f in m.__dataclass_fields__
+                              for x in getattr(m, f).as_integer_ratio()), np.int64)
+            .reshape(-1, len(cls.__dataclass_fields__), 2) for cls in periods_of}
+    top = max([2 * bound] + [int(abs(a).max()) for a in ints.values() if a.size])
     ps = (p for p in itertools.count(top + 1) if all(p % q for q in range(2, math.isqrt(p) + 1)))
     primes = list(itertools.islice(ps, _PRIMES))
     inverses = [_inverses(p) for p in primes]
     rows = max(1, min(_BLOCK, _CELLS // primes[-1]))
-    found = [{n: [] for n in periods_of[type(m)]} for m in maps]
+    found: Dict[int, Dict[int, List[Fraction]]] = {}
     for cls, periods in periods_of.items():
-        # by ``_root_den``, no other quad map has a periodic point of height <= bound
-        idx = [i for i, m in enumerate(maps)
-               if type(m) is cls and (cls is KBMap or 0 < _root_den(m.c) <= bound)]
+        quad, num, den = cls is QuadraticMap, ints[cls][..., 0], ints[cls][..., 1]
+        idx = np.flatnonzero([type(m) is cls for m in maps])
+        # by ``_root_den``, a quad map whose e is 0 or exceeds the bound has no
+        # periodic point of height <= bound; a KB map takes e = 1
+        e = np.array([_root_den(d) for d in den[:, 0].tolist()], np.int64) if quad else np.ones(len(den), np.int64)
+        idx, num, den, e = (a[(0 < e) & (e <= bound)] for a in (idx, num, den, e))
         for at in range(0, len(idx), rows):
-            part = idx[at : at + rows]
-            for i, u, v, f in _candidates([maps[i] for i in part], periods, bound, primes, inverses):
-                for n in periods:
-                    if f >> (n - 1) & 1:
-                        found[part[i]][n].append(Fraction(u, v))
-    for m, cands in zip(maps, found):
-        for n, pts in cands.items():
-            try:
-                cands[n] = sorted(_exact_points(m, n, pts), key=_rat_key)
-            except DomainError as exc:
-                raise DomainError(f"{m.describe()}, n={n}: {exc}") from None
-    return found
+            block = (a[at : at + rows] for a in (num, den, e))
+            for row, u, v, f in _candidates(quad, *block, periods, bound, primes, inverses):
+                i = int(idx[at + row])
+                m, z = maps[i], Fraction(u, v)
+                try:
+                    n = exact_period(m, z)
+                except DomainError as exc:  # named by the least n in its bits
+                    raise DomainError(f"{m.describe()}, n={(f & -f).bit_length()}: {exc}") from None
+                if n and f >> (n - 1) & 1:
+                    found.setdefault(i, {k: [] for k in periods})[n].append(z)
+    empty = {cls: {n: [] for n in periods} for cls, periods in periods_of.items()}
+    return [{n: sorted(pts, key=_rat_key) for n, pts in found[i].items()} if i in found
+            else empty[type(m)] for i, m in enumerate(maps)]
 
 
 # --- workers (top level so they pickle) -----------------------------------
@@ -286,15 +304,14 @@ def _check_scan(height_point: int, workers: int) -> None:
 
 
 def _scan_periods(kind, box, periods, make_maps, workers) -> ScanReport:
-    """The period scans: validate, build the maps, fan out, report."""
+    """The period scans: validate, build the maps, fan out, report.
+    ``make_maps`` returns the maps to sieve and the size of the box."""
     periods = _check_periods(periods)
     _check_scan(box["height_point"], workers)
     t0 = time.perf_counter()
-    maps = make_maps()
+    maps, scanned = make_maps()
     hits = _map_over(_periods_chunk, maps, workers, periods, box["height_point"])
-    return ScanReport(
-        kind, box, periods, tuple(hits), len(maps), time.perf_counter() - t0
-    )
+    return ScanReport(kind, box, periods, tuple(hits), scanned, time.perf_counter() - t0)
 
 
 def scan_quadratic_periods(
@@ -305,11 +322,19 @@ def scan_quadratic_periods(
 ) -> ScanReport:
     """Search z^2 + c, height(c) <= height_c, for rational points of the
     given exact periods with height <= height_point."""
+
+    def make_maps():
+        scanned = count_rationals(height_c)  # first: it rejects height_c < 1
+        # by ``_root_den``, only c = n / e^2 with e <= height_point can have hits
+        es = range(1, min(height_point, math.isqrt(height_c)) + 1)
+        cs = [Fraction(n, e * e) for e in es for n in range(-height_c, height_c + 1) if math.gcd(n, e) == 1]
+        return [QuadraticMap(c) for c in sorted(cs, key=_rat_key)], scanned
+
     return _scan_periods(
         "quad",
         {"height_c": height_c, "height_point": height_point},
         periods,
-        lambda: [QuadraticMap(c) for c in enumerate_rationals(height_c)],
+        make_maps,
         workers,
     )
 
@@ -327,7 +352,8 @@ def scan_kb_periods(
     def make_maps():
         ks = [k for k in enumerate_rationals(height_k) if k != 0]
         bs = [b for b in enumerate_rationals(height_b) if b != 0]
-        return [KBMap(k, b) for k in ks for b in bs]
+        maps = [KBMap(k, b) for k in ks for b in bs]
+        return maps, len(maps)
 
     return _scan_periods(
         "kb",

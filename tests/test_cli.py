@@ -223,6 +223,16 @@ def test_orbit_height_bound_below_one_exits_1(bound):
     assert code == 1 and out == f"parameter excluded: height_bound={bound}"
 
 
+@pytest.mark.parametrize("n", ["0", "-1", "9", "10", "20"])
+@pytest.mark.parametrize("which", ["dynatomic", "period"])
+def test_dynatomic_n_outside_the_scan_periods_exits_1(n, which):
+    # Phi_n's degree doubles with each n, so an unbounded --n can run for
+    # minutes and exhaust memory; the bound is the scans' periods 1..8
+    code, out = run(["dynatomic", "--map", "quad:c=1/3", "--n", n, "--which", which])
+    assert code == 1 and out == f"parameter excluded: n={n}"
+    assert run(["dynatomic", "--map", "quad:c=1/3", "--n", "8", "--which", which])[0] == 0
+
+
 def test_period_max_steps_zero_exits_1():
     code, out = run(["period", "--map", "quad:c=0", "--point", "0", "--max-steps", "0"])
     assert code == 1 and out == "parameter excluded: max_steps=0"

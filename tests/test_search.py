@@ -2,12 +2,13 @@ import json
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ratdyn import search
 from ratdyn.classification import kb_period4_family, period3_family
-from ratdyn.core import enumerate_rationals, height
+from ratdyn.core import count_rationals, enumerate_rationals, height
 from ratdyn.dynamics import KBMap, QuadraticMap, exact_period
 from ratdyn.dynatomic import periodic_points_exact
 from ratdyn.errors import DomainError
@@ -97,20 +98,22 @@ def test_scans_reject_workers_below_one():
 
 
 def test_worker_errors_name_map_and_period(monkeypatch):
-    # the sieve confirms every (map, n) through _exact_points, even with no
-    # candidates; an error there names the map and n
-    real = search._exact_points
+    # the sieve confirms each surviving candidate with one exact_period call;
+    # an error there names the map and the least n the candidate's bits carry.
+    # The fixed points +-1 of kb:k=2,b=-1 survive the sieve for every n.
+    real = search.exact_period
 
-    def failing(m, n, candidates):
-        if m.describe() == "kb:k=2,b=-1" and n == 4:
+    def failing(m, z, *args):
+        if m.describe() == "kb:k=2,b=-1":
             raise DomainError("exact-period check failed")
-        return real(m, n, candidates)
+        return real(m, z, *args)
 
-    monkeypatch.setattr(search, "_exact_points", failing)
-    msg = "kb:k=2,b=-1, n=4: exact-period check failed"
-    with pytest.raises(DomainError, match=msg):
+    monkeypatch.setattr(search, "exact_period", failing)
+    with pytest.raises(DomainError, match="kb:k=2,b=-1, n=4: exact-period check failed"):
+        scan_kb_periods(2, 2, 10, {4}, workers=1)
+    with pytest.raises(DomainError, match="kb:k=2,b=-1, n=1: exact-period check failed"):
         scan_kb_periods(2, 2, 10, {1, 4}, workers=1)
-    with pytest.raises(DomainError, match=msg):
+    with pytest.raises(DomainError, match="kb:k=2,b=-1, n=1: exact-period check failed"):
         scan_intersection_bound(2, 10, workers=1)
 
 
@@ -154,6 +157,70 @@ def test_sieve_matches_dynatomic_on_mixed_chunks(maps, quad_periods, kb_periods,
     # parameters reach height 60, past 2 * bound, so the sieve's primes must
     # step past them; a chunk mixes both families, as the intersection scan's do
     _assert_sieve_is_dynatomic(maps, {QuadraticMap: quad_periods, KBMap: kb_periods}, bound)
+
+
+def _reference_bits(m, q, periods):
+    """bits[z] for z in P^1(F_q), infinity last: bit n - 1 is set when
+    m^n(z) == z, by plain iteration of the map's formula mod q."""
+    inf = q
+    if isinstance(m, QuadraticMap):
+        c = m.c.numerator * pow(m.c.denominator, -1, q) % q
+
+        def f(z):
+            return inf if z == inf else (z * z + c) % q
+    else:
+        k, b = (x.numerator * pow(x.denominator, -1, q) % q for x in (m.k, m.b))
+
+        def f(z):
+            return inf if z in (0, inf) else (k * z + b * pow(z, -1, q)) % q
+    out = []
+    for z in range(q + 1):
+        w, bits = z, 0
+        for n in range(1, max(periods) + 1):
+            w = f(w)
+            if n in periods and w == z:
+                bits |= 1 << (n - 1)
+        out.append(bits)
+    return out
+
+
+# a block of maps of one family, parameters of height <= 60 as in RANDOM_MAPS
+_BLOCKS = st.one_of(
+    st.lists(st.builds(QuadraticMap, rationals(60)), min_size=1, max_size=5),
+    st.lists(st.builds(KBMap, rationals(60, nonzero=True), rationals(60, nonzero=True)),
+             min_size=1, max_size=5),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_BLOCKS, st.sampled_from([61, 67, 101, 211]), _PERIODS, st.data())
+def test_later_prime_branches_give_the_same_bits(block, q, periods, data):
+    # a later prime walks either the candidates' residues or every residue
+    # once, then looks the candidates up; both must give the bits of plain
+    # iteration mod a prime q above every parameter's height
+    cls = type(block[0])
+    num, den = np.moveaxis(np.array(
+        [[getattr(m, f).as_integer_ratio() for f in m.__dataclass_fields__] for m in block]), -1, 0)
+    inv = search._inverses(q)
+    table = search._steps(cls is QuadraticMap, num % q * inv[den] % q, q, inv)
+    at = np.array(data.draw(st.lists(st.integers(0, table.size - 1), max_size=3 * table.size)), dtype=np.int64)
+    walked = search._walk(table, at, periods)
+    assert walked.tolist() == search._walk(table, np.arange(table.size), periods)[at].tolist()
+    want = [b for m in block for b in _reference_bits(m, q, periods)]
+    assert walked.tolist() == [want[i] for i in at.tolist()]
+
+
+def test_quad_scan_building_only_kept_maps_keeps_the_box():
+    # at B = 3 the prune drops every c whose den(c) is not e^2 with e <= 3;
+    # the scan builds no map for those c, yet counts the whole box, finds what
+    # the sieve finds on every map of the box, and is the same at 1 and 2 workers
+    box = [QuadraticMap(c) for c in enumerate_rationals(12)]
+    one = scan_quadratic_periods(12, 3, (1, 2, 3), workers=1)
+    assert one.scanned_count == len(box) == count_rationals(12)
+    assert list(one.hits) == search._map_over(search._periods_chunk, box, 1, (1, 2, 3), 3)
+    assert {h["map"] for h in one.hits} >= {"quad:c=-3/4", "quad:c=2/9"}
+    two = scan_quadratic_periods(12, 3, (1, 2, 3), workers=2)
+    assert json.dumps(two.canonical_dict()) == json.dumps(one.canonical_dict())
 
 
 def test_quad_periodic_points_have_denominator_sqrt_den_c():
