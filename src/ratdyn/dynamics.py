@@ -4,17 +4,20 @@
 [x^2 + c y^2 : y^2]; ``KBMap(k, b)`` is phi(z) = k z + b/z with homogeneous
 form [k x^2 + b y^2 : x y].  Orbits are computed on coprime int pairs with
 cycle detection by a visited-point set: over Q an orbit either repeats or
-its heights blow up.  ``exact_period`` stops at the map's proven escape
-bound K(m), ``orbit`` at its step bound and optional height bound.  Every
-walk takes one ``step`` on the map's integer record, built once per map on
-first use and kept in its ``__dict__``, off the dataclass fields.
+its heights blow up.  ``exact_period`` stops at the first point outside
+the map's local region, where no periodic point lies: the Walde-Russo
+denominator and escape radius of z^2 + c, and for kz + b/z the escape
+radius when |k| > 1 and the height bound K(m).  ``orbit`` stops at its
+step bound and optional height bound.  Every walk takes one ``step`` on
+the map's integer record, built once per map on first use and kept in its
+``__dict__``, off the dataclass fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional, Tuple, Union
 
 from .core import ProjectivePoint, format_rational, is_rational_square
@@ -38,42 +41,67 @@ DEFAULT_MAX_STEPS = 64
 # ``orbit``'s default display guard for library callers: wandering orbits
 # square their heights every step.  It proves nothing about cycles;
 # ``exact_period`` and ``periodic_points_exact`` stop at the map's proven
-# escape bound K(m) instead.  Pass height_bound=None to disable the guard.
+# local region instead.  Pass height_bound=None to disable the guard.
 DEFAULT_HEIGHT_BOUND = 10**150
 
 
+def root_den(d: int) -> int:
+    """e if d = den(c) = e^2, else 0.  A rational periodic point z of z^2 + c
+    has denominator e, and none exists if den(c) is not a square (Walde-Russo,
+    Amer. Math. Monthly 1994).  At each prime p, with delta = v_p(c): if
+    delta >= 0 and v_p(z) < 0, or delta < 0 and 2 v_p(z) != delta, the
+    iterates' valuations fall strictly, so z never recurs.  Hence delta is
+    even and v_p(z) = min(0, delta / 2)."""
+    e = isqrt(d)
+    return e if e * e == d else 0
+
+
 class _StepRecord:
-    """``m._record`` = (quad, a, b, c, e, K): built on first read, then kept in
-    m's ``__dict__``, shadowing this descriptor, off the dataclass fields.
+    """``m._record`` = (quad, a, b, c, q, (lo, hi, top, cx, cy)): built on first
+    read into m's ``__dict__``, shadowing this descriptor: no dataclass field.
 
     ``step`` sends a canonical coprime pair (x, y) to (F, G) / gcd(F, G), with
     (F, G) = (a x^2 + b y^2, c y^2) for a quad map and (a x^2 + b y^2, c x y)
-    for a KB map.  H(m(P)) >= H(P)^2 / K, so past K heights grow strictly: no
-    cycle has a point above K.  For coprime (x, y) the identities
+    for a KB map.  For coprime (x, y) the identities
       quad, c = n/d:  d^2 x^3 = (d x) F - (n x) G,  d^2 y^3 = (d y) G
       KB, A = kn bd, B = bn kd, C = kd bd:
           B (C x F - B y G) = ABC x^3,  A (C y F - A x G) = ABC y^3
-    show gcd(F, G) | e = d^2 (resp. ABC), which the step uses, and give
-    K = d + |n| (resp. max(|B|(C+|B|), |A|(C+|A|))); compare Silverman,
-    The Arithmetic of Dynamical Systems, Prop. 2.13.
+    show gcd(F, G) | q = d^2 (resp. ABC), which the step uses.
+
+    Every finite periodic point x/y lies in the region lo <= y <= hi,
+    |x| <= top, cx x^2 <= cy y^2.  Each part is exact: past an escape radius
+    |m(z)| > |z| and m(z) is past it too, so |z| grows and never recurs.
+      quad: y = e with d = e^2 (``root_den``; lo > hi if d is not a square).
+          |z|^2 > |z| + |c| gives |z| > 1 and |f(z)| >= |z|^2 - |c| > |z|,
+          and t^2 - t grows for t > 1.  So d x^2 <= d |x| y + |n| y^2, that
+          is |x| <= top = (e + isqrt(e^2 + 4|n|)) // 2, and cx = 0; this
+          implies H <= K = d + |n|, so a quad map needs no K test.
+      KB, |k| > 1 (|A| > C): (|k| - 1) |z|^2 > |b| gives |phi(z)| >= |k||z|
+          - |b|/|z| > |z| (Call-Silverman, Compositio Math. 1993): cx =
+          |A| - C, cy = |B|; else cx = 0.  The identities give H(m(P)) >=
+          H(P)^2 / K, K = max(|B|(C+|B|), |A|(C+|A|)) (compare Silverman,
+          The Arithmetic of Dynamical Systems, Prop. 2.13), so hi = top = K;
+          lo = 1, as 0 maps to the fixed point infinity.
     """
 
     def __get__(self, m: Map, cls=None) -> tuple:
         if quad := isinstance(m, QuadraticMap):
             n, d = m.c.as_integer_ratio()
-            rec = quad, d, n, d, d * d, d + abs(n)
+            e = root_den(d)
+            rec = quad, d, n, d, d * d, (e or 1, e, (e + isqrt(e * e + 4 * abs(n))) // 2, 0, 0)
         else:
             (kn, kd), (bn, bd) = m.k.as_integer_ratio(), m.b.as_integer_ratio()
             a, b, c = kn * bd, bn * kd, kd * bd
-            rec = quad, a, b, c, a * b * c, max(abs(b) * (c + abs(b)), abs(a) * (c + abs(a)))
+            K = max(abs(b) * (c + abs(b)), abs(a) * (c + abs(a)))
+            rec = quad, a, b, c, a * b * c, (1, K, K, max(abs(a) - c, 0), abs(b))
         return m.__dict__.setdefault("_record", rec)
 
 
 def step(rec: tuple, x: int, y: int) -> Tuple[int, int]:
     """The image of the canonical pair (x, y) under the map of ``rec``."""
-    quad, a, b, c, e, _ = rec
+    quad, a, b, c, q, _ = rec
     f, g = a * x * x + b * y * y, c * y * (y if quad else x)
-    h = gcd(f, e, g) * (1 if (g or f) > 0 else -1)  # y > 0, or (1 : 0)
+    h = gcd(f, q, g) * (1 if (g or f) > 0 else -1)  # y > 0, or (1 : 0)
     return f // h, g // h
 
 
@@ -185,26 +213,28 @@ def exact_period(m: Map, p, max_steps: int = DEFAULT_MAX_STEPS) -> Optional[int]
     """Least n <= max_steps with m^n(p) == p, or None.
 
     Returns None for points that are preperiodic with a nonempty tail and for
-    points whose orbit did not close within the bound.  A walk that passes
-    the map's escape bound K (``_StepRecord``) stops at once: no cycle lies
-    above it.  Accepts a ProjectivePoint or anything convertible to Fraction.
+    points whose orbit did not close within the bound.  The walk stops at the
+    first point, the start included, outside the map's region
+    (``_StepRecord``): no periodic point lies outside it.  Accepts a
+    ProjectivePoint or anything convertible to Fraction.
     """
     if max_steps < 1:
         raise parameter_excluded("max_steps", max_steps)
-    rec, bound = m._record, m._record[-1]
+    rec, (lo, hi, top, cx, cy) = m._record, m._record[-1]
     if not isinstance(p, (ProjectivePoint, Fraction)):
         p = Fraction(p)
-    start = x, y = (p.x, p.y) if isinstance(p, ProjectivePoint) else p.as_integer_ratio()
-    if abs(x) > bound or y > bound:
-        return None
-    seen = {start}
+    pt = start = (p.x, p.y) if isinstance(p, ProjectivePoint) else p.as_integer_ratio()
+    if not start[1]:  # infinity is fixed by both families
+        return 1
+    seen = set()
     for n in range(1, max_steps + 1):
-        x, y = step(rec, x, y)
-        if (x, y) in seen:
-            return n if (x, y) == start else None
-        if abs(x) > bound or y > bound:
+        x, y = pt
+        if not (lo <= y <= hi and abs(x) <= top and (not cx or cx * x * x <= cy * y * y)):
             return None
-        seen.add((x, y))
+        seen.add(pt)
+        pt = step(rec, x, y)
+        if pt in seen:
+            return n if pt == start else None
     return None
 
 

@@ -15,7 +15,7 @@ cells, every residue once, and drops the candidates that do not recur.
 ``exact_period`` confirms each survivor in one call; only maps with a point
 are sorted.  A quad map z^2 + c is sieved only if den(c) = e^2 with e <= B,
 and only with v = e, the one denominator its periodic points can have
-(Walde-Russo; proof at ``_root_den``); a quad scan builds only those maps.
+(Walde-Russo; see ``root_den``); a quad scan builds only those maps.
 A scan thus finds exactly the points of height <= B and exact period n:
 the set that ``dynatomic.periodic_points_exact`` returns with
 ``height_bound=B``.  Workers partition the list of maps into contiguous
@@ -46,7 +46,7 @@ from .core import (
     height,
     is_rational_square,
 )
-from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period
+from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period, root_den
 from .errors import DomainError, parameter_excluded
 
 __all__ = [
@@ -154,22 +154,11 @@ def _walk(table: np.ndarray, start: np.ndarray, periods) -> np.ndarray:
     return bits
 
 
-def _root_den(d: int) -> int:
-    """e if d = den(c) = e^2, else 0.  A rational periodic point z of z^2 + c
-    has denominator e, and none exists if den(c) is not a square (Walde-Russo,
-    Amer. Math. Monthly 1994).  At each prime p, with delta = v_p(c): if
-    delta >= 0 and v_p(z) < 0, or delta < 0 and 2 v_p(z) != delta, the
-    iterates' valuations fall strictly, so z never recurs.  Hence delta is
-    even and v_p(z) = min(0, delta / 2)."""
-    e = math.isqrt(d)
-    return e if e * e == d else 0
-
-
 def _candidates(quad: bool, num, den, e, periods, bound: int, primes, inverses):
     """(row, u, v, bits) for each u/v in lowest terms with |u|, v <= bound
     that is periodic mod every prime under the ``row``-th map, whose
     parameters are num / den; a quad map tries only v = e[row], its one
-    possible denominator (``_root_den``).  The first prime walks every
+    possible denominator (``root_den``).  The first prime walks every
     residue.  Each later prime walks only the candidates still standing, or,
     when they outnumber its table's cells, every residue once, and looks the
     candidates up."""
@@ -201,7 +190,7 @@ def _candidates(quad: bool, num, den, e, periods, bound: int, primes, inverses):
 def _sieve(maps, periods_of, bound: int) -> List[Dict[int, List[Fraction]]]:
     """Per map m, its points of exact period n with height <= ``bound`` for
     each n in ``periods_of[type(m)]``, in ``_rat_key`` order (see the module
-    docstring).  A quad map is sieved only if ``0 < _root_den(den(c)) <=
+    docstring).  A quad map is sieved only if ``0 < root_den(den(c)) <=
     bound``; each surviving candidate takes one ``exact_period`` call, and
     only maps with a point sort anything.  Maps with no point share one
     read-only dict per family."""
@@ -219,9 +208,9 @@ def _sieve(maps, periods_of, bound: int) -> List[Dict[int, List[Fraction]]]:
     for cls, periods in periods_of.items():
         quad, num, den = cls is QuadraticMap, ints[cls][..., 0], ints[cls][..., 1]
         idx = np.flatnonzero([type(m) is cls for m in maps])
-        # by ``_root_den``, a quad map whose e is 0 or exceeds the bound has no
+        # by ``root_den``, a quad map whose e is 0 or exceeds the bound has no
         # periodic point of height <= bound; a KB map takes e = 1
-        e = np.array([_root_den(d) for d in den[:, 0].tolist()], np.int64) if quad else np.ones(len(den), np.int64)
+        e = np.array([root_den(d) for d in den[:, 0].tolist()], np.int64) if quad else np.ones(len(den), np.int64)
         idx, num, den, e = (a[(0 < e) & (e <= bound)] for a in (idx, num, den, e))
         for at in range(0, len(idx), rows):
             block = (a[at : at + rows] for a in (num, den, e))
@@ -325,7 +314,7 @@ def scan_quadratic_periods(
 
     def make_maps():
         scanned = count_rationals(height_c)  # first: it rejects height_c < 1
-        # by ``_root_den``, only c = n / e^2 with e <= height_point can have hits
+        # by ``root_den``, only c = n / e^2 with e <= height_point can have hits
         es = range(1, min(height_point, math.isqrt(height_c)) + 1)
         cs = [Fraction(n, e * e) for e in es for n in range(-height_c, height_c + 1) if math.gcd(n, e) == 1]
         return [QuadraticMap(c) for c in sorted(cs, key=_rat_key)], scanned

@@ -17,6 +17,15 @@ GOLDEN_CASES = {
     "orbit_quad_c-13_p3.json": ["orbit", "--map", "quad:c=-13", "--point", "3"],
     "orbit_kb_24-7_p3.json": ["orbit", "--map", "kb:k=24/7,b=-300/7", "--point", "3"],
     "period_kb_43_p2.json": ["period", "--map", "kb:k=4/3,b=-10/3", "--point", "2"],
+    # starts outside the local region: den(c) = 2 is not a square; 1/3 has
+    # the wrong denominator for den(c) = 4
+    "period_quad_c1-2_p1-3.json": ["period", "--map", "quad:c=1/2", "--point", "1/3"],
+    "period_quad_c-3-4_p1-3.json": ["period", "--map", "quad:c=-3/4", "--point", "1/3"],
+    # |k| > 1: 5 lies past the escape radius, 0 maps to inf, inf is fixed;
+    # the inf one is also diffed against the installed console script in CI
+    "period_kb_3_1_p5.json": ["period", "--map", "kb:k=3,b=1", "--point", "5"],
+    "period_kb_3_1_p0.json": ["period", "--map", "kb:k=3,b=1", "--point", "0"],
+    "period_kb_3_1_pinf.json": ["period", "--map", "kb:k=3,b=1", "--point", "inf"],
     "dynatomic_quad_c-3_n2.json": ["dynatomic", "--map", "quad:c=-3", "--n", "2"],
     "dynatomic_kb_factor4.json": [
         "dynatomic", "--map", "kb:k=1,b=1", "--n", "4", "--which", "factor4",

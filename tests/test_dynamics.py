@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import pickle
 from fractions import Fraction as F
 
@@ -9,6 +11,7 @@ from ratdyn import dynamics
 from ratdyn.classification import kb_period4_family, period3_family, quad_periodic_points
 from ratdyn.core import INFINITY, ProjectivePoint, enumerate_rationals
 from ratdyn.dynamics import (
+    DEFAULT_MAX_STEPS,
     KBMap,
     QuadraticMap,
     apply_map,
@@ -219,6 +222,33 @@ def test_step_matches_fraction_arithmetic(case):
     assert step(m._record, p.numerator, p.denominator) == want
 
 
+def _abc(m):
+    """A, B, C of a KB map: k = A/C, b = B/C."""
+    (kn, kd), (bn, bd) = m.k.as_integer_ratio(), m.b.as_integer_ratio()
+    return kn * bd, bn * kd, kd * bd
+
+
+def _K(m):
+    """The global escape bound: d + |n| for z^2 + n/d, else
+    max(|B|(C+|B|), |A|(C+|A|))."""
+    if isinstance(m, QuadraticMap):
+        return m.c.denominator + abs(m.c.numerator)
+    A, B, C = _abc(m)
+    return max(abs(B) * (C + abs(B)), abs(A) * (C + abs(A)))
+
+
+def _inside(m, x, y):
+    """Whether the finite point x/y (y > 0) lies in m's local region, read
+    from m's parameters: y^2 = d and d x^2 <= d |x| y + |n| y^2 for
+    z^2 + n/d; height <= K and, when |k| > 1, (|A| - C) x^2 <= |B| y^2 for
+    kz + b/z."""
+    if isinstance(m, QuadraticMap):
+        n, d = m.c.as_integer_ratio()
+        return y * y == d and d * x * x <= d * abs(x) * y + abs(n) * y * y
+    A, B, C = _abc(m)
+    return 0 < y <= _K(m) and abs(x) <= _K(m) and (abs(A) <= C or (abs(A) - C) * x * x <= abs(B) * y * y)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_map_and_start(), st.integers(1, 6))
 @example((QuadraticMap(F(-(10**302 + 10**151 + 1))), F(10**151)), 2)
@@ -229,8 +259,7 @@ def test_exact_period_matches_unguarded_orbit(case, steps):
     want = len(rep.cycle) if rep.is_periodic and not rep.tail else None
     assert exact_period(m, p, max_steps=steps) == want
     if want is not None:
-        bound = m._record[-1]
-        assert all(max(abs(q.x), q.y) <= bound for q in rep.cycle)
+        assert all(_inside(m, q.x, q.y) and max(abs(q.x), q.y) <= _K(m) for q in rep.cycle)
 
 
 def _planted():
@@ -241,19 +270,49 @@ def _planted():
         (QuadraticMap(F(-13)), F(3), 2),
         (QuadraticMap(fam3.c), fam3.x1, 3),
         (KBMap(fam4.k, fam4.b), fam4.points[0], 4),
+        (KBMap(F(-1, 3), F(4, 3)), F(1), 1),
     ]
 
 
-@pytest.mark.parametrize("m, p, n", _planted(), ids=["quad1", "quad2", "quad3", "kb4"])
+def _past_faces(m):
+    """Starts just past each face of m's region, as (x, y) pairs."""
+    if isinstance(m, QuadraticMap):
+        n, d = m.c.as_integer_ratio()
+        e = math.isqrt(d)
+        top = max(t for t in range(abs(n) + e + 1) if _inside(m, t, e))
+        assert _inside(m, -top, e) and not _inside(m, top + 1, e)
+        x = next(x for x in itertools.count(top + 1) if math.gcd(x, e) == 1)
+        return [(1, e + 1), (x, e), (-x, e)] + ([(1, e - 1)] if e > 1 else [])
+    A, B, C = _abc(m)
+    K, faces = _K(m), []
+    if abs(A) > C:
+        x = math.isqrt(abs(B) // (abs(A) - C)) + 1
+        faces = [(x, 1), (-x, 1)]
+    return faces + [(K + 1, 1), (-K - 1, 1), (1, K + 1)]
+
+
+def _steps_to_stop(m, x, y, max_steps=DEFAULT_MAX_STEPS):
+    """The number of steps a walk from x/y takes before it closes or meets
+    a point outside the region."""
+    seen = set()
+    for n in range(1, max_steps + 1):
+        if not _inside(m, x, y):
+            return n - 1
+        seen.add((x, y))
+        x, y = step(m._record, x, y)
+        if (x, y) in seen:
+            return n
+    return max_steps
+
+
+@pytest.mark.parametrize("m, p, n", _planted(), ids=["quad1", "quad2", "quad3", "kb4", "kb1"])
 def test_exact_period_contract_edges(m, p, n, monkeypatch):
     assert exact_period(m, p, max_steps=n) == n
     if n > 1:
         assert exact_period(m, p, max_steps=n - 1) is None
-    bound = m._record[-1]
-    for start in (bound + 1, -bound - 1, F(1, bound + 1)):
-        assert exact_period(m, start) is None
-        assert exact_period(m, start, max_steps=10**6) is None
-    for start in (p, F(0), F(1), F(-1), F(2), F(bound), F(bound + 1)):
+    assert all(_inside(m, *q.as_integer_ratio()) for q in cycle_from(m, p, n))
+    faces = _past_faces(m)
+    for start in [p, F(0), F(1), F(-1), F(2)] + [F(x, y) for x, y in faces]:
         want = exact_period(m, start)
         assert exact_period(m, pt(start)) == want
         if start.denominator == 1:
@@ -261,15 +320,107 @@ def test_exact_period_contract_edges(m, p, n, monkeypatch):
     assert exact_period(m, INFINITY) == 1
     if isinstance(m, KBMap):
         assert exact_period(m, 0) is None
-    # the walk stops at the first image past the bound, or once it closes
+    # a start past any face takes no step; a walk stops at the first image
+    # outside the region, or once it closes
     walked = []
-    monkeypatch.setattr(dynamics, "step", lambda rec, x, y: walked.append(x) or step(rec, x, y))
+    monkeypatch.setattr(dynamics, "step", lambda rec, x, y: walked.append((x, y)) or step(rec, x, y))
     assert exact_period(m, p) == n and len(walked) == n
-    walked.clear()
-    assert exact_period(m, bound + 1) is None and walked == []
-    walked.clear()
-    assert max(abs(v) for v in step(m._record, bound, 1)) > bound
-    assert exact_period(m, bound) is None and walked == [bound]
+    for x, y in faces:
+        assert not _inside(m, x, y)
+        walked.clear()
+        assert exact_period(m, F(x, y)) is None and walked == []
+        assert exact_period(m, F(x, y), max_steps=10**6) is None and walked == []
+    for start in enumerate_rationals(12):
+        walked.clear()
+        exact_period(m, start)
+        assert len(walked) == _steps_to_stop(m, *start.as_integer_ratio())
+
+
+def test_exact_period_region_edges(monkeypatch):
+    # infinity is fixed: tested before the region, which holds no finite
+    # point of z^2 + 1/2 (den(c) is not a square)
+    for m in (QuadraticMap(F(1, 2)), QuadraticMap(F(-3, 7)), KBMap(F(3), F(1)), KBMap(F(-5, 2), F(2, 3))):
+        assert exact_period(m, INFINITY) == 1
+        assert exact_period(m, ProjectivePoint(1, 0), max_steps=1) == 1
+    assert not any(exact_period(QuadraticMap(F(1, 2)), q) for q in enumerate_rationals(20))
+    # 0 -> inf -> inf on a KB map, with |k| > 1 and with |k| < 1
+    for m in (KBMap(F(3), F(1)), KBMap(F(1, 3), F(1)), KBMap(F(4, 3), F(-2, 15))):
+        assert exact_period(m, 0) is None and exact_period(m, F(0)) is None
+        assert exact_period(m, ProjectivePoint(0, 1)) is None
+    # max_steps below the period
+    fam3, fam4 = period3_family(F(2)), kb_period4_family(F(3))
+    for m, p, n in [(QuadraticMap(fam3.c), fam3.x2, 3), (KBMap(fam4.k, fam4.b), fam4.points[1], 4)]:
+        assert [exact_period(m, p, max_steps=s) for s in range(1, n + 2)] == [None] * (n - 1) + [n, n]
+    # Fraction, int and ProjectivePoint starts agree
+    for m in (QuadraticMap(F(-6)), QuadraticMap(F(-3, 4)), KBMap(F(3), F(-8)), KBMap(F(-1, 3), F(4, 3))):
+        for z in range(-8, 9):
+            want = exact_period(m, F(z))
+            assert exact_period(m, z) == want and exact_period(m, pt(z)) == want
+    assert exact_period(KBMap(F(3), F(-8)), 2) == 1 and exact_period(QuadraticMap(F(-3, 4)), F(3, 2)) == 1
+    # one step from a start inside the region to an image outside each face
+    walked = []
+    monkeypatch.setattr(dynamics, "step", lambda rec, x, y: walked.append((x, y)) or step(rec, x, y))
+    for m, z, image in [
+        (QuadraticMap(F(-13)), F(2), F(-9)),  # quad radius
+        (KBMap(F(3), F(1)), F(1, 2), F(7, 2)),  # KB radius, |k| > 1
+        (KBMap(F(1, 3), F(1)), F(1, 18), F(973, 54)),  # KB K = 18, |k| < 1
+    ]:
+        walked.clear()
+        x, y = z.as_integer_ratio()
+        assert _inside(m, x, y) and not _inside(m, *image.as_integer_ratio())
+        assert step(m._record, x, y) == image.as_integer_ratio()
+        assert exact_period(m, z) is None and walked == [(x, y)]
+
+
+@st.composite
+def _planted_cycle(draw):
+    """(map, cycle points, n) from a cycle family, the 2-cycle past the
+    former height guard, or ``periodic_points_exact`` on a random map."""
+    kind = draw(st.sampled_from(["tau3", "kb4", "guard", "random"]))
+    if kind == "tau3":
+        fam = period3_family(draw(rationals(2**64).filter(lambda t: t not in (0, -1))))
+        return QuadraticMap(fam.c), fam.points, 3
+    if kind == "kb4":
+        fam = kb_period4_family(draw(rationals(2**64).filter(lambda t: t not in (0, 1, -1))))
+        return KBMap(fam.k, fam.b), fam.points, 4
+    if kind == "guard":
+        p = F(10**151)
+        return QuadraticMap(-(p * p + p + 1)), (p, -p - 1), 2
+    m, n = draw(RANDOM_MAPS), draw(st.integers(1, 4))
+    return m, sorted(periodic_points_exact(m, n)), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_planted_cycle())
+def test_planted_cycles_lie_inside_the_region(case):
+    m, points, n = case
+    for z in points:
+        assert _inside(m, *z.as_integer_ratio())
+        assert exact_period(m, z) == n
+
+
+def _k_walk(m, z, max_steps):
+    """exact_period in Fraction arithmetic, stopping only past K; None
+    stands for infinity."""
+    image = (lambda w: w * w + m.c) if isinstance(m, QuadraticMap) else (lambda w: m.k * w + m.b / w if w else None)
+    seen, w = [], z
+    for n in range(1, max_steps + 1):
+        if w is not None and max(abs(w.numerator), w.denominator) > _K(m):
+            return None
+        seen.append(w)
+        w = None if w is None else image(w)
+        if w in seen:
+            return n if w == z else None
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_map_and_start(), st.tuples(RANDOM_MAPS, rationals(2**200))), st.integers(1, 8))
+@example((KBMap(F(3), F(1)), F(0)), 8)
+@example((QuadraticMap(F(1, 2)), F(1, 3)), 8)
+def test_exact_period_matches_a_k_only_walk(case, steps):
+    m, z = case
+    assert exact_period(m, z, max_steps=steps) == _k_walk(m, z, steps)
 
 
 @pytest.mark.parametrize("make", [lambda: QuadraticMap(F(-29, 16)), lambda: KBMap(F(4, 3), F(-10, 3))])
