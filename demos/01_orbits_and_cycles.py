@@ -33,9 +33,12 @@ print("   both orbits pass through 3 and -4, and nothing else is shared.")
 
 print("\n== preperiodic vs periodic vs wandering ==")
 show_orbit(QuadraticMap(F(-2)), 0)        # tail (0, -2), then fixed at 2
-rep = orbit(QuadraticMap(F(0)), ProjectivePoint.from_rational(F(2)), max_steps=5)
-print(f"  squaring from 2 with a 5-point budget: status={rep.status},",
-      [str(q.to_rational()) for q in rep.tail])
+# 2 lies past the escape radius 1 of z^2, so no step is taken; from 1,
+# z^2 - 6 steps once to -5, past its escape radius 3
+for m, p in [(QuadraticMap(F(0)), 2), (QuadraticMap(F(-6)), 1)]:
+    rep = orbit(m, ProjectivePoint.from_rational(F(p)), max_steps=5)
+    print(f"  {m.describe():28s} start {p!s:>5} with a 5-point budget: status={rep.status},",
+          [str(q.to_rational()) for q in rep.tail])
 
 print("\n== exact periods ==")
 for m, p in [

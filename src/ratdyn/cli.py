@@ -128,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--max-steps", type=int, default=64)
-    p.add_argument("--height-bound", type=int, default=None)
 
     p = sub.add_parser("period", help="exact period of a point, if periodic")
     p.add_argument("--map", required=True)
@@ -219,12 +218,7 @@ _parser = functools.cache(build_parser)  # a build costs ~30 parses: once per pr
 
 def _cmd_orbit(args) -> dict:
     m = parse_map(args.map)
-    rep = orbit(
-        m,
-        parse_point(args.point),
-        max_steps=args.max_steps,
-        height_bound=args.height_bound,
-    )
+    rep = orbit(m, parse_point(args.point), max_steps=args.max_steps)
     return {
         "command": "orbit",
         "map": m.describe(),

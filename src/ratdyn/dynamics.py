@@ -2,15 +2,15 @@
 
 ``QuadraticMap(c)`` is f(z) = z^2 + c with homogeneous form
 [x^2 + c y^2 : y^2]; ``KBMap(k, b)`` is phi(z) = k z + b/z with homogeneous
-form [k x^2 + b y^2 : x y].  Orbits are computed on coprime int pairs with
-cycle detection by a visited-point set: over Q an orbit either repeats or
-its heights blow up.  ``exact_period`` stops at the first point outside
-the map's local region, where no periodic point lies: the Walde-Russo
-denominator and escape radius of z^2 + c, and for kz + b/z the escape
-radius when |k| > 1 and the height bound K(m).  ``orbit`` stops at its
-step bound and optional height bound.  Every walk takes one ``step`` on
-the map's integer record, built once per map on first use and kept in its
-``__dict__``, off the dataclass fields.
+form [k x^2 + b y^2 : x y].  Every orbit walk is one loop, ``_walk``, on
+coprime int pairs: it stops at a repeat, at the step bound, or at the first
+finite point outside the map's local region, where no periodic point lies
+(so a walk that leaves it never recurs): the Walde-Russo denominator and
+escape radius of z^2 + c, and for kz + b/z the escape radius when |k| > 1
+and the height bound K(m).  ``orbit``, ``exact_period`` and ``cycle_from``
+read its result.  Every walk takes one ``step`` on the map's integer
+record, built once per map on first use and kept in its ``__dict__``, off
+the dataclass fields.
 """
 
 from __future__ import annotations
@@ -37,12 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_STEPS = 64
-
-# ``orbit``'s default display guard for library callers: wandering orbits
-# square their heights every step.  It proves nothing about cycles;
-# ``exact_period`` and ``periodic_points_exact`` stop at the map's proven
-# local region instead.  Pass height_bound=None to disable the guard.
-DEFAULT_HEIGHT_BOUND = 10**150
 
 
 def root_den(d: int) -> int:
@@ -150,12 +144,33 @@ def apply_map(m: Map, p: ProjectivePoint) -> ProjectivePoint:
     return ProjectivePoint._canonical(*step(m._record, p.x, p.y))
 
 
-def cycle_from(m: Map, start: Fraction, length: int) -> Tuple[Fraction, ...]:
-    """``start`` and its next ``length - 1`` images, for a finite cycle."""
-    rec, pts = m._record, [start.as_integer_ratio()]
-    while len(pts) < length:
-        pts.append(step(rec, *pts[-1]))
-    return tuple(Fraction(x, y) if y else None for x, y in pts[:length])
+def _walk(rec: tuple, pair: Tuple[int, int], max_steps: int) -> Tuple[dict, Union[int, str]]:
+    """The one orbit loop.  Returns the pairs visited from ``pair``, as a
+    dict from pair to index in visit order, and how the walk ended: the
+    index the last step returned to; "escapes", the last pair being the
+    first finite one outside the map's region (``_StepRecord``); or
+    "bound-exceeded" after ``max_steps`` pairs.  Infinity, fixed by both
+    families, ends the walk as a repeat without a step."""
+    if max_steps < 1:
+        raise parameter_excluded("max_steps", max_steps)
+    lo, hi, top, cx, cy = rec[-1]
+    seen = {}
+    for i in range(max_steps):
+        x, y = pair
+        seen[pair] = i
+        if not (lo <= y <= hi and abs(x) <= top and (not cx or cx * x * x <= cy * y * y)):
+            return seen, "escapes" if y else i  # lo >= 1 keeps infinity out
+        pair = step(rec, x, y)
+        if pair in seen:
+            return seen, seen[pair]
+    return seen, "bound-exceeded"
+
+
+def cycle_from(m: Map, start: Fraction, max_steps: int = DEFAULT_MAX_STEPS) -> Optional[Tuple[Fraction, ...]]:
+    """The cycle through the finite ``start`` in orbit order, or None if the
+    orbit does not return to ``start`` within ``max_steps`` steps."""
+    seen, end = _walk(m._record, start.as_integer_ratio(), max_steps)
+    return tuple(Fraction(x, y) for x, y in seen) if end == 0 else None
 
 
 @dataclass(frozen=True)
@@ -164,9 +179,11 @@ class OrbitReport:
 
     status "periodic": ``cycle`` is the detected cycle in orbit order and
     ``tail`` the pre-periodic segment (empty when the start point is on the
-    cycle).  status "bound-exceeded": no repeat was seen within the step
-    bound (or the optional height bound); ``tail`` holds every distinct
-    point visited, ``cycle`` is empty.
+    cycle).  status "escapes": ``tail`` holds every point visited and ends
+    with the first one outside the map's local region, so the start is not
+    preperiodic; ``cycle`` is empty.  status "bound-exceeded": no repeat
+    within the step bound, every point inside the region; ``tail`` holds
+    them all, ``cycle`` is empty.
     """
 
     tail: Tuple[ProjectivePoint, ...]
@@ -178,35 +195,18 @@ class OrbitReport:
         return self.status == "periodic"
 
 
-def orbit(
-    m: Map,
-    start: ProjectivePoint,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    height_bound: Optional[int] = DEFAULT_HEIGHT_BOUND,
-) -> OrbitReport:
-    """Iterate from ``start`` until a repeat or until max_steps points.
+def orbit(m: Map, start: ProjectivePoint, max_steps: int = DEFAULT_MAX_STEPS) -> OrbitReport:
+    """Iterate from ``start`` until a repeat, until the first point outside
+    the map's local region, or until ``max_steps`` points.
 
-    At most ``max_steps`` distinct points are retained and at most
-    ``max_steps`` images computed.  The walk also stops (bound-exceeded)
-    once a point's height passes ``height_bound``; None disables that.
+    At most ``max_steps`` points are retained and at most ``max_steps``
+    images computed, so a cycle of length ``max_steps`` closes.
     """
-    if max_steps < 1:
-        raise parameter_excluded("max_steps", max_steps)
-    if height_bound is not None and height_bound < 1:
-        raise parameter_excluded("height_bound", height_bound)
-    rec, x, y = m._record, start.x, start.y
-    seen, index = [(x, y)], {(x, y): 0}
-    while True:
-        nxt = x, y = step(rec, x, y)
-        if nxt in index or len(seen) >= max_steps:
-            break
-        seen.append(nxt)
-        if height_bound is not None and max(abs(x), y) > height_bound:
-            break
-        index[nxt] = len(seen) - 1
-    hit = index.get(nxt, len(seen))
+    seen, end = _walk(m._record, (start.x, start.y), max_steps)
     points = tuple(ProjectivePoint._canonical(x, y) for x, y in seen)
-    return OrbitReport(points[:hit], points[hit:], "periodic" if hit < len(seen) else "bound-exceeded")
+    if isinstance(end, str):
+        return OrbitReport(points, (), end)
+    return OrbitReport(points[:end], points[end:], "periodic")
 
 
 def exact_period(m: Map, p, max_steps: int = DEFAULT_MAX_STEPS) -> Optional[int]:
@@ -218,24 +218,12 @@ def exact_period(m: Map, p, max_steps: int = DEFAULT_MAX_STEPS) -> Optional[int]
     (``_StepRecord``): no periodic point lies outside it.  Accepts a
     ProjectivePoint or anything convertible to Fraction.
     """
-    if max_steps < 1:
-        raise parameter_excluded("max_steps", max_steps)
-    rec, (lo, hi, top, cx, cy) = m._record, m._record[-1]
-    if not isinstance(p, (ProjectivePoint, Fraction)):
-        p = Fraction(p)
-    pt = start = (p.x, p.y) if isinstance(p, ProjectivePoint) else p.as_integer_ratio()
-    if not start[1]:  # infinity is fixed by both families
-        return 1
-    seen = set()
-    for n in range(1, max_steps + 1):
-        x, y = pt
-        if not (lo <= y <= hi and abs(x) <= top and (not cx or cx * x * x <= cy * y * y)):
-            return None
-        seen.add(pt)
-        pt = step(rec, x, y)
-        if pt in seen:
-            return n if pt == start else None
-    return None
+    if isinstance(p, ProjectivePoint):
+        start = p.x, p.y
+    else:
+        start = (p if isinstance(p, Fraction) else Fraction(p)).as_integer_ratio()
+    seen, end = _walk(m._record, start, max_steps)
+    return len(seen) if end == 0 else None
 
 
 def normalize_quadratic(a: Fraction, b: Fraction, c: Fraction) -> Fraction:

@@ -146,16 +146,6 @@ class HomogeneousPoly:
     def __setattr__(self, *a):
         raise AttributeError("HomogeneousPoly is immutable")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomogeneousPoly)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.coeffs))
-
     @classmethod
     def homogenize(cls, p: Poly, degree: int) -> "HomogeneousPoly":
         if p.degree > degree:

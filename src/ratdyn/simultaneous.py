@@ -165,13 +165,10 @@ def triples_period3(
 def orbit_intersection(m1: Map, m2: Map, p: Fraction) -> FrozenSet[Fraction]:
     """Exact intersection of the two orbit sets of a common periodic point."""
     p = Fraction(p)
-    sets = []
-    for m in (m1, m2):
-        n = exact_period(m, p)
-        if n is None:
-            raise DomainError("not a common periodic point")
-        sets.append(set(cycle_from(m, p, n)))
-    return frozenset(sets[0] & sets[1])
+    cycles = [cycle_from(m, p) for m in (m1, m2)]
+    if None in cycles:
+        raise DomainError("not a common periodic point")
+    return frozenset(cycles[0]).intersection(cycles[1])
 
 
 def two_point_intersection_mixed(p: Fraction, sign: int) -> MixedFamilyTriple:
@@ -431,9 +428,9 @@ def quadratics_with_periodic_point(q: Fraction) -> List[SharedMapEntry]:
     for c, period in candidates:
         if c in seen:
             continue
-        m = QuadraticMap(c)
-        if exact_period(m, q) != period:
+        cycle = cycle_from(QuadraticMap(c), q, period)
+        if cycle is None or len(cycle) != period:
             continue
         seen.add(c)
-        entries.append(SharedMapEntry(c, period, cycle_from(m, q, period)))
+        entries.append(SharedMapEntry(c, period, cycle))
     return entries

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from ratdyn.dynamics import KBMap, QuadraticMap
+from ratdyn.dynamics import KBMap, QuadraticMap, step
 
 # 2-cycle points {p, -p-1} of z^2 - (p^2+p+1) just below and just above
 # 10**150, the former absolute height guard of every orbit walk
@@ -43,3 +43,19 @@ RANDOM_MAPS = st.one_of(
     st.builds(QuadraticMap, rationals(60)),
     st.builds(KBMap, rationals(60, nonzero=True), rationals(60, nonzero=True)),
 )
+
+
+def step_walk(m, z, max_steps, guard=None):
+    """An orbit walk on ``step`` alone, blind to the map's local region:
+    the pairs visited from the rational z in order, and the index the last
+    step returned to, or None when no repeat came within max_steps points
+    (or, with ``guard``, before a point's height passed it)."""
+    rec, pair, index = m._record, Fraction(z).as_integer_ratio(), {}
+    while len(index) < max_steps:
+        index[pair] = len(index)
+        if guard is not None and max(abs(pair[0]), pair[1]) > guard:
+            break
+        pair = step(rec, *pair)
+        if pair in index:
+            return list(index), index[pair]
+    return list(index), None

@@ -16,6 +16,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 GOLDEN_CASES = {
     "orbit_quad_c-13_p3.json": ["orbit", "--map", "quad:c=-13", "--point", "3"],
     "orbit_kb_24-7_p3.json": ["orbit", "--map", "kb:k=24/7,b=-300/7", "--point", "3"],
+    # 2 lies past the escape radius 1 of z^2, so the walk takes no step;
+    # also diffed against the installed console script in CI
+    "orbit_quad_c0_p2.json": ["orbit", "--map", "quad:c=0", "--point", "2"],
     "period_kb_43_p2.json": ["period", "--map", "kb:k=4/3,b=-10/3", "--point", "2"],
     # starts outside the local region: den(c) = 2 is not a square; 1/3 has
     # the wrong denominator for den(c) = 4
@@ -226,10 +229,22 @@ def test_exit_codes():
     assert code == 1 and "not a common periodic point" in out
 
 
-@pytest.mark.parametrize("bound", ["0", "-5"])
-def test_orbit_height_bound_below_one_exits_1(bound):
-    code, out = run(["orbit", "--map", "quad:c=0", "--point", "3", "--height-bound", bound])
-    assert code == 1 and out == f"parameter excluded: height_bound={bound}"
+def test_orbit_height_bound_flag_is_a_usage_error():
+    for bound in ("0", "-5", "1000"):
+        code, _ = run(["orbit", "--map", "quad:c=0", "--point", "3", "--height-bound", bound])
+        assert code == 2
+
+
+@pytest.mark.parametrize("steps", [None, "16"])
+@pytest.mark.parametrize("point", ["2", "3"])
+def test_orbit_wandering_start_escapes(point, steps):
+    # a wandering start stops at its first point past the escape radius, so
+    # at any --max-steps the walk is short and every printed point small
+    argv = ["orbit", "--map", "quad:c=0", "--point", point] + (["--max-steps", steps] if steps else [])
+    code, out = run(argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "escapes" and data["tail"] == [point] and data["cycle"] == []
 
 
 @pytest.mark.parametrize("n", ["0", "-1", "9", "10", "20"])

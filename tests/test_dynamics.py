@@ -26,7 +26,7 @@ from ratdyn.dynamics import (
 from ratdyn.dynatomic import periodic_points_exact
 from ratdyn.errors import DomainError
 from ratdyn.simultaneous import two_point_intersection_mixed
-from tests.conftest import GUARD_SIDES, RANDOM_MAPS, rationals, sample_rationals
+from tests.conftest import GUARD_SIDES, RANDOM_MAPS, rationals, sample_rationals, step_walk
 
 
 def pt(r):
@@ -70,8 +70,8 @@ def test_orbit_examples():
     assert vals(rep.cycle) == [F(3), F(-4), F(-3), F(4)]
 
     rep = orbit(QuadraticMap(F(0)), pt(2), 5)
-    assert rep.status == "bound-exceeded" and rep.cycle == ()
-    assert vals(rep.tail) == [F(2), F(4), F(16), F(256), F(65536)]
+    assert rep.status == "escapes" and rep.cycle == ()
+    assert vals(rep.tail) == [F(2)]
 
 
 def test_orbit_preperiodic_tail_split():
@@ -80,16 +80,39 @@ def test_orbit_preperiodic_tail_split():
     assert vals(rep.cycle) == [F(2)]
 
 
-def test_orbit_height_guard_reports_bound_exceeded():
-    rep = orbit(QuadraticMap(F(0)), pt(2), 64, height_bound=10**6)
-    assert rep.status == "bound-exceeded"
-    assert len(rep.tail) < 64
+def test_orbit_escapes_at_the_first_point_outside_the_region():
+    # the tail ends with that point; a start outside is the whole tail
+    for m, start, tail in [
+        (QuadraticMap(F(0)), F(3), [F(3)]),
+        (QuadraticMap(F(1, 2)), F(0), [F(0)]),  # den(c) is not a square
+        (QuadraticMap(F(-6)), F(1), [F(1), F(-5)]),  # radius 3
+        (KBMap(F(3), F(1)), F(1, 2), [F(1, 2), F(7, 2)]),  # KB radius, |k| > 1
+        (KBMap(F(1, 3), F(1)), F(1, 18), [F(1, 18), F(973, 54)]),  # KB K = 18
+    ]:
+        for steps in (len(tail), 64):
+            rep = orbit(m, pt(start), steps)
+            assert rep.status == "escapes" and rep.cycle == () and not rep.is_periodic
+            assert vals(rep.tail) == tail, (m, start)
+        if len(tail) > 1:
+            assert orbit(m, pt(start), 1).status == "bound-exceeded"
 
 
-def test_orbit_rejects_height_bound_below_one():
-    for bad in (0, -5):
-        with pytest.raises(DomainError, match=f"height_bound={bad}"):
-            orbit(QuadraticMap(F(0)), pt(2), height_bound=bad)
+def test_orbit_bound_exceeded_only_inside_the_region():
+    fam = period3_family(F(2))
+    m = QuadraticMap(fam.c)
+    rep = orbit(m, pt(fam.x1), 2)
+    assert rep.status == "bound-exceeded" and rep.cycle == ()
+    assert vals(rep.tail) == list(fam.points[:2])
+    assert all(_inside(m, q.x, q.y) for q in rep.tail)
+    # a cycle of length max_steps closes
+    rep = orbit(m, pt(fam.x1), 3)
+    assert rep.status == "periodic" and rep.tail == () and vals(rep.cycle) == list(fam.points)
+    # infinity is fixed, and a KB map sends 0 to it
+    for m in (QuadraticMap(F(1, 2)), QuadraticMap(F(-13)), KBMap(F(3), F(1)), KBMap(F(1, 3), F(1))):
+        assert orbit(m, INFINITY, 1) == dynamics.OrbitReport((), (INFINITY,), "periodic")
+    for m in (KBMap(F(3), F(1)), KBMap(F(1, 3), F(1)), KBMap(F(2), F(3))):
+        assert orbit(m, pt(0), 2) == dynamics.OrbitReport((pt(0),), (INFINITY,), "periodic")
+        assert orbit(m, pt(0), 1) == dynamics.OrbitReport((pt(0),), (), "bound-exceeded")
 
 
 def test_exact_period_examples():
@@ -184,7 +207,11 @@ def test_cycle_from_matches_orbit_cycle():
     for m, p in starts:
         rep = orbit(m, pt(p))
         assert rep.is_periodic and not rep.tail
-        assert cycle_from(m, p, len(rep.cycle)) == tuple(vals(rep.cycle)), (m, p)
+        assert cycle_from(m, p, len(rep.cycle)) == cycle_from(m, p) == tuple(vals(rep.cycle)), (m, p)
+        assert len(rep.cycle) == 1 or cycle_from(m, p, len(rep.cycle) - 1) is None
+    # preperiodic, escaping, and sent to infinity
+    for m, p in [(QuadraticMap(F(-2)), F(0)), (QuadraticMap(F(0)), F(2)), (KBMap(F(2), F(3)), F(0))]:
+        assert cycle_from(m, p) is None
 
 
 @pytest.mark.parametrize("p", GUARD_SIDES, ids=["below", "above"])
@@ -255,11 +282,32 @@ def _inside(m, x, y):
 @example((two_point_intersection_mixed(F(10**151), -1).kb(), F(-(10**151) - 1)), 4)
 def test_exact_period_matches_unguarded_orbit(case, steps):
     m, p = case
-    rep = orbit(m, pt(p), max_steps=steps, height_bound=None)
-    want = len(rep.cycle) if rep.is_periodic and not rep.tail else None
+    pairs, hit = step_walk(m, p, steps)
+    want = len(pairs) if hit == 0 else None
     assert exact_period(m, p, max_steps=steps) == want
     if want is not None:
-        assert all(_inside(m, q.x, q.y) and max(abs(q.x), q.y) <= _K(m) for q in rep.cycle)
+        assert all(_inside(m, x, y) and max(abs(x), y) <= _K(m) for x, y in pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_map_and_start(), st.integers(1, 6))
+@example((QuadraticMap(F(-6)), F(1)), 2)
+@example((KBMap(F(1, 3), F(1)), F(1, 18)), 6)
+@example((KBMap(F(3), F(1)), F(0)), 2)
+def test_orbit_escapes_only_where_the_unguarded_walk_never_repeats(case, steps):
+    # ``escapes`` only when the last tail point fails ``_inside`` and the
+    # region-blind walk sees no repeat; every other report is that walk's
+    m, p = case
+    rep = orbit(m, pt(p), max_steps=steps)
+    pairs, hit = step_walk(m, p, steps)
+    got = [(q.x, q.y) for q in rep.tail + rep.cycle]
+    inside = [_inside(m, *q) for q in got]
+    if rep.status == "escapes":
+        assert hit is None and got == pairs[:len(got)] and inside == [True] * (len(got) - 1) + [False]
+    elif rep.status == "bound-exceeded":
+        assert hit is None and got == pairs and all(inside)
+    else:
+        assert rep.status == "periodic" and got == pairs and len(rep.tail) == hit
 
 
 def _planted():
