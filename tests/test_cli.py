@@ -229,10 +229,10 @@ def test_exit_codes():
     assert code == 1 and "not a common periodic point" in out
 
 
-def test_orbit_height_bound_flag_is_a_usage_error():
-    for bound in ("0", "-5", "1000"):
-        code, _ = run(["orbit", "--map", "quad:c=0", "--point", "3", "--height-bound", bound])
-        assert code == 2
+@pytest.mark.parametrize("bound", ["0", "-5", "1000"])
+def test_orbit_height_bound_flag_is_a_usage_error(bound):
+    code, _ = run(["orbit", "--map", "quad:c=0", "--point", "3", "--height-bound", bound])
+    assert code == 2
 
 
 @pytest.mark.parametrize("steps", [None, "16"])

@@ -115,6 +115,13 @@ def test_orbit_bound_exceeded_only_inside_the_region():
         assert orbit(m, pt(0), 1) == dynamics.OrbitReport((pt(0),), (), "bound-exceeded")
 
 
+def test_orbit_has_no_height_bound_parameter():
+    # the region stops a wandering walk, so orbit takes no height knob
+    for bad in (0, -5, 10**6):
+        with pytest.raises(TypeError, match="height_bound"):
+            orbit(QuadraticMap(F(0)), pt(2), height_bound=bad)
+
+
 def test_exact_period_examples():
     assert exact_period(QuadraticMap(F(-7, 4)), F(1, 2)) == 2
     assert exact_period(KBMap(F(4, 3), F(-10, 3)), F(2)) == 4
