@@ -39,15 +39,19 @@ __all__ = [
 DEFAULT_MAX_STEPS = 64
 
 
-def root_den(d: int) -> int:
-    """e if d = den(c) = e^2, else 0.  A rational periodic point z of z^2 + c
-    has denominator e, and none exists if den(c) is not a square (Walde-Russo,
-    Amer. Math. Monthly 1994).  At each prime p, with delta = v_p(c): if
-    delta >= 0 and v_p(z) < 0, or delta < 0 and 2 v_p(z) != delta, the
-    iterates' valuations fall strictly, so z never recurs.  Hence delta is
-    even and v_p(z) = min(0, delta / 2)."""
+def quad_window(n: int, d: int) -> Tuple[int, int]:
+    """(e, top) for z^2 + c, c = n/d in lowest terms: every rational periodic
+    point is u/e with |u| <= top; e = 0 when d is not a square, and none exists.
+    Denominator (Walde-Russo, Amer. Math. Monthly 1994): at each prime p, with
+    delta = v_p(c): if delta >= 0 and v_p(z) < 0, or delta < 0 and 2 v_p(z) !=
+    delta, the iterates' valuations fall strictly, so z never recurs.  Hence
+    delta is even and v_p(z) = min(0, delta / 2): d = e^2 and z = u/e.
+    Numerator: |z|^2 > |z| + |c| gives |z| > 1 and |f(z)| >= |z|^2 - |c| >
+    |z|, and t^2 - t grows for t > 1, so |z| grows and z never recurs.  So
+    u^2 <= e |u| + |n|, that is |u| <= top = (e + isqrt(e^2 + 4|n|)) // 2."""
     e = isqrt(d)
-    return e if e * e == d else 0
+    e = e if e * e == d else 0
+    return e, (e + isqrt(e * e + 4 * abs(n))) // 2
 
 
 class _StepRecord:
@@ -65,11 +69,9 @@ class _StepRecord:
     Every finite periodic point x/y lies in the region lo <= y <= hi,
     |x| <= top, cx x^2 <= cy y^2.  Each part is exact: past an escape radius
     |m(z)| > |z| and m(z) is past it too, so |z| grows and never recurs.
-      quad: y = e with d = e^2 (``root_den``; lo > hi if d is not a square).
-          |z|^2 > |z| + |c| gives |z| > 1 and |f(z)| >= |z|^2 - |c| > |z|,
-          and t^2 - t grows for t > 1.  So d x^2 <= d |x| y + |n| y^2, that
-          is |x| <= top = (e + isqrt(e^2 + 4|n|)) // 2, and cx = 0; this
-          implies H <= K = d + |n|, so a quad map needs no K test.
+      quad: y = e and |x| <= top from ``quad_window`` (lo > hi if d is
+          not a square), and cx = 0; this implies H <= K = d + |n|, so a
+          quad map needs no K test.
       KB, |k| > 1 (|A| > C): (|k| - 1) |z|^2 > |b| gives |phi(z)| >= |k||z|
           - |b|/|z| > |z| (Call-Silverman, Compositio Math. 1993): cx =
           |A| - C, cy = |B|; else cx = 0.  The identities give H(m(P)) >=
@@ -81,8 +83,8 @@ class _StepRecord:
     def __get__(self, m: Map, cls=None) -> tuple:
         if quad := isinstance(m, QuadraticMap):
             n, d = m.c.as_integer_ratio()
-            e = root_den(d)
-            rec = quad, d, n, d, d * d, (e or 1, e, (e + isqrt(e * e + 4 * abs(n))) // 2, 0, 0)
+            e, top = quad_window(n, d)
+            rec = quad, d, n, d, d * d, (e or 1, e, top, 0, 0)
         else:
             (kn, kd), (bn, bd) = m.k.as_integer_ratio(), m.b.as_integer_ratio()
             a, b, c = kn * bd, bn * kd, kd * bd

@@ -6,16 +6,16 @@ period n and height <= B with a good-reduction sieve.  Every sieve prime p
 exceeds 2B and every numerator and denominator of the maps' parameters, so
 each map has good reduction at p and reduction commutes with iteration: a
 rational point of exact period n reduces to a residue z with f^n(z) == z in
-P^1(F_p), and a point u/v with v <= B reduces to an affine residue.  At
-the first prime the sieve iterates every map over all of F_p with numpy;
-each periodic residue r and each v <= B leave at most one candidate u in
-[-B, B] with u = r v mod p.  Each later prime q iterates only the
-candidates' residues u / v mod q, or, when they outnumber its step table's
-cells, every residue once, and drops the candidates that do not recur.
-``exact_period`` confirms each survivor in one call; only maps with a point
-are sorted.  A quad map z^2 + c is sieved only if den(c) = e^2 with e <= B,
-and only with v = e, the one denominator its periodic points can have
-(Walde-Russo; see ``root_den``); a quad scan builds only those maps.
+P^1(F_p), and a point u/v with v <= B reduces to an affine residue.  A quad
+map z^2 + c walks no F_p: its candidates are the u/e in lowest terms with
+|u| <= min(B, top) when den(c) = e^2, e <= B (its window: every periodic
+point lies in it, by ``dynamics.quad_window``), and each prime steps only
+their residues.  Step tables are for KB maps only: the first prime iterates
+each KB map over all of F_p, and each periodic residue r and v <= B leave at
+most one candidate u in [-B, B] with u = r v mod p; each later prime q
+iterates only the candidates' residues u / v mod q, or, when they outnumber
+its table's cells, every residue once.  Candidates that a prime does not
+mark are dropped; ``exact_period`` confirms each survivor in one call.
 A scan thus finds exactly the points of height <= B and exact period n:
 the set that ``dynatomic.periodic_points_exact`` returns with
 ``height_bound=B``.  Workers partition the list of maps into contiguous
@@ -46,7 +46,7 @@ from .core import (
     height,
     is_rational_square,
 )
-from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period, root_den
+from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period, quad_window
 from .errors import DomainError, parameter_excluded
 
 __all__ = [
@@ -116,13 +116,13 @@ def _check_periods(periods) -> Tuple[int, ...]:
 # --- the good-reduction sieve ----------------------------------------------
 
 _PRIMES = 3  # sieve primes per chunk
-_BLOCK = 64  # maps per mask block
-_CELLS = 2**16  # cap on maps * p and on residues * bound in one array
+_BLOCK = 64  # KB maps per step-table block
+_CELLS = 2**16  # cap on maps * p, residues * bound or window cells in one array
 
 
-def _inverses(p: int) -> np.ndarray:
-    """x^(p-2) mod p for x = 0..p: inverses mod p, and 0 at 0 and at p."""
-    x, out, e = np.arange(p + 1, dtype=np.int64) % p, 1, p - 2
+def _inverse(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p for each 0 <= x < p: its inverse mod p, and 0 at 0."""
+    out, e = 1, p - 2
     while e:  # square and multiply
         if e & 1:
             out = out * x % p
@@ -130,70 +130,90 @@ def _inverses(p: int) -> np.ndarray:
     return out
 
 
-def _steps(quad: bool, coef: np.ndarray, p: int, inv: np.ndarray) -> np.ndarray:
-    """The maps' step tables mod p, laid end to end: entry i (p + 1) + z is
-    i (p + 1) + f_i(z).  ``coef`` holds each map's (c) or (k, b) mod p.
-    Residue p is infinity, fixed by both families; a KB map sends 0 there."""
-    z = np.arange(p + 1, dtype=np.int64)
-    a, b = coef[:, :1], coef[:, -1:]
-    step = z * z + a if quad else a * z + b * inv
+def _steps(coef: np.ndarray, p: int, inv: np.ndarray) -> np.ndarray:
+    """KB step tables mod p, laid end to end: entry i (p + 1) + z is i (p + 1)
+    + phi_i(z), for (k, b) = coef[i] mod p and ``inv`` the inverses of 0..p.
+    Residue p is infinity, fixed by phi; phi sends 0 there."""
+    step = coef[:, :1] * np.arange(p + 1) + coef[:, 1:] * inv
     step %= p
-    step[:, [p] if quad else [0, p]] = p
+    step[:, [0, p]] = p
     step += np.arange(len(coef))[:, None] * (p + 1)
     return step.ravel()
 
 
-def _walk(table: np.ndarray, start: np.ndarray, periods) -> np.ndarray:
-    """bits[j] has bit n - 1 set when ``start[j]`` comes back after n steps
-    through ``table``, for n in ``periods``."""
+def _walk(step, start: np.ndarray, periods) -> np.ndarray:
+    """bits[j] has bit n - 1 set when ``start[j]`` comes back after n
+    applications of ``step``, for n in ``periods``."""
     bits, z = np.zeros(start.shape, dtype=np.uint8), start
     for n in range(1, periods[-1] + 1):
-        z = table[z]
+        z = step(z)
         if n in periods:
             bits |= (z == start).astype(np.uint8) << (n - 1)
     return bits
 
 
-def _candidates(quad: bool, num, den, e, periods, bound: int, primes, inverses):
-    """(row, u, v, bits) for each u/v in lowest terms with |u|, v <= bound
-    that is periodic mod every prime under the ``row``-th map, whose
-    parameters are num / den; a quad map tries only v = e[row], its one
-    possible denominator (``root_den``).  The first prime walks every
-    residue.  Each later prime walks only the candidates still standing, or,
-    when they outnumber its table's cells, every residue once, and looks the
-    candidates up."""
-    tables = [_steps(quad, num % p * inv[den] % p, p, inv) for p, inv in zip(primes, inverses)]
-    p1 = primes[0]
-    bits = _walk(tables[0], np.arange(tables[0].size), periods).reshape(len(num), p1 + 1)[:, :p1]
-    # a periodic residue r mod p1 and a v <= bound leave one u = r v mod p1
-    # in a window of length p1 > 2 * bound; it is a candidate if |u| <= bound
-    rows, rs = np.nonzero(bits)
-    per = max(1, _CELLS // (1 if quad else bound))
-    for at in range(0, len(rs), per):
-        row, r = rows[at : at + per, None], rs[at : at + per, None]
-        v = e[row] if quad else np.arange(1, bound + 1, dtype=np.int64)
-        u = r * v
-        u %= p1
-        u[u > bound] -= p1
-        flag = bits[row, r] * (u >= -bound)
-        for q, inv, table in zip(primes[1:], inverses[1:], tables[1:]):
-            at_q = row * (q + 1) + u * inv[v] % q
-            full = at_q.size >= table.size
-            walked = _walk(table, np.arange(table.size) if full else at_q, periods)
-            flag &= walked[at_q] if full else walked
+def _window(num, den, periods, bound: int, primes):
+    """(row, u, e, bits) for each u/e in the window of the ``row``-th quad map,
+    c = num / den: gcd(u, e) = 1 and |u| <= min(bound, top) (``quad_window``),
+    empty unless e <= bound.  Each prime q steps only these residues u e^-1,
+    as z -> z^2 + c mod q, and drops those that do not recur."""
+    e, top = (a.astype(np.int64) for a in np.frompyfunc(quad_window, 2, 2)(num[:, 0], den[:, 0]))
+    w = np.minimum(top, bound)
+    size = np.where((0 < e) & (e <= bound), 2 * w + 1, 0)
+    for rows in np.split(np.arange(len(w)), np.flatnonzero(np.diff(np.cumsum(size) // _CELLS)) + 1):
+        row = np.repeat(rows, size[rows])
+        u = np.arange(row.size) - np.repeat(np.cumsum(size[rows]) - size[rows] + w[rows], size[rows])
+        keep = np.gcd(u, e[row]) == 1
+        row, u, v = row[keep], u[keep], e[row[keep]]
+        flag = np.full(row.shape, 0xFF, np.uint8)
+        for q in primes:  # q > e, so each e is a unit mod q
+            ie = _inverse(v % q, q)
+            c = num[row, 0] % q * ie % q * ie % q
+            flag &= _walk(lambda z: (z * z + c) % q, u % q * ie % q, periods)
             live = flag != 0
-            row, u, v, flag = (np.broadcast_to(a, live.shape)[live] for a in (row, u, v, flag))
-        keep = np.gcd(u, v) == 1
-        yield from zip(*(a[keep].tolist() for a in (row, u, v, flag)))
+            row, u, v, flag = row[live], u[live], v[live], flag[live]
+        yield from zip(*(a.tolist() for a in (row, u, v, flag)))
+
+
+def _candidates(num, den, periods, bound: int, primes):
+    """(row, u, v, bits) for each u/v in lowest terms with |u|, v <= bound
+    that is periodic mod every prime under the ``row``-th KB map, (k, b) =
+    num / den.  The first prime walks every residue of its step tables, built
+    for ``_BLOCK`` maps at a time; each later prime walks only the candidates
+    still standing, or every residue once when they outnumber its cells."""
+    inverses = [_inverse(np.arange(p + 1) % p, p) for p in primes]
+    p1, per, rows = primes[0], max(1, _CELLS // bound), max(1, min(_BLOCK, _CELLS // primes[-1]))
+    for at in range(0, len(num), rows):
+        tables = [_steps(num[at : at + rows] % p * inv[den[at : at + rows]] % p, p, inv)
+                  for p, inv in zip(primes, inverses)]
+        bits = _walk(tables[0].take, np.arange(tables[0].size), periods).reshape(-1, p1 + 1)[:, :p1]
+        # a periodic residue r mod p1 and a v <= bound leave one u = r v mod p1
+        # in a window of length p1 > 2 * bound; it is a candidate if |u| <= bound
+        block_rows, rs = np.nonzero(bits)
+        for lo in range(0, len(rs), per):
+            row, r = block_rows[lo : lo + per, None], rs[lo : lo + per, None]
+            v = np.arange(1, bound + 1, dtype=np.int64)
+            u = r * v
+            u %= p1
+            u[u > bound] -= p1
+            flag = bits[row, r] * (u >= -bound)
+            for q, inv, table in zip(primes[1:], inverses[1:], tables[1:]):
+                at_q = row * (q + 1) + u * inv[v] % q
+                full = at_q.size >= table.size
+                walked = _walk(table.take, np.arange(table.size) if full else at_q, periods)
+                flag &= walked[at_q] if full else walked
+                live = flag != 0
+                row, u, v, flag = (np.broadcast_to(a, live.shape)[live] for a in (row, u, v, flag))
+            keep = np.gcd(u, v) == 1
+            yield from zip(*(a[keep].tolist() for a in (at + row, u, v, flag)))
 
 
 def _sieve(maps, periods_of, bound: int) -> List[Dict[int, List[Fraction]]]:
     """Per map m, its points of exact period n with height <= ``bound`` for
     each n in ``periods_of[type(m)]``, in ``_rat_key`` order (see the module
-    docstring).  A quad map is sieved only if ``0 < root_den(den(c)) <=
-    bound``; each surviving candidate takes one ``exact_period`` call, and
-    only maps with a point sort anything.  Maps with no point share one
-    read-only dict per family."""
+    docstring): candidates from ``_window`` (quad) or ``_candidates`` (KB),
+    each confirmed by one ``exact_period`` call.  Only maps with a point sort
+    anything; maps with no point share one read-only dict per family."""
     # per family, its maps' parameter integers, read once into an int64 array
     # (a Python list per map would hold ~0.2 KB each)
     ints = {cls: np.fromiter((x for m in maps if type(m) is cls for f in m.__dataclass_fields__
@@ -202,27 +222,19 @@ def _sieve(maps, periods_of, bound: int) -> List[Dict[int, List[Fraction]]]:
     top = max([2 * bound] + [int(abs(a).max()) for a in ints.values() if a.size])
     ps = (p for p in itertools.count(top + 1) if all(p % q for q in range(2, math.isqrt(p) + 1)))
     primes = list(itertools.islice(ps, _PRIMES))
-    inverses = [_inverses(p) for p in primes]
-    rows = max(1, min(_BLOCK, _CELLS // primes[-1]))
     found: Dict[int, Dict[int, List[Fraction]]] = {}
     for cls, periods in periods_of.items():
-        quad, num, den = cls is QuadraticMap, ints[cls][..., 0], ints[cls][..., 1]
         idx = np.flatnonzero([type(m) is cls for m in maps])
-        # by ``root_den``, a quad map whose e is 0 or exceeds the bound has no
-        # periodic point of height <= bound; a KB map takes e = 1
-        e = np.array([root_den(d) for d in den[:, 0].tolist()], np.int64) if quad else np.ones(len(den), np.int64)
-        idx, num, den, e = (a[(0 < e) & (e <= bound)] for a in (idx, num, den, e))
-        for at in range(0, len(idx), rows):
-            block = (a[at : at + rows] for a in (num, den, e))
-            for row, u, v, f in _candidates(quad, *block, periods, bound, primes, inverses):
-                i = int(idx[at + row])
-                m, z = maps[i], Fraction(u, v)
-                try:
-                    n = exact_period(m, z)
-                except DomainError as exc:  # named by the least n in its bits
-                    raise DomainError(f"{m.describe()}, n={(f & -f).bit_length()}: {exc}") from None
-                if n and f >> (n - 1) & 1:
-                    found.setdefault(i, {k: [] for k in periods})[n].append(z)
+        sieve = _window if cls is QuadraticMap else _candidates
+        for row, u, v, f in sieve(ints[cls][..., 0], ints[cls][..., 1], periods, bound, primes) if len(idx) else ():
+            i = int(idx[row])
+            m, z = maps[i], Fraction(u, v)
+            try:
+                n = exact_period(m, z)
+            except DomainError as exc:  # named by the least n in its bits
+                raise DomainError(f"{m.describe()}, n={(f & -f).bit_length()}: {exc}") from None
+            if n and f >> (n - 1) & 1:
+                found.setdefault(i, {k: [] for k in periods})[n].append(z)
     empty = {cls: {n: [] for n in periods} for cls, periods in periods_of.items()}
     return [{n: sorted(pts, key=_rat_key) for n, pts in found[i].items()} if i in found
             else empty[type(m)] for i, m in enumerate(maps)]
@@ -314,7 +326,7 @@ def scan_quadratic_periods(
 
     def make_maps():
         scanned = count_rationals(height_c)  # first: it rejects height_c < 1
-        # by ``root_den``, only c = n / e^2 with e <= height_point can have hits
+        # by ``quad_window``, only c = n / e^2 with e <= height_point can have hits
         es = range(1, min(height_point, math.isqrt(height_c)) + 1)
         cs = [Fraction(n, e * e) for e in es for n in range(-height_c, height_c + 1) if math.gcd(n, e) == 1]
         return [QuadraticMap(c) for c in sorted(cs, key=_rat_key)], scanned
@@ -524,7 +536,7 @@ def quartic_rational_points(
     false point is reported.  Survivors are coprime with |u|, v <= B, so
     each t appears once, has height <= B, and y = isqrt(L F(u, v)) / (L v^2).
     """
-    if bound < 1:
+    if not 1 <= bound <= 10**6:  # the masks take sum(m) (2 bound + 1) bits
         raise parameter_excluded("bound", bound)
     if workers < 1:
         raise parameter_excluded("workers", workers)

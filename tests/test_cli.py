@@ -432,6 +432,18 @@ def test_quartic_negative_workers_exits_1():
     assert code == 1 and out == "parameter excluded: workers=-4"
 
 
+def test_quartic_bound_above_mask_limit_exits_1(monkeypatch):
+    # refused before any mask is built: this bound would need ~14 TB of them
+    from ratdyn import search
+
+    def no_masks(*args):
+        raise AssertionError("masks built")
+
+    monkeypatch.setattr(search, "_square_masks", no_masks)
+    code, out = run(["quartic", "--coeffs", "1,0,0,0,1", "--height", "100000000000"])
+    assert code == 1 and out == "parameter excluded: bound=100000000000"
+
+
 def test_quartic_csv():
     code, out = run(["quartic", "--coeffs", "1,6,7,2,1", "--height", "20", "--format", "csv"])
     assert code == 0

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from ratdyn import search
 from ratdyn.classification import kb_period4_family, period3_family
 from ratdyn.core import count_rationals, enumerate_rationals, height
-from ratdyn.dynamics import KBMap, QuadraticMap, exact_period
+from ratdyn.dynamics import KBMap, QuadraticMap, exact_period, quad_window
 from ratdyn.dynatomic import periodic_points_exact
 from ratdyn.errors import DomainError
 from ratdyn.search import (
@@ -184,30 +185,82 @@ def _reference_bits(m, q, periods):
     return out
 
 
-# a block of maps of one family, parameters of height <= 60 as in RANDOM_MAPS
-_BLOCKS = st.one_of(
-    st.lists(st.builds(QuadraticMap, rationals(60)), min_size=1, max_size=5),
-    st.lists(st.builds(KBMap, rationals(60, nonzero=True), rationals(60, nonzero=True)),
-             min_size=1, max_size=5),
-)
+# a block of KB maps, parameters of height <= 60 as in RANDOM_MAPS
+_KB_BLOCKS = st.lists(st.builds(KBMap, rationals(60, nonzero=True), rationals(60, nonzero=True)),
+                      min_size=1, max_size=5)
 
 
 @settings(max_examples=30, deadline=None)
-@given(_BLOCKS, st.sampled_from([61, 67, 101, 211]), _PERIODS, st.data())
+@given(_KB_BLOCKS, st.sampled_from([61, 67, 101, 211]), _PERIODS, st.data())
 def test_later_prime_branches_give_the_same_bits(block, q, periods, data):
     # a later prime walks either the candidates' residues or every residue
     # once, then looks the candidates up; both must give the bits of plain
     # iteration mod a prime q above every parameter's height
-    cls = type(block[0])
-    num, den = np.moveaxis(np.array(
-        [[getattr(m, f).as_integer_ratio() for f in m.__dataclass_fields__] for m in block]), -1, 0)
-    inv = search._inverses(q)
-    table = search._steps(cls is QuadraticMap, num % q * inv[den] % q, q, inv)
+    num, den = np.moveaxis(np.array([[m.k.as_integer_ratio(), m.b.as_integer_ratio()] for m in block]), -1, 0)
+    inv = search._inverse(np.arange(q + 1) % q, q)
+    table = search._steps(num % q * inv[den] % q, q, inv)
     at = np.array(data.draw(st.lists(st.integers(0, table.size - 1), max_size=3 * table.size)), dtype=np.int64)
-    walked = search._walk(table, at, periods)
-    assert walked.tolist() == search._walk(table, np.arange(table.size), periods)[at].tolist()
+    walked = search._walk(table.take, at, periods)
+    assert walked.tolist() == search._walk(table.take, np.arange(table.size), periods)[at].tolist()
     want = [b for m in block for b in _reference_bits(m, q, periods)]
     assert walked.tolist() == [want[i] for i in at.tolist()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.builds(QuadraticMap, rationals(60)), min_size=1, max_size=6),
+       st.integers(1, 12), _PERIODS, st.sampled_from([(61, 67, 71), (127, 131, 137), (211, 223, 227)]),
+       st.sampled_from([1, 8, search._CELLS]))
+@example([QuadraticMap(F(-13)), QuadraticMap(F(-29, 16)), QuadraticMap(F(1, 2))], 4, (2, 3), (61, 67, 71), 8)
+def test_window_walk_gives_the_bits_of_plain_iteration(block, bound, periods, primes, cells):
+    # each quad map's window, v = e and |u| <= min(bound, top) in lowest
+    # terms, stepped at every prime: a candidate survives with the AND of its
+    # bits of plain iteration mod each q, exactly when that AND is nonzero,
+    # however the windows are cut into blocks of about ``cells``
+    num, den = np.moveaxis(np.array([[m.c.as_integer_ratio()] for m in block]), -1, 0)
+    with mock.patch.object(search, "_CELLS", cells):
+        got = list(search._window(num, den, periods, bound, primes))
+    want = []
+    for row, m in enumerate(block):
+        e, top = quad_window(*m.c.as_integer_ratio())
+        if not 0 < e <= bound:
+            continue
+        w, ref = min(bound, top), {q: _reference_bits(m, q, periods) for q in primes}
+        for u in (u for u in range(-w, w + 1) if math.gcd(u, e) == 1):
+            bits = 0xFF
+            for q in primes:
+                bits &= ref[q][u * pow(e, -1, q) % q]
+            if bits:
+                want.append((row, u, e, bits))
+    assert got == want
+
+
+@pytest.mark.parametrize("c, bound, want", [
+    (F(-13), 2, set()),  # e = 1, top = 4: the bound clips the window
+    (F(-13), 3, {F(3)}),
+    (F(-13), 4, {F(3), F(-4)}),
+    (F(-13), 9, {F(3), F(-4)}),  # the window, not the bound, stops at 4
+    (F(-29, 16), 5, {F(5, 4), F(-1, 4)}),  # e = 4, top = 7
+    (F(-29, 16), 8, {F(5, 4), F(-1, 4), F(-7, 4)}),
+    (F(-3, 2), 50, set()),  # den(c) is not a square: an empty window
+    (F(-13, 8), 50, set()),
+])
+def test_sieve_matches_dynatomic_on_clipped_whole_and_empty_windows(c, bound, want):
+    m = QuadraticMap(c)
+    found = _assert_sieve_is_dynatomic([m], {QuadraticMap: (1, 2, 3)}, bound)[0]
+    assert set().union(*found.values()) == want
+
+
+def test_quad_scans_build_no_step_table(monkeypatch):
+    # quad maps step only their windows' residues; KB maps get one F_p step
+    # table per sieve prime
+    tables = []
+    real = search._steps
+    monkeypatch.setattr(search, "_steps", lambda coef, p, inv: tables.append(len(coef)) or real(coef, p, inv))
+    assert scan_quadratic_periods(40, 3, (1, 2, 3)).hits
+    assert scan_quadratic_periods(20, 100, (1, 2, 3), workers=2).hits
+    assert tables == []
+    assert scan_kb_periods(2, 2, 10, (1,)).hits
+    assert sum(tables) == 3 * 36  # 6 k times 6 b
 
 
 def test_quad_scan_building_only_kept_maps_keeps_the_box():
@@ -224,16 +277,16 @@ def test_quad_scan_building_only_kept_maps_keeps_the_box():
 
 
 def test_quad_periodic_points_have_denominator_sqrt_den_c():
-    # the lemma the sieve prunes with, checked on the unbounded dynatomic
-    # route, which does not use it
+    # the window the sieve takes quad candidates from, checked on the
+    # unbounded dynatomic route, which does not use it
     hits = 0
     for c in enumerate_rationals(30):
-        e = math.isqrt(c.denominator)
+        e, top = quad_window(*c.as_integer_ratio())
+        root = math.isqrt(c.denominator)
+        assert e == (root if root * root == c.denominator else 0)
         for n in (1, 2, 3):
             pts = periodic_points_exact(QuadraticMap(c), n)
-            if e * e != c.denominator:
-                assert not pts, (c, n)
-            assert all(z.denominator == e for z in pts), (c, n)
+            assert all(z.denominator == e and abs(z.numerator) <= top for z in pts), (c, n)
             hits += len(pts)
     assert hits > 0
 
@@ -452,6 +505,19 @@ def test_quartic_infinity_flag_follows_leading_square():
     assert not rep.infinite_points
     rep = quartic_rational_points(QuarticCurve(F(4), F(0), F(0), F(0), F(1)), 20)
     assert rep.infinite_points
+
+
+def test_quartic_rejects_bound_above_mask_limit(monkeypatch):
+    # the masks take sum(m) (2B + 1) bits; past 10**6 the search refuses
+    # before it builds any
+    def no_masks(*args):
+        raise AssertionError("masks built")
+
+    monkeypatch.setattr(search, "_square_masks", no_masks)
+    curve = QuarticCurve(F(1), F(0), F(0), F(0), F(1))
+    for bad in (10**6 + 1, 10**11):
+        with pytest.raises(DomainError, match=f"^parameter excluded: bound={bad}$"):
+            quartic_rational_points(curve, bad)
 
 
 def test_quartic_rejects_degenerate_leading_coefficient():
