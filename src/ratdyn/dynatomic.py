@@ -20,7 +20,9 @@ In both families Phi_k = F_k - x G_k, with x = z or w.  The exact iterate
 and period polynomials divide D^(2^k - 1) back out; the dynatomic
 polynomial needs no division, since constant factors drop out of its
 canonical form: primitive integer coefficients, positive leading
-coefficient.
+coefficient.  ``_dynatomic_x`` returns it in x, before the spread into z:
+for a KB map a polynomial in w whose roots are the squares of its z-roots,
+which the KB scans root once per k for kz + 1/z (``search``).
 """
 
 from __future__ import annotations
@@ -143,18 +145,22 @@ def period_polynomial(m: Map, n: int) -> Poly:
     return _exact(m, n, _phi(*_tower(m, n)[n - 1]))
 
 
-def dynatomic_int(m: Map, n: int) -> List[int]:
-    """Canonical integer coefficient vector of the n-th dynatomic polynomial.
-
-    Only the Phi_d with mu(n/d) != 0 are formed; a KB result is divided in
-    w = z^2 and spread back into z.
-    """
+def _dynatomic_x(m: Map, n: int) -> List[int]:
+    """Phi*_n as a canonical integer vector in the tower's variable x: z for
+    a quad map, w = z^2 for a KB map (its roots are the squares of the
+    z-roots).  Only the Phi_d with mu(n/d) != 0 are formed."""
     tower, factors = _tower(m, n), {1: [], -1: []}
     for d in _divisors(n):
         if mu := moebius(n // d):
             factors[mu].append(_phi(*tower[d - 1]))
     num, den = (_intpoly.pprimitive(reduce(_intpoly.pmul, factors[mu] or [[1]])) for mu in (1, -1))
-    return _in_z(m, _intpoly.pprimitive(_intpoly.pdiv_exact(num, den)))
+    return _intpoly.pprimitive(_intpoly.pdiv_exact(num, den))
+
+
+def dynatomic_int(m: Map, n: int) -> List[int]:
+    """Canonical integer coefficient vector of the n-th dynatomic polynomial:
+    ``_dynatomic_x`` spread back into z."""
+    return _in_z(m, _dynatomic_x(m, n))
 
 
 def dynatomic_polynomial(m: Map, n: int) -> Poly:

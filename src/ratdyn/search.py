@@ -2,20 +2,28 @@
 
 Scans enumerate exact rationals in the documented order (ascending height,
 then numerator, then denominator) and find each map's points of exact
-period n and height <= B with a good-reduction sieve.  Every sieve prime p
-exceeds 2B and every numerator and denominator of the maps' parameters, so
-each map has good reduction at p and reduction commutes with iteration: a
-rational point of exact period n reduces to a residue z with f^n(z) == z in
-P^1(F_p), and a point u/v with v <= B reduces to an affine residue.  A quad
-map z^2 + c walks no F_p: its candidates are the u/e in lowest terms with
-|u| <= min(B, top) when den(c) = e^2, e <= B (its window: every periodic
-point lies in it, by ``dynamics.quad_window``), and each prime steps only
-their residues.  Step tables are for KB maps only: the first prime iterates
-each KB map over all of F_p, and each periodic residue r and v <= B leave at
-most one candidate u in [-B, B] with u = r v mod p; each later prime q
-iterates only the candidates' residues u / v mod q, or, when they outnumber
-its table's cells, every residue once.  Candidates that a prime does not
-mark are dropped; ``exact_period`` confirms each survivor in one call.
+period n and height <= B by one of two exact routes; neither reduces mod
+any prime.
+
+A quad map z^2 + c, c = num / den, walks its window.  Every periodic point
+is u/e in lowest terms with den = e^2 and |u| <= top
+(``dynamics.quad_window``), and there the map is integer arithmetic:
+u -> (u^2 + num) / e.  numpy walks the window points with |u| <= min(B,
+top), none unless e <= B, for max(periods) steps.  A point leaves the walk
+when e does not divide u^2 + num or the image passes top, since the image
+then lies outside the window and is not periodic; the first step that
+brings it back to u is its exact period.
+
+A KB map kz + b/z is conjugate to sqrt(b) (kt + 1/t) by z = sqrt(b) t, so
+a rational point z of exact period n gives the nonzero rational root
+s = z^2 / b of Phi*_n of kz + 1/z in w = z^2 (``dynatomic._dynatomic_x``),
+a polynomial in k alone.  Its roots are taken once per k and n, up to
+height B^2 max H(b): for z = u/v in lowest terms with |u|, v <= B,
+num(s) divides u^2 den(b) and den(s) divides v^2 num(b).  Each b then
+keeps z = +-sqrt(b s) of height <= B, and ``exact_period`` confirms it, as
+on the dynatomic route: a root of Phi*_n of exact period d < n lies on a
+d-cycle whose multiplier is a primitive (n/d)-th root of unity.
+
 A scan thus finds exactly the points of height <= B and exact period n:
 the set that ``dynatomic.periodic_points_exact`` returns with
 ``height_bound=B``.  Workers partition the list of maps into contiguous
@@ -37,8 +45,7 @@ from fractions import Fraction
 from multiprocessing import get_context
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-import numpy as np
-
+from ._intpoly import rational_roots_int
 from .core import (
     count_rationals,
     enumerate_rationals,
@@ -47,6 +54,7 @@ from .core import (
     is_rational_square,
 )
 from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period, quad_window
+from .dynatomic import _dynatomic_x
 from .errors import DomainError, parameter_excluded
 
 __all__ = [
@@ -113,128 +121,76 @@ def _check_periods(periods) -> Tuple[int, ...]:
     return ps
 
 
-# --- the good-reduction sieve ----------------------------------------------
+# --- the two exact routes --------------------------------------------------
 
-_PRIMES = 3  # sieve primes per chunk
-_BLOCK = 64  # KB maps per step-table block
-_CELLS = 2**16  # cap on maps * p, residues * bound or window cells in one array
+_CELLS = 2**16  # cap on the quad window points walked in one array
 
 
-def _inverse(x: np.ndarray, p: int) -> np.ndarray:
-    """x^(p-2) mod p for each 0 <= x < p: its inverse mod p, and 0 at 0."""
-    out, e = 1, p - 2
-    while e:  # square and multiply
-        if e & 1:
-            out = out * x % p
-        x, e = x * x % p, e >> 1
-    return out
+def _window(cs, periods, bound: int):
+    """(row, u, e, n) for each window point u/e of the ``row``-th quad map,
+    c = cs[row] = (num, den), whose exact period n is in ``periods``: the
+    integer walk of the module docstring, ``_CELLS`` points at a time."""
+    import numpy as np
 
-
-def _steps(coef: np.ndarray, p: int, inv: np.ndarray) -> np.ndarray:
-    """KB step tables mod p, laid end to end: entry i (p + 1) + z is i (p + 1)
-    + phi_i(z), for (k, b) = coef[i] mod p and ``inv`` the inverses of 0..p.
-    Residue p is infinity, fixed by phi; phi sends 0 there."""
-    step = coef[:, :1] * np.arange(p + 1) + coef[:, 1:] * inv
-    step %= p
-    step[:, [0, p]] = p
-    step += np.arange(len(coef))[:, None] * (p + 1)
-    return step.ravel()
-
-
-def _walk(step, start: np.ndarray, periods) -> np.ndarray:
-    """bits[j] has bit n - 1 set when ``start[j]`` comes back after n
-    applications of ``step``, for n in ``periods``."""
-    bits, z = np.zeros(start.shape, dtype=np.uint8), start
-    for n in range(1, periods[-1] + 1):
-        z = step(z)
-        if n in periods:
-            bits |= (z == start).astype(np.uint8) << (n - 1)
-    return bits
-
-
-def _window(num, den, periods, bound: int, primes):
-    """(row, u, e, bits) for each u/e in the window of the ``row``-th quad map,
-    c = num / den: gcd(u, e) = 1 and |u| <= min(bound, top) (``quad_window``),
-    empty unless e <= bound.  Each prime q steps only these residues u e^-1,
-    as z -> z^2 + c mod q, and drops those that do not recur."""
-    e, top = (a.astype(np.int64) for a in np.frompyfunc(quad_window, 2, 2)(num[:, 0], den[:, 0]))
+    # exact in int64 while top^2 + |num| < 2**63: |num| <= height_c, and a
+    # scan holds all 2 height_c + 1 numerators of its box in memory
+    num = np.array([n for n, _ in cs], dtype=np.int64)
+    e, top = (np.array(a, dtype=np.int64) for a in zip(*(quad_window(n, d) for n, d in cs)))
     w = np.minimum(top, bound)
     size = np.where((0 < e) & (e <= bound), 2 * w + 1, 0)
     for rows in np.split(np.arange(len(w)), np.flatnonzero(np.diff(np.cumsum(size) // _CELLS)) + 1):
         row = np.repeat(rows, size[rows])
         u = np.arange(row.size) - np.repeat(np.cumsum(size[rows]) - size[rows] + w[rows], size[rows])
         keep = np.gcd(u, e[row]) == 1
-        row, u, v = row[keep], u[keep], e[row[keep]]
-        flag = np.full(row.shape, 0xFF, np.uint8)
-        for q in primes:  # q > e, so each e is a unit mod q
-            ie = _inverse(v % q, q)
-            c = num[row, 0] % q * ie % q * ie % q
-            flag &= _walk(lambda z: (z * z + c) % q, u % q * ie % q, periods)
-            live = flag != 0
-            row, u, v, flag = row[live], u[live], v[live], flag[live]
-        yield from zip(*(a.tolist() for a in (row, u, v, flag)))
-
-
-def _candidates(num, den, periods, bound: int, primes):
-    """(row, u, v, bits) for each u/v in lowest terms with |u|, v <= bound
-    that is periodic mod every prime under the ``row``-th KB map, (k, b) =
-    num / den.  The first prime walks every residue of its step tables, built
-    for ``_BLOCK`` maps at a time; each later prime walks only the candidates
-    still standing, or every residue once when they outnumber its cells."""
-    inverses = [_inverse(np.arange(p + 1) % p, p) for p in primes]
-    p1, per, rows = primes[0], max(1, _CELLS // bound), max(1, min(_BLOCK, _CELLS // primes[-1]))
-    for at in range(0, len(num), rows):
-        tables = [_steps(num[at : at + rows] % p * inv[den[at : at + rows]] % p, p, inv)
-                  for p, inv in zip(primes, inverses)]
-        bits = _walk(tables[0].take, np.arange(tables[0].size), periods).reshape(-1, p1 + 1)[:, :p1]
-        # a periodic residue r mod p1 and a v <= bound leave one u = r v mod p1
-        # in a window of length p1 > 2 * bound; it is a candidate if |u| <= bound
-        block_rows, rs = np.nonzero(bits)
-        for lo in range(0, len(rs), per):
-            row, r = block_rows[lo : lo + per, None], rs[lo : lo + per, None]
-            v = np.arange(1, bound + 1, dtype=np.int64)
-            u = r * v
-            u %= p1
-            u[u > bound] -= p1
-            flag = bits[row, r] * (u >= -bound)
-            for q, inv, table in zip(primes[1:], inverses[1:], tables[1:]):
-                at_q = row * (q + 1) + u * inv[v] % q
-                full = at_q.size >= table.size
-                walked = _walk(table.take, np.arange(table.size) if full else at_q, periods)
-                flag &= walked[at_q] if full else walked
-                live = flag != 0
-                row, u, v, flag = (np.broadcast_to(a, live.shape)[live] for a in (row, u, v, flag))
-            keep = np.gcd(u, v) == 1
-            yield from zip(*(a[keep].tolist() for a in (at + row, u, v, flag)))
+        row, u = row[keep], u[keep]
+        c, v, t, z = num[row], e[row], top[row], u
+        for n in range(1, periods[-1] + 1):
+            z, r = np.divmod(z * z + c, v)
+            live = (r == 0) & (np.abs(z) <= t)
+            back = live & (z == u)
+            if n in periods:
+                yield from zip(row[back].tolist(), u[back].tolist(), v[back].tolist(), itertools.repeat(n))
+            live &= ~back
+            row, u, c, v, t, z = (a[live] for a in (row, u, c, v, t, z))
 
 
 def _sieve(maps, periods_of, bound: int) -> List[Dict[int, List[Fraction]]]:
     """Per map m, its points of exact period n with height <= ``bound`` for
-    each n in ``periods_of[type(m)]``, in ``_rat_key`` order (see the module
-    docstring): candidates from ``_window`` (quad) or ``_candidates`` (KB),
-    each confirmed by one ``exact_period`` call.  Only maps with a point sort
-    anything; maps with no point share one read-only dict per family."""
-    # per family, its maps' parameter integers, read once into an int64 array
-    # (a Python list per map would hold ~0.2 KB each)
-    ints = {cls: np.fromiter((x for m in maps if type(m) is cls for f in m.__dataclass_fields__
-                              for x in getattr(m, f).as_integer_ratio()), np.int64)
-            .reshape(-1, len(cls.__dataclass_fields__), 2) for cls in periods_of}
-    top = max([2 * bound] + [int(abs(a).max()) for a in ints.values() if a.size])
-    ps = (p for p in itertools.count(top + 1) if all(p % q for q in range(2, math.isqrt(p) + 1)))
-    primes = list(itertools.islice(ps, _PRIMES))
+    each n in ``periods_of[type(m)]``, in ``_rat_key`` order, by the routes
+    of the module docstring: ``_window`` for the quad maps; for the KB maps
+    the roots s of each k's Phi*_n in w, z = +-sqrt(b s), and one
+    ``exact_period`` call per z.  Only maps with a point sort anything; maps
+    with no point share one read-only dict per family."""
     found: Dict[int, Dict[int, List[Fraction]]] = {}
-    for cls, periods in periods_of.items():
-        idx = np.flatnonzero([type(m) is cls for m in maps])
-        sieve = _window if cls is QuadraticMap else _candidates
-        for row, u, v, f in sieve(ints[cls][..., 0], ints[cls][..., 1], periods, bound, primes) if len(idx) else ():
-            i = int(idx[row])
-            m, z = maps[i], Fraction(u, v)
-            try:
-                n = exact_period(m, z)
-            except DomainError as exc:  # named by the least n in its bits
-                raise DomainError(f"{m.describe()}, n={(f & -f).bit_length()}: {exc}") from None
-            if n and f >> (n - 1) & 1:
-                found.setdefault(i, {k: [] for k in periods})[n].append(z)
+
+    def add(i, n, z):
+        found.setdefault(i, {k: [] for k in periods_of[type(maps[i])]})[n].append(z)
+
+    quads = [i for i, m in enumerate(maps) if type(m) is QuadraticMap]
+    if quads:
+        for row, u, e, n in _window([maps[i].c.as_integer_ratio() for i in quads], periods_of[QuadraticMap], bound):
+            add(quads[row], n, Fraction(u, e))
+    by_k: Dict[Fraction, List[int]] = {}
+    for i, m in enumerate(maps):
+        if type(m) is KBMap:
+            by_k.setdefault(m.k, []).append(i)
+    for k, rows in by_k.items():
+        unit, hs = KBMap(k, Fraction(1)), bound * bound * max(height(maps[i].b) for i in rows)
+        for n in periods_of[KBMap]:
+            roots = [s.as_integer_ratio() for s in rational_roots_int(_dynatomic_x(unit, n), hs) if s]
+            for i, (sn, sd) in itertools.product(rows, roots):
+                m = maps[i]
+                bn, bd = m.b.as_integer_ratio()
+                t = bn * bd * sn * sd  # b s = t / (bd sd)^2
+                if t <= 0 or (r := math.isqrt(t)) * r != t or height(z := Fraction(r, bd * sd)) > bound:
+                    continue
+                for z in (-z, z):
+                    try:
+                        p = exact_period(m, z)
+                    except DomainError as exc:
+                        raise DomainError(f"{m.describe()}, n={n}: {exc}") from None
+                    if p == n:
+                        add(i, n, z)
     empty = {cls: {n: [] for n in periods} for cls, periods in periods_of.items()}
     return [{n: sorted(pts, key=_rat_key) for n, pts in found[i].items()} if i in found
             else empty[type(m)] for i, m in enumerate(maps)]
@@ -298,7 +254,7 @@ def _map_over(worker, maps: list, workers: int, *args) -> list:
 
 
 def _check_scan(height_point: int, workers: int) -> None:
-    if not 1 <= height_point <= 10**6:  # the sieve holds arrays of ~2 * height_point
+    if not 1 <= height_point <= 10**6:  # a quad window walk holds ~2 * height_point points per map
         raise parameter_excluded("height_point", height_point)
     if workers < 1:
         raise parameter_excluded("workers", workers)
@@ -306,7 +262,7 @@ def _check_scan(height_point: int, workers: int) -> None:
 
 def _scan_periods(kind, box, periods, make_maps, workers) -> ScanReport:
     """The period scans: validate, build the maps, fan out, report.
-    ``make_maps`` returns the maps to sieve and the size of the box."""
+    ``make_maps`` returns the maps to search and the size of the box."""
     periods = _check_periods(periods)
     _check_scan(box["height_point"], workers)
     t0 = time.perf_counter()
@@ -479,6 +435,8 @@ _SQUARE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 def _square_masks(bound: int, L: int, A) -> List[Tuple[int, List[int]]]:
     """(m, masks) per modulus m: bit i of masks[v % m] is set when
     L * F(i - bound, v) is a square mod m, F the curve's binary quartic."""
+    import numpy as np
+
     out, width = [], 2 * bound + 1
     full = (1 << width) - 1
     for m in _SQUARE_MODULI:

@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -67,11 +70,17 @@ GOLDEN_CASES = {
         "scan", "--kind", "kb", "--height-k", "3", "--height-b", "3",
         "--height-point", "20", "--periods", "1,2",
     ],
+    # the KB period-4 route: roots of Phi*_4 of kz + 1/z, taken once per k;
+    # also diffed against the installed console script in CI
+    "scan_kb_k4_b10_p2_n4.json": [
+        "scan", "--kind", "kb", "--height-k", "4", "--height-b", "10",
+        "--height-point", "2", "--periods", "4",
+    ],
     # 45 hits; also diffed against the installed console script in CI
     "scan_quad_h20_p100.json": [
         "scan", "--kind", "quad", "--height-c", "20", "--height-point", "100", "--periods", "1,2,3",
     ],
-    # many maps have sqrt(den(c)) > 3, so the sieve drops them unsearched
+    # many maps have sqrt(den(c)) > 3, so the scan drops them unsearched
     "scan_quad_h40_p3.json": [
         "scan", "--kind", "quad", "--height-c", "40", "--height-point", "3", "--periods", "1,2,3",
     ],
@@ -463,3 +472,13 @@ def test_orbit_zero_point_kb_goes_to_infinity():
     assert code == 0
     data = json.loads(out)
     assert data["tail"] == ["0"] and data["cycle"] == ["inf"]
+
+
+def test_cli_import_loads_no_numpy():
+    # only the quad window walk and the quartic masks use numpy, and they
+    # import it when they run; orbit, period and classify never load it
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ratdyn.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -3,15 +3,15 @@ import math
 from fractions import Fraction as F
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ratdyn import search
+from ratdyn._intpoly import rational_roots_int
 from ratdyn.classification import kb_period4_family, period3_family
 from ratdyn.core import count_rationals, enumerate_rationals, height
 from ratdyn.dynamics import KBMap, QuadraticMap, exact_period, quad_window
-from ratdyn.dynatomic import periodic_points_exact
+from ratdyn.dynatomic import _dynatomic_x, periodic_points_exact
 from ratdyn.errors import DomainError
 from ratdyn.search import (
     QuarticCurve,
@@ -76,7 +76,8 @@ def test_scans_reject_point_bound_below_one():
 
 
 def test_scans_reject_point_bound_above_sieve_limit():
-    # the sieve's arrays grow with the point bound; past 10**6 it refuses
+    # the quad window walk's arrays grow with the point bound; past 10**6
+    # every scan refuses
     bad = 10**6 + 1
     with pytest.raises(DomainError, match=f"height_point={bad}"):
         scan_quadratic_periods(2, bad, {1})
@@ -99,23 +100,53 @@ def test_scans_reject_workers_below_one():
 
 
 def test_worker_errors_name_map_and_period(monkeypatch):
-    # the sieve confirms each surviving candidate with one exact_period call;
-    # an error there names the map and the least n the candidate's bits carry.
-    # The fixed points +-1 of kb:k=2,b=-1 survive the sieve for every n.
-    real = search.exact_period
+    # each KB point z = +-sqrt(b s) is confirmed by one exact_period call; an
+    # error there names the map and the period n of the root s it came from.
+    # kb:k=4/3,b=-10/3 has the 4-cycle 1 -> -2 -> -1 -> 2; the fixed points
+    # +-1 of kb:k=2,b=-1 are its only points of periods 1 and 4.
+    real, failing_map = search.exact_period, None
 
     def failing(m, z, *args):
-        if m.describe() == "kb:k=2,b=-1":
+        if m.describe() == failing_map:
             raise DomainError("exact-period check failed")
         return real(m, z, *args)
 
     monkeypatch.setattr(search, "exact_period", failing)
-    with pytest.raises(DomainError, match="kb:k=2,b=-1, n=4: exact-period check failed"):
-        scan_kb_periods(2, 2, 10, {4}, workers=1)
+    failing_map = "kb:k=4/3,b=-10/3"
+    with pytest.raises(DomainError, match="kb:k=4/3,b=-10/3, n=4: exact-period check failed"):
+        scan_kb_periods(4, 10, 2, {4}, workers=1)
+    failing_map = "kb:k=2,b=-1"
     with pytest.raises(DomainError, match="kb:k=2,b=-1, n=1: exact-period check failed"):
         scan_kb_periods(2, 2, 10, {1, 4}, workers=1)
     with pytest.raises(DomainError, match="kb:k=2,b=-1, n=1: exact-period check failed"):
         scan_intersection_bound(2, 10, workers=1)
+
+
+def test_quad_scans_make_no_exact_period_call(monkeypatch):
+    # the window walk gives each quad point's exact period itself
+    def no_call(m, z, *args):
+        raise AssertionError(f"exact_period({m.describe()}, {z})")
+
+    monkeypatch.setattr(search, "exact_period", no_call)
+    assert scan_quadratic_periods(40, 3, (1, 2, 3)).hits
+    assert scan_quadratic_periods(20, 100, range(1, 9), workers=2).hits
+
+
+def test_kb_roots_of_a_lower_exact_period_are_dropped(monkeypatch):
+    # a root s of Phi*_n can lie on a cycle shorter than n; fed to n = 2 as
+    # well, the root s = 1/(1 - k) of the fixed points +-1 of kb:k=2,b=-1
+    # reaches exact_period, which drops them: the scan's bytes do not change
+    real_roots, real_period, checked = search.rational_roots_int, search.exact_period, set()
+
+    def period(m, z, *args):
+        checked.add((m.describe(), z))
+        return real_period(m, z, *args)
+
+    want = scan_kb_periods(2, 2, 10, {1, 2}).canonical_dict()
+    monkeypatch.setattr(search, "rational_roots_int", lambda c, bound: sorted(set(real_roots(c, bound)) | {F(-1)}))
+    monkeypatch.setattr(search, "exact_period", period)
+    assert scan_kb_periods(2, 2, 10, {1, 2}).canonical_dict() == want
+    assert {("kb:k=2,b=-1", F(1)), ("kb:k=2,b=-1", F(-1))} <= checked
 
 
 def test_failed_worker_pool_is_domain_error(monkeypatch):
@@ -135,7 +166,7 @@ def test_failed_worker_pool_is_domain_error(monkeypatch):
     assert scan_quadratic_periods(2, 10, {1}, workers=1).hits
 
 
-# --- the sieve against the dynatomic route ----------------------------------
+# --- the scan routes against the dynatomic route ---------------------------
 
 _PERIODS = st.sets(st.integers(1, 8), min_size=1, max_size=2).map(sorted).map(tuple)
 
@@ -155,83 +186,40 @@ def _assert_sieve_is_dynatomic(maps, periods_of, bound):
 @example([KBMap(F(4, 3), F(-10, 3)), QuadraticMap(F(-29, 16))], (3,), (4,), 2)
 @example([KBMap(F(-23, 30), F(29, 21))], (1,), (8,), 8)  # square-free Phi*_8, 3 bad primes
 def test_sieve_matches_dynatomic_on_mixed_chunks(maps, quad_periods, kb_periods, bound):
-    # parameters reach height 60, past 2 * bound, so the sieve's primes must
-    # step past them; a chunk mixes both families, as the intersection scan's do
+    # parameters reach height 60, so the KB roots s = z^2 / b reach height
+    # B^2 H(b), far past B; a chunk mixes both families, as the intersection
+    # scan's do
     _assert_sieve_is_dynatomic(maps, {QuadraticMap: quad_periods, KBMap: kb_periods}, bound)
 
 
-def _reference_bits(m, q, periods):
-    """bits[z] for z in P^1(F_q), infinity last: bit n - 1 is set when
-    m^n(z) == z, by plain iteration of the map's formula mod q."""
-    inf = q
-    if isinstance(m, QuadraticMap):
-        c = m.c.numerator * pow(m.c.denominator, -1, q) % q
-
-        def f(z):
-            return inf if z == inf else (z * z + c) % q
-    else:
-        k, b = (x.numerator * pow(x.denominator, -1, q) % q for x in (m.k, m.b))
-
-        def f(z):
-            return inf if z in (0, inf) else (k * z + b * pow(z, -1, q)) % q
-    out = []
-    for z in range(q + 1):
-        w, bits = z, 0
-        for n in range(1, max(periods) + 1):
-            w = f(w)
-            if n in periods and w == z:
-                bits |= 1 << (n - 1)
-        out.append(bits)
-    return out
-
-
-# a block of KB maps, parameters of height <= 60 as in RANDOM_MAPS
-_KB_BLOCKS = st.lists(st.builds(KBMap, rationals(60, nonzero=True), rationals(60, nonzero=True)),
-                      min_size=1, max_size=5)
-
-
-@settings(max_examples=30, deadline=None)
-@given(_KB_BLOCKS, st.sampled_from([61, 67, 101, 211]), _PERIODS, st.data())
-def test_later_prime_branches_give_the_same_bits(block, q, periods, data):
-    # a later prime walks either the candidates' residues or every residue
-    # once, then looks the candidates up; both must give the bits of plain
-    # iteration mod a prime q above every parameter's height
-    num, den = np.moveaxis(np.array([[m.k.as_integer_ratio(), m.b.as_integer_ratio()] for m in block]), -1, 0)
-    inv = search._inverse(np.arange(q + 1) % q, q)
-    table = search._steps(num % q * inv[den] % q, q, inv)
-    at = np.array(data.draw(st.lists(st.integers(0, table.size - 1), max_size=3 * table.size)), dtype=np.int64)
-    walked = search._walk(table.take, at, periods)
-    assert walked.tolist() == search._walk(table.take, np.arange(table.size), periods)[at].tolist()
-    want = [b for m in block for b in _reference_bits(m, q, periods)]
-    assert walked.tolist() == [want[i] for i in at.tolist()]
+# quad maps with a window (den(c) a square) as often as without one
+_QUAD_BLOCKS = st.lists(st.builds(QuadraticMap, rationals(60) | st.builds(
+    lambda n, e: F(n, e * e), st.integers(-60, 60), st.integers(1, 8))), min_size=1, max_size=6)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.builds(QuadraticMap, rationals(60)), min_size=1, max_size=6),
-       st.integers(1, 12), _PERIODS, st.sampled_from([(61, 67, 71), (127, 131, 137), (211, 223, 227)]),
-       st.sampled_from([1, 8, search._CELLS]))
-@example([QuadraticMap(F(-13)), QuadraticMap(F(-29, 16)), QuadraticMap(F(1, 2))], 4, (2, 3), (61, 67, 71), 8)
-def test_window_walk_gives_the_bits_of_plain_iteration(block, bound, periods, primes, cells):
+@given(_QUAD_BLOCKS, st.integers(1, 12), _PERIODS, st.sampled_from([1, 8, search._CELLS]))
+@example([QuadraticMap(F(-13)), QuadraticMap(F(-29, 16)), QuadraticMap(F(1, 2))], 4, (2, 3), 8)
+@example([QuadraticMap(F(-13)), QuadraticMap(F(-3, 2))], 2, (1, 2), 1)  # clipped; no window
+@example([QuadraticMap(F(-29, 16)), QuadraticMap(F(-21, 16))], 3, (1, 2, 3), 2**16)  # e > bound
+@example([QuadraticMap(F(-29, 16)), QuadraticMap(F(-3, 4))], 8, (7, 8), 8)  # beyond every period
+def test_window_walk_gives_the_exact_periods_of_plain_iteration(block, bound, periods, cells):
     # each quad map's window, v = e and |u| <= min(bound, top) in lowest
-    # terms, stepped at every prime: a candidate survives with the AND of its
-    # bits of plain iteration mod each q, exactly when that AND is nonzero,
-    # however the windows are cut into blocks of about ``cells``
-    num, den = np.moveaxis(np.array([[m.c.as_integer_ratio()] for m in block]), -1, 0)
+    # terms: the walk reports (row, u, e, n) for exactly the points whose
+    # exact_period n is requested, however the windows are cut into blocks
+    # of about ``cells``
     with mock.patch.object(search, "_CELLS", cells):
-        got = list(search._window(num, den, periods, bound, primes))
+        got = list(search._window([m.c.as_integer_ratio() for m in block], periods, bound))
     want = []
     for row, m in enumerate(block):
         e, top = quad_window(*m.c.as_integer_ratio())
         if not 0 < e <= bound:
             continue
-        w, ref = min(bound, top), {q: _reference_bits(m, q, periods) for q in primes}
+        w = min(bound, top)
         for u in (u for u in range(-w, w + 1) if math.gcd(u, e) == 1):
-            bits = 0xFF
-            for q in primes:
-                bits &= ref[q][u * pow(e, -1, q) % q]
-            if bits:
-                want.append((row, u, e, bits))
-    assert got == want
+            if (n := exact_period(m, F(u, e))) in periods:
+                want.append((row, u, e, n))
+    assert len(set(got)) == len(got) and sorted(got) == sorted(want)
 
 
 @pytest.mark.parametrize("c, bound, want", [
@@ -250,23 +238,11 @@ def test_sieve_matches_dynatomic_on_clipped_whole_and_empty_windows(c, bound, wa
     assert set().union(*found.values()) == want
 
 
-def test_quad_scans_build_no_step_table(monkeypatch):
-    # quad maps step only their windows' residues; KB maps get one F_p step
-    # table per sieve prime
-    tables = []
-    real = search._steps
-    monkeypatch.setattr(search, "_steps", lambda coef, p, inv: tables.append(len(coef)) or real(coef, p, inv))
-    assert scan_quadratic_periods(40, 3, (1, 2, 3)).hits
-    assert scan_quadratic_periods(20, 100, (1, 2, 3), workers=2).hits
-    assert tables == []
-    assert scan_kb_periods(2, 2, 10, (1,)).hits
-    assert sum(tables) == 3 * 36  # 6 k times 6 b
-
-
 def test_quad_scan_building_only_kept_maps_keeps_the_box():
     # at B = 3 the prune drops every c whose den(c) is not e^2 with e <= 3;
     # the scan builds no map for those c, yet counts the whole box, finds what
-    # the sieve finds on every map of the box, and is the same at 1 and 2 workers
+    # the period routes find on every map of the box, and is the same at 1 and
+    # 2 workers
     box = [QuadraticMap(c) for c in enumerate_rationals(12)]
     one = scan_quadratic_periods(12, 3, (1, 2, 3), workers=1)
     assert one.scanned_count == len(box) == count_rationals(12)
@@ -277,7 +253,7 @@ def test_quad_scan_building_only_kept_maps_keeps_the_box():
 
 
 def test_quad_periodic_points_have_denominator_sqrt_den_c():
-    # the window the sieve takes quad candidates from, checked on the
+    # the window the scan walks for quad maps, checked on the
     # unbounded dynatomic route, which does not use it
     hits = 0
     for c in enumerate_rationals(30):
@@ -561,3 +537,21 @@ def test_step_records_change_no_sieve_input_or_scan_bytes():
         lambda w: scan_intersection_bound(3, 50, workers=w),
     ):
         assert json.dumps(scan(2).canonical_dict()) == json.dumps(scan(1).canonical_dict())
+
+
+def test_kb_period_roots_of_kz_plus_1_over_z_hold_for_every_b():
+    # z = sqrt(b) t conjugates kz + b/z to sqrt(b) (kt + 1/t), so a rational
+    # point z of exact period n of (k, b) gives the nonzero rational root
+    # s = z^2 / b of the w = z^2 form of Phi*_n of kz + 1/z, whatever b is.
+    # No k of height <= 10 has such a root at n = 3, 5 or 6: no b at all
+    # gives it a rational point of those periods.
+    def roots(k, n):
+        return [s for s in rational_roots_int(_dynatomic_x(KBMap(k, F(1)), n)) if s]
+
+    for n in (3, 5, 6):
+        assert [k for k in enumerate_rationals(10) if k != 0 and roots(k, n)] == [], n
+    # positive control: kb:k=4/3,b=-10/3 has the 4-cycle 1 -> -2 -> -1 -> 2,
+    # so s = 1 / b and 4 / b
+    assert {F(-3, 10), F(-6, 5)} <= set(roots(F(4, 3), 4))
+    m = KBMap(F(4, 3), F(-10, 3))
+    assert {z for z in (F(1), F(2)) if exact_period(m, z) == 4} == {F(1), F(2)}
