@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 from .errors import DomainError
 
@@ -24,6 +24,7 @@ __all__ = [
     "height",
     "rational_sqrt",
     "is_rational_square",
+    "rational_pairs",
     "enumerate_rationals",
     "count_rationals",
     "parse_rational",
@@ -96,17 +97,23 @@ def _height_slice(h: int):
     return out
 
 
+def rational_pairs(bound: int) -> Iterator[Tuple[int, int]]:
+    """Yield (numerator, denominator) of each rational of height <= bound,
+    in the order of ``enumerate_rationals``."""
+    if bound < 1:
+        raise DomainError(f"parameter excluded: bound={bound}")
+    for h in range(1, bound + 1):
+        yield from _height_slice(h)
+
+
 def enumerate_rationals(bound: int) -> Iterator[Fraction]:
     """Yield every rational of height <= bound exactly once.
 
     Order: ascending height, then numerator, then denominator.  The order is
     part of the contract; scan reports rely on it being reproducible.
     """
-    if bound < 1:
-        raise DomainError(f"parameter excluded: bound={bound}")
-    for h in range(1, bound + 1):
-        for n, d in _height_slice(h):
-            yield Fraction(n, d)
+    for n, d in rational_pairs(bound):
+        yield Fraction(n, d)
 
 
 def count_rationals(bound: int) -> int:

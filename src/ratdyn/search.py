@@ -1,9 +1,11 @@
 """Height-bounded scans and the quartic point search.
 
-Scans enumerate exact rationals in the documented order (ascending height,
-then numerator, then denominator) and find each map's points of exact
-period n and height <= B by one of two exact routes; neither reduces mod
-any prime.
+Scans list their box as reduced int parameters in the documented order
+(ascending height, then numerator, then denominator): (num, den) of a quad
+c, ((kn, kd), (bn, bd)) of a KB (k, b).  They find each map's points of
+exact period n and height <= B by one of two exact routes; neither reduces
+mod any prime, and neither builds a map object except for a candidate
+point.
 
 A quad map z^2 + c, c = num / den, walks its window.  Every periodic point
 is u/e in lowest terms with den = e^2 and |u| <= top
@@ -20,16 +22,17 @@ s = z^2 / b of Phi*_n of kz + 1/z in w = z^2 (``dynatomic._dynatomic_x``),
 a polynomial in k alone.  Its roots are taken once per k and n, up to
 height B^2 max H(b): for z = u/v in lowest terms with |u|, v <= B,
 num(s) divides u^2 den(b) and den(s) divides v^2 num(b).  Each b then
-keeps z = +-sqrt(b s) of height <= B, and ``exact_period`` confirms it, as
-on the dynatomic route: a root of Phi*_n of exact period d < n lies on a
-d-cycle whose multiplier is a primitive (n/d)-th root of unity.
+keeps z = +-sqrt(b s) of height <= B, by integer tests; only then is the
+map kz + b/z built, and ``exact_period`` confirms z, as on the dynatomic
+route: a root of Phi*_n of exact period d < n lies on a d-cycle whose
+multiplier is a primitive (n/d)-th root of unity.
 
 A scan thus finds exactly the points of height <= B and exact period n:
 the set that ``dynatomic.periodic_points_exact`` returns with
-``height_bound=B``.  Workers partition the list of maps into contiguous
-chunks and merge in chunk order, so any worker count yields byte-identical
-canonical output; ``elapsed`` is carried on the report object but never
-serialized.
+``height_bound=B``.  Workers partition the list of parameters into
+contiguous chunks and merge in chunk order, so any worker count yields
+byte-identical canonical output; ``elapsed`` is carried on the report
+object but never serialized.
 
 The quartic search, an exact residue sieve over the curve's binary quartic,
 is described at ``quartic_rational_points``.
@@ -46,13 +49,7 @@ from multiprocessing import get_context
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ._intpoly import rational_roots_int
-from .core import (
-    count_rationals,
-    enumerate_rationals,
-    format_rational,
-    height,
-    is_rational_square,
-)
+from .core import count_rationals, format_rational, height, is_rational_square, rational_pairs
 from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period, quad_window
 from .dynatomic import _dynatomic_x
 from .errors import DomainError, parameter_excluded
@@ -154,77 +151,86 @@ def _window(cs, periods, bound: int):
             row, u, c, v, t, z = (a[live] for a in (row, u, c, v, t, z))
 
 
-def _sieve(maps, periods_of, bound: int) -> List[Dict[int, List[Fraction]]]:
-    """Per map m, its points of exact period n with height <= ``bound`` for
-    each n in ``periods_of[type(m)]``, in ``_rat_key`` order, by the routes
-    of the module docstring: ``_window`` for the quad maps; for the KB maps
-    the roots s of each k's Phi*_n in w, z = +-sqrt(b s), and one
-    ``exact_period`` call per z.  Only maps with a point sort anything; maps
-    with no point share one read-only dict per family."""
+def _is_kb(p) -> bool:
+    """Whether p is a KB parameter ((kn, kd), (bn, bd)), not a quad (num, den)."""
+    return type(p[0]) is tuple
+
+
+def _describe(p) -> str:
+    """``describe()`` of the map of parameter p, formatted from its ints."""
+    r = [str(n) if d == 1 else f"{n}/{d}" for n, d in (p if _is_kb(p) else (p,))]
+    return "kb:k={},b={}".format(*r) if _is_kb(p) else f"quad:c={r[0]}"
+
+
+def _sieve(params, periods_of, bound: int) -> Dict[int, Dict[int, List[Fraction]]]:
+    """{i: {n: points}} for each parameter params[i] whose map has a point of
+    exact period n in ``periods_of[_is_kb(p)]`` with height <= ``bound``,
+    the points in ``_rat_key`` order.  A parameter is reduced ints: (num,
+    den) of a quad c, or ((kn, kd), (bn, bd)) of a KB (k, b).  The routes
+    are the module docstring's: ``_window`` for the quad parameters; for the
+    KB ones the roots s of each k's Phi*_n in w, z = +-sqrt(b s), and one
+    ``exact_period`` call per z, on the one map built per candidate z."""
     found: Dict[int, Dict[int, List[Fraction]]] = {}
 
     def add(i, n, z):
-        found.setdefault(i, {k: [] for k in periods_of[type(maps[i])]})[n].append(z)
+        found.setdefault(i, {k: [] for k in periods_of[_is_kb(params[i])]})[n].append(z)
 
-    quads = [i for i, m in enumerate(maps) if type(m) is QuadraticMap]
+    quads: List[int] = []
+    by_k: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+    for i, p in enumerate(params):
+        if _is_kb(p):
+            by_k.setdefault(p[0], []).append((i, *p[1]))
+        else:
+            quads.append(i)
     if quads:
-        for row, u, e, n in _window([maps[i].c.as_integer_ratio() for i in quads], periods_of[QuadraticMap], bound):
+        for row, u, e, n in _window([params[i] for i in quads], periods_of[0], bound):
             add(quads[row], n, Fraction(u, e))
-    by_k: Dict[Fraction, List[int]] = {}
-    for i, m in enumerate(maps):
-        if type(m) is KBMap:
-            by_k.setdefault(m.k, []).append(i)
     for k, rows in by_k.items():
-        unit, hs = KBMap(k, Fraction(1)), bound * bound * max(height(maps[i].b) for i in rows)
-        for n in periods_of[KBMap]:
+        k = Fraction(*k)
+        unit, hs = KBMap(k, Fraction(1)), bound * bound * max(max(abs(bn), bd) for _, bn, bd in rows)
+        for n in periods_of[1]:
             roots = [s.as_integer_ratio() for s in rational_roots_int(_dynatomic_x(unit, n), hs) if s]
-            for i, (sn, sd) in itertools.product(rows, roots):
-                m = maps[i]
-                bn, bd = m.b.as_integer_ratio()
+            for (i, bn, bd), (sn, sd) in itertools.product(rows, roots):
                 t = bn * bd * sn * sd  # b s = t / (bd sd)^2
                 if t <= 0 or (r := math.isqrt(t)) * r != t or height(z := Fraction(r, bd * sd)) > bound:
                     continue
+                m = KBMap(k, Fraction(bn, bd))
                 for z in (-z, z):
                     try:
-                        p = exact_period(m, z)
+                        period = exact_period(m, z)
                     except DomainError as exc:
                         raise DomainError(f"{m.describe()}, n={n}: {exc}") from None
-                    if p == n:
+                    if period == n:
                         add(i, n, z)
-    empty = {cls: {n: [] for n in periods} for cls, periods in periods_of.items()}
-    return [{n: sorted(pts, key=_rat_key) for n, pts in found[i].items()} if i in found
-            else empty[type(m)] for i, m in enumerate(maps)]
+    return {i: {n: sorted(pts, key=_rat_key) for n, pts in found[i].items()} for i in sorted(found)}
 
 
 # --- workers (top level so they pickle) -----------------------------------
 
 def _periods_chunk(args) -> List[dict]:
-    maps, periods, point_bound = args
-    found = _sieve(maps, {QuadraticMap: periods, KBMap: periods}, point_bound)
-    return [
-        {"map": m.describe(), "point": format_rational(p), "period": n}
-        for m, pts in zip(maps, found)
-        for n in periods
-        for p in pts[n]
-    ]
+    params, periods, point_bound = args
+    found = _sieve(params, (periods, periods), point_bound)
+    return [{"map": name, "point": format_rational(z), "period": n} for i, pts in found.items()
+            for name in (_describe(params[i]),) for n in periods for z in pts[n]]
 
 
-_CYCLE_LENGTHS = {QuadraticMap: (1, 2, 3), KBMap: (1, 2, 4)}
+_CYCLE_LENGTHS = ((1, 2, 3), (1, 2, 4))  # quad, KB
 
 
 def _cycles_chunk(args) -> List[List[Tuple[Fraction, ...]]]:
-    """Per map: its rational cycles, each a tuple in orbit order."""
-    maps, point_bound = args
-    out = []
-    for m, found in zip(maps, _sieve(maps, _CYCLE_LENGTHS, point_bound)):
-        cycles = []
-        for n in _CYCLE_LENGTHS[type(m)]:
-            pts = set(found[n])
+    """Per parameter: its map's rational cycles, each a tuple in orbit
+    order.  Only a parameter with a point builds its map."""
+    params, point_bound = args
+    out: List[list] = [[] for _ in params]
+    for i, found in _sieve(params, _CYCLE_LENGTHS, point_bound).items():
+        p = params[i]
+        m = KBMap(Fraction(*p[0]), Fraction(*p[1])) if _is_kb(p) else QuadraticMap(Fraction(*p))
+        for n, pts in found.items():
+            pts = set(pts)
             while pts:
                 cyc = cycle_from(m, min(pts, key=_rat_key), n)
                 pts.difference_update(cyc)
-                cycles.append(cyc)
-        out.append(cycles)
+                out[i].append(cyc)
     return out
 
 
@@ -244,30 +250,40 @@ def _split(seq: Sequence, parts: int) -> List[Sequence]:
     return [seq[a:b] for a, b in zip(ends, ends[1:]) if a < b]
 
 
-def _map_over(worker, maps: list, workers: int, *args) -> list:
-    """``worker`` over contiguous chunks of ``maps``, merged in chunk order."""
-    chunks = [(chunk,) + args for chunk in _split(maps, workers * 8 if workers > 1 else 1)]
-    out: list = []
-    for part in _run_chunks(worker, chunks, workers):
-        out.extend(part)
-    return out
+def _map_over(worker, params: list, workers: int, *args) -> list:
+    """``worker`` over contiguous chunks of ``params``, merged in chunk order."""
+    chunks = [(chunk,) + args for chunk in _split(params, workers * 8 if workers > 1 else 1)]
+    return [x for part in _run_chunks(worker, chunks, workers) for x in part]
 
 
-def _check_scan(height_point: int, workers: int) -> None:
-    if not 1 <= height_point <= 10**6:  # a quad window walk holds ~2 * height_point points per map
-        raise parameter_excluded("height_point", height_point)
+def _check_scan(box: Dict[str, int], workers: int, size) -> None:
+    """Refuse a scan before it counts or lists anything.  Each height and
+    the point bound must be <= 10**6: ``count_rationals(h)`` holds h + 1
+    totients, and a quad window walk ~2 height_point points per map.  Then
+    ``size()``, the number of parameters the scan lists (a bound on it for
+    quad), must be <= 10**7, about a GB of int tuples.  Every quad box with
+    H(c) <= 10**4 passes at any point bound: (2 H(c) + 1) isqrt(H(c)) is
+    about 2 * 10**6."""
+    if not 1 <= box["height_point"] <= 10**6:
+        raise parameter_excluded("height_point", box["height_point"])
     if workers < 1:
         raise parameter_excluded("workers", workers)
+    for name, h in box.items():
+        if h > 10**6:
+            raise parameter_excluded(name, h)
+    if (n := size()) > 10**7:
+        raise parameter_excluded("box", n)
 
 
-def _scan_periods(kind, box, periods, make_maps, workers) -> ScanReport:
-    """The period scans: validate, build the maps, fan out, report.
-    ``make_maps`` returns the maps to search and the size of the box."""
+def _scan_periods(kind, box, periods, size, make_params, workers) -> ScanReport:
+    """The period scans: validate, list the parameters, fan out, report.
+    ``make_params`` returns the parameters to search and the size of the
+    box."""
     periods = _check_periods(periods)
-    _check_scan(box["height_point"], workers)
+    _check_scan(box, workers, size)
     t0 = time.perf_counter()
-    maps, scanned = make_maps()
-    hits = _map_over(_periods_chunk, maps, workers, periods, box["height_point"])
+    params, scanned = make_params()
+    hits = _map_over(_periods_chunk, params, workers, periods, box["height_point"])
     return ScanReport(kind, box, periods, tuple(hits), scanned, time.perf_counter() - t0)
 
 
@@ -279,21 +295,16 @@ def scan_quadratic_periods(
 ) -> ScanReport:
     """Search z^2 + c, height(c) <= height_c, for rational points of the
     given exact periods with height <= height_point."""
+    # by ``quad_window``, only c = n / e^2 with e <= height_point can have hits
+    es = range(1, min(height_point, math.isqrt(max(height_c, 0))) + 1)
 
-    def make_maps():
+    def make_params():
         scanned = count_rationals(height_c)  # first: it rejects height_c < 1
-        # by ``quad_window``, only c = n / e^2 with e <= height_point can have hits
-        es = range(1, min(height_point, math.isqrt(height_c)) + 1)
-        cs = [Fraction(n, e * e) for e in es for n in range(-height_c, height_c + 1) if math.gcd(n, e) == 1]
-        return [QuadraticMap(c) for c in sorted(cs, key=_rat_key)], scanned
+        cs = [(n, e * e) for e in es for n in range(-height_c, height_c + 1) if math.gcd(n, e) == 1]
+        return sorted(cs, key=lambda c: (max(abs(c[0]), c[1]), *c)), scanned
 
-    return _scan_periods(
-        "quad",
-        {"height_c": height_c, "height_point": height_point},
-        periods,
-        make_maps,
-        workers,
-    )
+    box = {"height_c": height_c, "height_point": height_point}
+    return _scan_periods("quad", box, periods, lambda: (2 * height_c + 1) * len(es), make_params, workers)
 
 
 def scan_kb_periods(
@@ -306,19 +317,14 @@ def scan_kb_periods(
     """Search kz + b/z over the (k, b) height box for rational points of the
     given exact periods with height <= height_point."""
 
-    def make_maps():
-        ks = [k for k in enumerate_rationals(height_k) if k != 0]
-        bs = [b for b in enumerate_rationals(height_b) if b != 0]
-        maps = [KBMap(k, b) for k in ks for b in bs]
-        return maps, len(maps)
+    def make_params():
+        bs = [b for b in rational_pairs(height_b) if b[0]]
+        params = [(k, b) for k in rational_pairs(height_k) if k[0] for b in bs]
+        return params, len(params)
 
-    return _scan_periods(
-        "kb",
-        {"height_k": height_k, "height_b": height_b, "height_point": height_point},
-        periods,
-        make_maps,
-        workers,
-    )
+    box = {"height_k": height_k, "height_b": height_b, "height_point": height_point}
+    return _scan_periods("kb", box, periods, lambda: (count_rationals(height_k) - 1)
+                         * (count_rationals(height_b) - 1), make_params, workers)
 
 
 def scan_intersection_bound(
@@ -334,14 +340,14 @@ def scan_intersection_bound(
     4.  A hit carries both map descriptors, the shared point, and the
     intersection; identical-map pairs are skipped.
     """
-    _check_scan(height_point, workers)
+    box = {"height": bound, "height_point": height_point}
+    _check_scan(box, workers, lambda: (n := count_rationals(bound)) + (n - 1) ** 2)
     t0 = time.perf_counter()
-    maps: list = [QuadraticMap(c) for c in enumerate_rationals(bound)]
-    nonzero = [r for r in enumerate_rationals(bound) if r != 0]
-    maps += [KBMap(k, b) for k in nonzero for b in nonzero]
+    cs = list(rational_pairs(bound))
+    params = cs + [(k, b) for k in cs if k[0] for b in cs if b[0]]
 
     point_index: Dict[Fraction, List[Tuple[int, FrozenSet[Fraction]]]] = {}
-    for i, cycles in enumerate(_map_over(_cycles_chunk, maps, workers, height_point)):
+    for i, cycles in enumerate(_map_over(_cycles_chunk, params, workers, height_point)):
         for cyc in cycles:
             cyc_set = frozenset(cyc)
             for p in cyc:
@@ -360,23 +366,10 @@ def scan_intersection_bound(
                 common = set_i & set_j
                 if len(common) >= 3 and (i, j, common) not in reported:
                     reported.add((i, j, common))
-                    hits.append(
-                        {
-                            "map1": maps[i].describe(),
-                            "map2": maps[j].describe(),
-                            "point": format_rational(p),
-                            "size": len(common),
-                            "common": sorted(format_rational(x) for x in common),
-                        }
-                    )
-    return ScanReport(
-        "intersection",
-        {"height": bound, "height_point": height_point},
-        (),
-        tuple(hits),
-        len(pairs_seen),
-        time.perf_counter() - t0,
-    )
+                    hits.append({"map1": _describe(params[i]), "map2": _describe(params[j]),
+                                 "point": format_rational(p), "size": len(common),
+                                 "common": sorted(format_rational(x) for x in common)})
+    return ScanReport("intersection", box, (), tuple(hits), len(pairs_seen), time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

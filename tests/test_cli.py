@@ -421,6 +421,25 @@ def test_scan_workers_zero_exits_1():
     assert code == 1 and out == "parameter excluded: workers=0"
 
 
+@pytest.mark.parametrize("box, name", [
+    (["--kind", "quad", "--height-c", "100000000000"], "height_c"),
+    (["--kind", "kb", "--height-k", "100000000000", "--height-b", "2"], "height_k"),
+    (["--kind", "kb", "--height-k", "2", "--height-b", "100000000000"], "height_b"),
+    (["--kind", "intersection", "--height", "100000000000"], "height"),
+])
+def test_scan_height_above_the_cap_exits_1(monkeypatch, box, name):
+    # refused before the box is counted: count_rationals at this height ran
+    # out of memory
+    from ratdyn import search
+
+    def no_count(bound):
+        raise AssertionError(f"count_rationals({bound})")
+
+    monkeypatch.setattr(search, "count_rationals", no_count)
+    code, out = run(["scan", *box, "--height-point", "3", "--periods", "1"])
+    assert code == 1 and out == f"parameter excluded: {name}=100000000000"
+
+
 def test_scan_failed_worker_pool_exits_1(monkeypatch):
     from ratdyn import search
 

@@ -14,6 +14,7 @@ from ratdyn.core import (
     normalize_rational,
     parse_point,
     parse_rational,
+    rational_pairs,
     rational_sqrt,
 )
 from ratdyn.errors import DomainError
@@ -82,6 +83,7 @@ def test_enumerate_matches_bruteforce_oracle(bound):
     seq = list(enumerate_rationals(bound))
     assert len(seq) == len(set(seq))  # duplicate-free
     assert set(seq) == oracle
+    assert list(rational_pairs(bound)) == [r.as_integer_ratio() for r in seq]
     assert count_rationals(bound) == len(oracle)
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from ratdyn import search
 from ratdyn._intpoly import rational_roots_int
 from ratdyn.classification import kb_period4_family, period3_family
-from ratdyn.core import count_rationals, enumerate_rationals, height
+from ratdyn.core import count_rationals, enumerate_rationals, format_rational, height, rational_sqrt
 from ratdyn.dynamics import KBMap, QuadraticMap, exact_period, quad_window
 from ratdyn.dynatomic import _dynatomic_x, periodic_points_exact
 from ratdyn.errors import DomainError
@@ -99,6 +99,111 @@ def test_scans_reject_workers_below_one():
             quartic_rational_points(QuarticCurve(F(1), F(6), F(7), F(2), F(1)), 5, workers=bad)
 
 
+@pytest.mark.parametrize("scan, name", [
+    (lambda h: scan_quadratic_periods(h, 3, {1}), "height_c"),
+    (lambda h: scan_kb_periods(h, 2, 3, {1}), "height_k"),
+    (lambda h: scan_kb_periods(2, h, 3, {1}), "height_b"),
+    (lambda h: scan_intersection_bound(h, 3), "height"),
+])
+def test_scans_refuse_heights_above_the_cap_before_counting(monkeypatch, scan, name):
+    # count_rationals holds a list of bound + 1 totients: at 10**11 it ran
+    # out of memory; every height past 10**6 is refused before it is called
+    def no_count(bound):
+        raise AssertionError(f"count_rationals({bound})")
+
+    monkeypatch.setattr(search, "count_rationals", no_count)
+    for bad in (10**6 + 1, 10**11):
+        with pytest.raises(DomainError, match=f"^parameter excluded: {name}={bad}$"):
+            scan(bad)
+
+
+def test_scans_refuse_parameter_lists_past_ten_million(monkeypatch):
+    # heights under the cap can still ask for 10**10 parameters; the scan
+    # counts them and lists none (the quad count needs no count_rationals)
+    def no_list(*args):
+        raise AssertionError("parameters listed")
+
+    monkeypatch.setattr(search, "rational_pairs", no_list)
+    with pytest.raises(DomainError, match=f"^parameter excluded: box={(count_rationals(1000) - 1) ** 2}$"):
+        scan_kb_periods(1000, 1000, 3, {1})
+    with pytest.raises(DomainError, match=r"^parameter excluded: box=\d+$"):
+        scan_intersection_bound(4000, 3)
+    monkeypatch.setattr(search, "count_rationals", no_list)
+    with pytest.raises(DomainError, match=f"^parameter excluded: box={(2 * 10**6 + 1) * 1000}$"):
+        scan_quadratic_periods(10**6, 10**6, {1})
+
+
+def test_scan_caps_admit_every_quad_box_up_to_height_ten_thousand(monkeypatch):
+    # H(c) <= 10**4 lists at most (2 * 10**4 + 1) * 100 parameters at any
+    # point bound; the scan gets past its checks to count the box
+    class Admitted(Exception):
+        pass
+
+    def admitted(bound):
+        raise Admitted
+
+    monkeypatch.setattr(search, "count_rationals", admitted)
+    for height_point in (1, 100, 10**6):
+        with pytest.raises(Admitted):
+            scan_quadratic_periods(10**4, height_point, {1})
+
+
+def test_scans_build_maps_only_for_candidates(monkeypatch):
+    # the scans carry int parameters: a KB scan builds kz + 1/z once per k to
+    # root its Phi*_n and one map per (b, s) whose z = sqrt(b s) passes the
+    # integer-square and height test; a period scan never builds a quad map
+    def survivors(hk, hb, bound, periods):
+        (n,), (ks, bs) = periods, ([r for r in enumerate_rationals(h) if r] for h in (hk, hb))
+        roots = {k: [s for s in rational_roots_int(_dynatomic_x(KBMap(k, F(1)), n)) if s] for k in ks}
+        return len(ks), sum(1 for k in ks for b in bs for s in roots[k]
+                            if (z := rational_sqrt(b * s)) is not None and height(z) <= bound)
+
+    built = {KBMap: 0, QuadraticMap: 0}
+
+    def counting(cls):
+        def make(*args):
+            built[cls] += 1
+            return cls(*args)
+        return make
+
+    for box, hits in (((2, 4, 50, (3,)), 0), ((4, 10, 2, (4,)), 20)):
+        units, passed = survivors(*box)
+        monkeypatch.setattr(search, "KBMap", counting(KBMap))
+        built[KBMap] = 0
+        assert len(scan_kb_periods(*box).hits) == hits
+        assert units <= built[KBMap] <= units + passed, box
+        monkeypatch.undo()
+    monkeypatch.setattr(search, "KBMap", counting(KBMap))
+    monkeypatch.setattr(search, "QuadraticMap", counting(QuadraticMap))
+    built[KBMap] = 0
+    assert scan_quadratic_periods(20, 100, (4,)).hits == ()
+    assert scan_quadratic_periods(20, 100, (1, 2, 3)).hits
+    assert built == {KBMap: 0, QuadraticMap: 0}
+
+
+def test_chunks_that_cut_a_run_of_b_merge_to_the_same_bytes(monkeypatch):
+    # three workers split the parameters into 24 contiguous chunks: a chunk
+    # then starts inside one k's run of b (and an intersection chunk mixes
+    # quad and KB parameters); merged in chunk order the bytes are those of
+    # one worker
+    real, cuts = search._run_chunks, []
+
+    def spy(worker, chunks, workers):
+        cuts.append([chunk[0] for chunk in chunks])
+        return real(worker, chunks, workers)
+
+    monkeypatch.setattr(search, "_run_chunks", spy)
+    for scan, mixed in ((lambda w: scan_kb_periods(2, 4, 50, (1, 2, 4), workers=w), False),
+                        (lambda w: scan_intersection_bound(5, 50, workers=w), True)):
+        one = scan(1)
+        assert one.hits and json.dumps(scan(3).canonical_dict()) == json.dumps(one.canonical_dict())
+        chunks = cuts[-1]
+        assert len(chunks) == 24
+        assert any(search._is_kb(a[-1]) and search._is_kb(b[0]) and a[-1][0] == b[0][0]
+                   for a, b in zip(chunks, chunks[1:]))
+        assert mixed == any(not search._is_kb(ch[0]) and search._is_kb(ch[-1]) for ch in chunks)
+
+
 def test_worker_errors_name_map_and_period(monkeypatch):
     # each KB point z = +-sqrt(b s) is confirmed by one exact_period call; an
     # error there names the map and the period n of the root s it came from.
@@ -171,13 +276,26 @@ def test_failed_worker_pool_is_domain_error(monkeypatch):
 _PERIODS = st.sets(st.integers(1, 8), min_size=1, max_size=2).map(sorted).map(tuple)
 
 
+def _param(m):
+    """The scan parameter of a real map: (num, den) of c, or ((kn, kd), (bn, bd))."""
+    if type(m) is QuadraticMap:
+        return m.c.as_integer_ratio()
+    return m.k.as_integer_ratio(), m.b.as_integer_ratio()
+
+
 def _assert_sieve_is_dynatomic(maps, periods_of, bound):
-    found = search._sieve(maps, periods_of, bound)
-    for m, pts in zip(maps, found):
-        for n in periods_of[type(m)]:
-            want = sorted(periodic_points_exact(m, n, height_bound=bound), key=search._rat_key)
-            assert pts[n] == want, (m.describe(), n, bound)
-    return found
+    # periods_of = (quad periods, KB periods); the sieve reports exactly the
+    # maps with a point, and each map's points per requested n
+    found = search._sieve([_param(m) for m in maps], periods_of, bound)
+    out = []
+    for i, m in enumerate(maps):
+        want = {n: sorted(periodic_points_exact(m, n, height_bound=bound), key=search._rat_key)
+                for n in periods_of[type(m) is KBMap]}
+        assert found.get(i, {n: [] for n in want}) == want, (m.describe(), bound)
+        assert (i in found) == any(want.values()), (m.describe(), bound)
+        out.append(want)
+    assert set(found) <= set(range(len(maps)))
+    return out
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,7 +307,7 @@ def test_sieve_matches_dynatomic_on_mixed_chunks(maps, quad_periods, kb_periods,
     # parameters reach height 60, so the KB roots s = z^2 / b reach height
     # B^2 H(b), far past B; a chunk mixes both families, as the intersection
     # scan's do
-    _assert_sieve_is_dynatomic(maps, {QuadraticMap: quad_periods, KBMap: kb_periods}, bound)
+    _assert_sieve_is_dynatomic(maps, (quad_periods, kb_periods), bound)
 
 
 # quad maps with a window (den(c) a square) as often as without one
@@ -234,19 +352,23 @@ def test_window_walk_gives_the_exact_periods_of_plain_iteration(block, bound, pe
 ])
 def test_sieve_matches_dynatomic_on_clipped_whole_and_empty_windows(c, bound, want):
     m = QuadraticMap(c)
-    found = _assert_sieve_is_dynatomic([m], {QuadraticMap: (1, 2, 3)}, bound)[0]
+    found = _assert_sieve_is_dynatomic([m], ((1, 2, 3), ()), bound)[0]
     assert set().union(*found.values()) == want
 
 
 def test_quad_scan_building_only_kept_maps_keeps_the_box():
     # at B = 3 the prune drops every c whose den(c) is not e^2 with e <= 3;
-    # the scan builds no map for those c, yet counts the whole box, finds what
-    # the period routes find on every map of the box, and is the same at 1 and
-    # 2 workers
+    # the scan lists no parameter for those c, yet counts the whole box, finds
+    # what the dynatomic route finds on every real map of the box and what
+    # the period routes find on the whole box's parameters, and is the same
+    # at 1 and 2 workers
     box = [QuadraticMap(c) for c in enumerate_rationals(12)]
     one = scan_quadratic_periods(12, 3, (1, 2, 3), workers=1)
     assert one.scanned_count == len(box) == count_rationals(12)
-    assert list(one.hits) == search._map_over(search._periods_chunk, box, 1, (1, 2, 3), 3)
+    want = [{"map": m.describe(), "point": format_rational(z), "period": n} for m in box for n in (1, 2, 3)
+            for z in sorted(periodic_points_exact(m, n, height_bound=3), key=search._rat_key)]
+    assert list(one.hits) == want
+    assert want == search._map_over(search._periods_chunk, [_param(m) for m in box], 1, (1, 2, 3), 3)
     assert {h["map"] for h in one.hits} >= {"quad:c=-3/4", "quad:c=2/9"}
     two = scan_quadratic_periods(12, 3, (1, 2, 3), workers=2)
     assert json.dumps(two.canonical_dict()) == json.dumps(one.canonical_dict())
@@ -274,7 +396,7 @@ def test_quad_periodic_points_have_denominator_sqrt_den_c():
 ])
 def test_sieve_keeps_quad_maps_with_sqrt_den_c_up_to_the_bound(c, bound, n, want):
     m = QuadraticMap(c)
-    found = _assert_sieve_is_dynatomic([m], {QuadraticMap: (1, 2, 3)}, bound)[0]
+    found = _assert_sieve_is_dynatomic([m], ((1, 2, 3), ()), bound)[0]
     assert set(found[n]) == want
     assert set(periodic_points_exact(m, n, height_bound=bound)) == want
 
@@ -325,7 +447,7 @@ def test_sieve_finds_planted_points_of_height_bound(case, shift, periods):
     if bound < 1:
         return
     periods = tuple(sorted(set(periods) | {n}))
-    found = _assert_sieve_is_dynatomic([m], {type(m): periods}, bound)[0]
+    found = _assert_sieve_is_dynatomic([m], (periods, periods), bound)[0]
     assert (z in found[n]) == (shift == 0)
 
 
@@ -517,7 +639,8 @@ def test_scan_reports_are_pure_functions():
 
 def test_step_records_change_no_sieve_input_or_scan_bytes():
     """A map's cached step record is kept off its parameters: maps whose
-    record is filled, pickled to two workers or not, sieve as fresh maps do."""
+    record is filled equal fresh maps and give the sieve the same int
+    parameters, which sieve alike at one and two workers."""
     periods = (1, 2, 3, 4)
 
     def fresh():
@@ -527,10 +650,11 @@ def test_step_records_change_no_sieve_input_or_scan_bytes():
     warm = fresh()
     for m in warm:
         exact_period(m, F(1))
-    assert all("_record" in vars(m) for m in warm)
-    want = search._map_over(search._periods_chunk, fresh(), 1, periods, 20)
-    assert want and search._map_over(search._periods_chunk, warm, 1, periods, 20) == want
-    assert search._map_over(search._periods_chunk, warm, 2, periods, 20) == want
+    assert all("_record" in vars(m) for m in warm) and warm == fresh()
+    params = [_param(m) for m in fresh()]
+    assert [_param(m) for m in warm] == params
+    want = search._map_over(search._periods_chunk, params, 1, periods, 20)
+    assert want and search._map_over(search._periods_chunk, params, 2, periods, 20) == want
     for scan in (
         lambda w: scan_quadratic_periods(8, 50, (1, 2, 3), workers=w),
         lambda w: scan_kb_periods(3, 3, 50, (1, 2, 4), workers=w),
