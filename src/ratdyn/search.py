@@ -45,7 +45,6 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import get_context
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ._intpoly import rational_roots_int
@@ -237,8 +236,9 @@ def _cycles_chunk(args) -> List[List[Tuple[Fraction, ...]]]:
 def _run_chunks(worker, chunks, workers: int):
     if workers <= 1 or len(chunks) <= 1:
         return [worker(ch) for ch in chunks]
+    import multiprocessing  # here, not at the top: most runs start no pool
     try:
-        with get_context("fork").Pool(min(workers, len(chunks))) as pool:
+        with multiprocessing.get_context("fork").Pool(min(workers, len(chunks))) as pool:
             return pool.map(worker, chunks)
     except (OSError, ImportError) as exc:
         raise DomainError(f"worker pool failed: {exc}") from None
@@ -258,12 +258,12 @@ def _map_over(worker, params: list, workers: int, *args) -> list:
 
 def _check_scan(box: Dict[str, int], workers: int, size) -> None:
     """Refuse a scan before it counts or lists anything.  Each height and
-    the point bound must be <= 10**6: ``count_rationals(h)`` holds h + 1
-    totients, and a quad window walk ~2 height_point points per map.  Then
-    ``size()``, the number of parameters the scan lists (a bound on it for
-    quad), must be <= 10**7, about a GB of int tuples.  Every quad box with
-    H(c) <= 10**4 passes at any point bound: (2 H(c) + 1) isqrt(H(c)) is
-    about 2 * 10**6."""
+    the point bound must be <= 10**6, so that ``count_rationals(h)``, in
+    O(h^(3/4)) steps, stays ~0.03 s, and a quad window walks ~2 height_point
+    points per map.  Then ``size()``, the number of parameters the scan
+    lists (a bound on it for quad), must be <= 10**7, about a GB of int
+    tuples.  Every quad box with H(c) <= 10**4 passes at any point bound:
+    (2 H(c) + 1) isqrt(H(c)) is about 2 * 10**6."""
     if not 1 <= box["height_point"] <= 10**6:
         raise parameter_excluded("height_point", box["height_point"])
     if workers < 1:
@@ -423,43 +423,61 @@ class QuarticReport:
 # moduli of the residue square test, most selective first: 64, 63, 65, 11
 # (Cohen, Alg. 1.7.3), then the primes 17..53
 _SQUARE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+_WORDS = 2**17  # cap on the mask words ANDed in one block of v
+_SPAN = 2**12  # cap on the nonzero words whose bits are read at once
 
 
-def _square_masks(bound: int, L: int, A) -> List[Tuple[int, List[int]]]:
-    """(m, masks) per modulus m: bit i of masks[v % m] is set when
-    L * F(i - bound, v) is a square mod m, F the curve's binary quartic."""
+def _square_masks(bound: int, L: int, A) -> list:
+    """(m, masks) per modulus m: an (m, ceil((2 bound + 1) / 64)) uint64
+    array whose row v % m has bit i set when L * F(i - bound, v) is a square
+    mod m, F the curve's binary quartic; the bits past 2 bound + 1 are clear."""
     import numpy as np
 
     out, width = [], 2 * bound + 1
-    full = (1 << width) - 1
+    words = -(-width // 64)
     for m in _SQUARE_MODULI:
         u, v = (np.arange(m) - bound) % m, np.arange(m)[:, None]  # bit i: u = i - bound
         squares = np.zeros(m, dtype=bool)
         squares[np.arange(m) ** 2 % m] = True
         a4, a3, a2, a1, a0 = (a % m for a in A)  # every term stays below 65**5
         F = a4 * u**4 + a3 * u**3 * v + a2 * u**2 * v**2 + a1 * u * v**3 + a0 * v**4
-        period = np.packbits(squares[L % m * F % m], axis=1, bitorder="little")
-        # each row's m bits, repeated along the width: the copies never overlap
-        repeat = ((1 << m * (width // m + 1)) - 1) // ((1 << m) - 1)
-        out.append((m, [int.from_bytes(row.tobytes(), "little") * repeat & full for row in period]))
+        # bit i depends on i % m alone, so word k on k % m: pack m words, repeat them
+        period = np.tile(np.packbits(np.tile(squares[L % m * F % m], 8), axis=1, bitorder="little"), 8)
+        masks = np.take(period.view("<u8"), np.arange(words) % m, axis=1)
+        masks[:, -1] &= np.uint64(2 ** (width - 64 * words + 64) - 1)
+        out.append((m, masks))
     return out
 
 
 def _quartic_chunk(args) -> List[Tuple[int, int, int]]:
     """(u, v, r) for each coprime u, v with |u| <= bound, v in ``vs`` and
-    L * F(u, v) == r**2: the masks' AND, then an exact isqrt."""
+    L * F(u, v) == r**2: the masks' AND, ``_WORDS`` words of v at a time,
+    the set bits' coprime (u, v), then an exact isqrt."""
+    import numpy as np
+
     vs, bound, L, A, masks = args
     A4, A3, A2, A1, A0 = A
-    found = []
-    for v in vs:
-        bits = -1
-        for m, mask in masks:
-            bits &= mask[v % m]
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            u = low.bit_length() - 1 - bound
-            if math.gcd(u, v) == 1:
+    words = masks[0][1].shape[1]
+    found, step = [], max(1, _WORDS // words)
+    for v0 in range(vs.start, vs.stop, step):
+        bits = np.full((n := min(step, vs.stop - v0), words), 2**64 - 1, dtype=np.uint64)
+        for m, mask in masks:  # row k of bits is v = v0 + k
+            h = min(-v0 % m, n)  # from row h on, v runs through whole periods 0..m-1
+            q = h + (n - h) // m * m
+            bits[:h] &= mask[v0 % m :][:h]
+            bits[h:q].reshape(-1, m, words)[...] &= mask
+            bits[q:] &= mask[: n - q]
+        nonzero = np.flatnonzero(bits)
+        for f in np.split(nonzero, range(_SPAN, len(nonzero), _SPAN)):
+            w, g = bits.ravel()[f], [f[:0]]
+            while len(w):  # g: the set bits' positions in the block, each word's lowest first
+                low = w & -w
+                g.append(f * 64 + np.frexp(low.astype(float))[1] - 1)
+                f, w = f[w != low], (w ^ low)[w != low]
+            v, u = np.divmod(np.sort(np.concatenate(g)), 64 * words)
+            u, v = u - bound, v + v0
+            keep = np.gcd(u, v) == 1  # (g u, g v) repeats t = u/v
+            for u, v in zip(u[keep].tolist(), v[keep].tolist()):
                 N = L * ((((A4 * u + A3 * v) * u + A2 * v * v) * u + A1 * v**3) * u + A0 * v**4)
                 if N >= 0 and (r := math.isqrt(N)) * r == N:
                     found.append((u, v, r))
@@ -477,12 +495,13 @@ def quartic_rational_points(
     point iff L F(u, v) is a perfect square.  For each modulus m in
     ``_SQUARE_MODULI`` (64, 63, 65, 11, 17, ..., 53) a table says whether
     L F(u, v) is a square mod m; coefficients are reduced mod m first, so
-    nothing overflows at any coefficient size.  Each table becomes m Python
-    ints, one per v mod m, whose bit i says whether u = i - B passes: sum(m)
-    (2B + 1) bits, about 1.36 MB at B = 10^4, built once per call and passed
-    to every chunk.  For each v <= B the kernel ANDs its masks, walks the set
-    bits, drops u with gcd(u, v) != 1 (they repeat a t of smaller v), and
-    confirms each survivor with an exact isqrt.  A perfect square is a
+    nothing overflows at any coefficient size.  Each table becomes an (m, W)
+    uint64 array, W = ceil((2B + 1) / 64), whose row v mod m has bit i set
+    when u = i - B passes: sum(m) (2B + 1) bits, about 1.36 MB at B = 10^4,
+    built once per call and passed to every chunk.  The kernel ANDs the
+    rows into a block of consecutive v, reads the set bits, drops u with
+    gcd(u, v) != 1 (they repeat a t of smaller v), and confirms each
+    survivor with an exact isqrt in Python ints.  A perfect square is a
     square mod every m, so no point is missed; isqrt decides exactly, so no
     false point is reported.  Survivors are coprime with |u|, v <= B, so
     each t appears once, has height <= B, and y = isqrt(L F(u, v)) / (L v^2).
@@ -501,11 +520,5 @@ def quartic_rational_points(
     affine: List[Tuple[Fraction, Fraction]] = []
     for t in sorted(pts, key=_rat_key):
         affine.extend((t, y) for y in sorted({-pts[t], pts[t]}))
-    return QuarticReport(
-        curve,
-        bound,
-        tuple(affine),
-        is_rational_square(curve.a4),
-        count_rationals(bound),
-        time.perf_counter() - t0,
-    )
+    return QuarticReport(curve, bound, tuple(affine), is_rational_square(curve.a4), count_rationals(bound),
+                         time.perf_counter() - t0)

@@ -441,13 +441,14 @@ def test_scan_height_above_the_cap_exits_1(monkeypatch, box, name):
 
 
 def test_scan_failed_worker_pool_exits_1(monkeypatch):
-    from ratdyn import search
+    import multiprocessing
 
     class NoFork:
         def Pool(self, processes):
             raise OSError("cannot fork")
 
-    monkeypatch.setattr(search, "get_context", lambda method: NoFork())
+    # search imports multiprocessing only when it starts a pool
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: NoFork())
     code, out = run(
         ["scan", "--kind", "quad", "--height-c", "3", "--height-point", "10",
          "--periods", "1", "--workers", "2"]
@@ -493,11 +494,23 @@ def test_orbit_zero_point_kb_goes_to_infinity():
     assert data["tail"] == ["0"] and data["cycle"] == ["inf"]
 
 
-def test_cli_import_loads_no_numpy():
-    # only the quad window walk and the quartic masks use numpy, and they
-    # import it when they run; orbit, period and classify never load it
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter holds ``module`` after ``import ratdyn.cli``."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, ratdyn.cli; print('numpy' in sys.modules)"
+    code = f"import sys, ratdyn.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout in ("True\n", "False\n")
+    return out.stdout == "True\n"
+
+
+def test_cli_import_loads_no_numpy():
+    # only the quad window walk and the quartic kernel use numpy, and they
+    # import it when they run; orbit, period and classify never load it
+    assert not _loaded_by_cli_import("numpy")
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # a worker pool imports multiprocessing when it starts, so importing the
+    # CLI does not pay for it
+    assert not _loaded_by_cli_import("multiprocessing")

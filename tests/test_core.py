@@ -142,7 +142,8 @@ def _trial_division_totient(n: int) -> int:
 
 
 def test_count_rationals_matches_trial_division_totients():
-    # count_rationals sieves the totients; the reference factors each h
+    # count_rationals sums the totients by a recursion on bound // d; the
+    # reference factors each h
     expected, total = {}, 3
     for h in range(2, 10**4 + 1):
         total += 4 * _trial_division_totient(h)
@@ -150,3 +151,11 @@ def test_count_rationals_matches_trial_division_totients():
     expected[1] = 3
     for bound in list(range(1, 200)) + [1000, 1200, 4096, 9973, 10**4]:
         assert count_rationals(bound) == expected[bound], bound
+
+
+def test_count_rationals_pinned_values():
+    # values of the former O(bound) totient sieve; 10**6 is the largest
+    # height a scan admits
+    assert count_rationals(1200) == 1751143
+    assert count_rationals(10**4) == 121589943
+    assert count_rationals(10**6) == 1215854209567

@@ -1,8 +1,11 @@
 import json
 import math
+import multiprocessing
 from fractions import Fraction as F
+from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -259,7 +262,8 @@ def test_failed_worker_pool_is_domain_error(monkeypatch):
         def Pool(self, processes):
             raise OSError("cannot fork")
 
-    monkeypatch.setattr(search, "get_context", lambda method: NoFork())
+    # search imports multiprocessing only when it starts a pool
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: NoFork())
     msg = "worker pool failed: cannot fork"
     with pytest.raises(DomainError, match=msg):
         scan_quadratic_periods(3, 10, {1}, workers=2)
@@ -468,8 +472,56 @@ def _brute_points(curve, bound, vs):
 
 def _kernel_points(curve, bound, vlo, vhi):
     L, A = curve.integer_form()
-    found = search._quartic_chunk((range(vlo, vhi), bound, L, A, search._square_masks(bound, L, A)))
+    masks = search._square_masks(bound, L, A)
+    for m, rows in masks:
+        # one row per v mod m, 2B + 1 bits of u, nothing set past them
+        assert rows.dtype == np.uint64 and rows.shape == (m, -(-(2 * bound + 1) // 64))
+        assert all(int.from_bytes(row.tobytes(), "little") >> (2 * bound + 1) == 0 for row in rows)
+    found = search._quartic_chunk((range(vlo, vhi), bound, L, A, masks))
     return {(F(u, v), F(r, L * v * v)) for u, v, r in found}
+
+
+def _sieve_survivors(curve, bound, vs):
+    """Sorted L F(u, v) over the coprime (u, v), |u| <= bound, v in ``vs``,
+    whose value is a square mod every modulus of the sieve: what reaches
+    the kernel's isqrt."""
+    L, A = curve.integer_form()
+    squares = {m: {x * x % m for x in range(m)} for m in search._SQUARE_MODULI}
+    out = []
+    for v in vs:
+        for u in range(-bound, bound + 1):
+            N = L * sum(a * u ** (4 - i) * v**i for i, a in enumerate(A))
+            if math.gcd(u, v) == 1 and all(N % m in sq for m, sq in squares.items()):
+                out.append(N)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("bound", [31, 32, 63, 64])
+@pytest.mark.parametrize("block", [1, 40])
+def test_quartic_kernel_matches_brute_force_across_blocks_and_the_last_word(monkeypatch, bound, block):
+    # 2B + 1 is odd: 63 or 1 mod 64 here, so the last mask word holds 63 bits
+    # of u or one.  Blocks of 1 or 40 v, bits read 3 words at a time, and
+    # ranges of v that start off every modulus's period, so each block ANDs
+    # a head, whole periods and a tail.  The sieve only filters, so beside
+    # the points, the values that reach isqrt are checked too.
+    words = -(-(2 * bound + 1) // 64)
+    monkeypatch.setattr(search, "_WORDS", block * words)
+    monkeypatch.setattr(search, "_SPAN", 3)
+    checked = []
+    record = SimpleNamespace(gcd=math.gcd, isqrt=lambda N: checked.append(N) or math.isqrt(N))
+    monkeypatch.setattr(search, "math", record)
+    start = next(v for v in range(bound // 2, bound) if all(v % m for m in search._SQUARE_MODULI))
+    curves = [
+        QuarticCurve(F(1), F(0), F(0), F(0), F(2 * bound**2 + 1)),  # t = +-B: the first and last bit
+        QuarticCurve(F(1), F(0), F(0), F(0), F(0)),  # every t: a set padding bit would be a point
+        QuarticCurve(F(1, 4), F(0), F(-3, 2), F(1), F(9, 4)),
+    ]
+    for curve in curves:
+        for vlo, vhi in ((1, bound + 1), (2, start + 7), (start, bound + 1)):
+            checked.clear()
+            assert _kernel_points(curve, bound, vlo, vhi) == _brute_points(curve, bound, range(vlo, vhi))
+            assert sorted(checked) == _sieve_survivors(curve, bound, range(vlo, vhi))
+    assert (F(bound), F(bound**2 + 1)) in _kernel_points(curves[0], bound, 1, 2)
 
 
 def test_quartic_kernel_matches_brute_force_across_the_old_int64_switch():
@@ -513,6 +565,12 @@ COEFFS = st.integers(0, 14).flatmap(
 @example((F(1), F(0), F(0), F(0), F(0)), 9, None)  # every t is a point
 @example((F(-3), F(2), F(5), F(0), F(0)), 30, (F(1, 2), F(3)))  # a4 < 0
 @example((F(10**14 - 1, 10**14), F(-(10**14)), F(3), F(0), F(1)), 5, (F(-5, 3), F(7, 9)))
+# 2B + 1 = 63, 65, 127, 129: the last mask word holds 63 bits or one, and
+# the planted t = +-B / v sits in the first or last bit of a row
+@example((F(1), F(0), F(0), F(0), F(0)), 31, None)
+@example((F(1), F(0), F(0), F(0), F(0)), 32, None)
+@example((F(1), F(6), F(7), F(2), F(1)), 63, (F(63, 2), F(5, 4)))
+@example((F(-3), F(2), F(5), F(0), F(0)), 64, (F(-64, 7), F(1, 3)))
 def test_quartic_search_matches_brute_force(coeffs, bound, plant):
     # plant (t0, y0) on the curve by solving for a0
     if plant is not None:
