@@ -216,9 +216,9 @@ def _periods_chunk(args) -> List[dict]:
 _CYCLE_LENGTHS = ((1, 2, 3), (1, 2, 4))  # quad, KB
 
 
-def _cycles_chunk(args) -> List[List[Tuple[Fraction, ...]]]:
-    """Per parameter: its map's rational cycles, each a tuple in orbit
-    order.  Only a parameter with a point builds its map."""
+def _cycles_chunk(args) -> List[List[FrozenSet[Fraction]]]:
+    """Per parameter: its map's rational cycles, each as a set.  Only a
+    parameter with a point builds its map."""
     params, point_bound = args
     out: List[list] = [[] for _ in params]
     for i, found in _sieve(params, _CYCLE_LENGTHS, point_bound).items():
@@ -227,8 +227,8 @@ def _cycles_chunk(args) -> List[List[Tuple[Fraction, ...]]]:
         for n, pts in found.items():
             pts = set(pts)
             while pts:
-                cyc = cycle_from(m, min(pts, key=_rat_key), n)
-                pts.difference_update(cyc)
+                cyc = frozenset(cycle_from(m, min(pts, key=_rat_key), n))
+                pts -= cyc
                 out[i].append(cyc)
     return out
 
@@ -337,8 +337,10 @@ def scan_intersection_bound(
     size >= 3.
 
     Quadratic maps contribute cycles of length 1-3, KB maps of length 1, 2,
-    4.  A hit carries both map descriptors, the shared point, and the
-    intersection; identical-map pairs are skipped.
+    4.  One point index lists the (map index, cycle set) entries through
+    each point; ``scanned_count`` counts the map pairs sharing a point.
+    Only cycles of 3 or more points are intersected.  A hit carries both
+    map descriptors, the least common point, and the intersection.
     """
     box = {"height": bound, "height_point": height_point}
     _check_scan(box, workers, lambda: (n := count_rationals(bound)) + (n - 1) ** 2)
@@ -346,30 +348,23 @@ def scan_intersection_bound(
     cs = list(rational_pairs(bound))
     params = cs + [(k, b) for k in cs if k[0] for b in cs if b[0]]
 
-    point_index: Dict[Fraction, List[Tuple[int, FrozenSet[Fraction]]]] = {}
+    index: Dict[Fraction, List[Tuple[int, FrozenSet[Fraction]]]] = {}
     for i, cycles in enumerate(_map_over(_cycles_chunk, params, workers, height_point)):
         for cyc in cycles:
-            cyc_set = frozenset(cyc)
             for p in cyc:
-                point_index.setdefault(p, []).append((i, cyc_set))
+                index.setdefault(p, []).append((i, cyc))
 
-    hits: List[dict] = []
-    pairs_seen = set()
-    reported = set()
-    for p in sorted(point_index, key=_rat_key):
-        entries = point_index[p]
-        for a in range(len(entries)):
-            for b in range(a + 1, len(entries)):
-                i, set_i = entries[a]
-                j, set_j = entries[b]
-                pairs_seen.add((i, j))
-                common = set_i & set_j
-                if len(common) >= 3 and (i, j, common) not in reported:
-                    reported.add((i, j, common))
-                    hits.append({"map1": _describe(params[i]), "map2": _describe(params[j]),
-                                 "point": format_rational(p), "size": len(common),
-                                 "common": sorted(format_rational(x) for x in common)})
-    return ScanReport("intersection", box, (), tuple(hits), len(pairs_seen), time.perf_counter() - t0)
+    pairs, least = set(), {}  # least: (i, j, common) -> least common point
+    for p in sorted(index, key=_rat_key):
+        pairs.update((i, j) for (i, _), (j, _) in itertools.combinations(index[p], 2))
+        # a common set of 3 needs two cycles of 3 or more points
+        for (i, a), (j, b) in itertools.combinations([e for e in index[p] if len(e[1]) >= 3], 2):
+            if len(common := a & b) >= 3:
+                least.setdefault((i, j, common), p)
+    hits = tuple({"map1": _describe(params[i]), "map2": _describe(params[j]), "point": format_rational(p),
+                  "size": len(common), "common": sorted(format_rational(x) for x in common)}
+                 for (i, j, common), p in least.items())
+    return ScanReport("intersection", box, (), hits, len(pairs), time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +446,13 @@ def _square_masks(bound: int, L: int, A) -> list:
 
 def _quartic_chunk(args) -> List[Tuple[int, int, int]]:
     """(u, v, r) for each coprime u, v with |u| <= bound, v in ``vs`` and
-    L * F(u, v) == r**2: the masks' AND, ``_WORDS`` words of v at a time,
-    the set bits' coprime (u, v), then an exact isqrt."""
+    L * F(u, v) == r**2: its own masks ANDed ``_WORDS`` words of v at a
+    time, the set bits' coprime (u, v), then an exact isqrt."""
     import numpy as np
 
-    vs, bound, L, A, masks = args
+    vs, bound, L, A = args
     A4, A3, A2, A1, A0 = A
+    masks = _square_masks(bound, L, A)
     words = masks[0][1].shape[1]
     found, step = [], max(1, _WORDS // words)
     for v0 in range(vs.start, vs.stop, step):
@@ -498,7 +494,7 @@ def quartic_rational_points(
     nothing overflows at any coefficient size.  Each table becomes an (m, W)
     uint64 array, W = ceil((2B + 1) / 64), whose row v mod m has bit i set
     when u = i - B passes: sum(m) (2B + 1) bits, about 1.36 MB at B = 10^4,
-    built once per call and passed to every chunk.  The kernel ANDs the
+    built by each chunk, so nothing large is pickled.  The kernel ANDs the
     rows into a block of consecutive v, reads the set bits, drops u with
     gcd(u, v) != 1 (they repeat a t of smaller v), and confirms each
     survivor with an exact isqrt in Python ints.  A perfect square is a
@@ -512,8 +508,7 @@ def quartic_rational_points(
         raise parameter_excluded("workers", workers)
     L, A = curve.integer_form()
     t0 = time.perf_counter()
-    masks = _square_masks(bound, L, A)
-    chunks = [(vs, bound, L, A, masks) for vs in _split(range(1, bound + 1), workers)]
+    chunks = [(vs, bound, L, A) for vs in _split(range(1, bound + 1), workers)]
     pts = {}
     for part in _run_chunks(_quartic_chunk, chunks, workers):
         pts.update((Fraction(u, v), Fraction(r, L * v * v)) for u, v, r in part)

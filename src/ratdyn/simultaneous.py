@@ -183,8 +183,7 @@ def two_point_intersection_mixed(p: Fraction, sign: int) -> MixedFamilyTriple:
         raise parameter_excluded("sign", sign)
     if p in (0, Fraction(-1, 2), -1):
         raise parameter_excluded("p", p)
-    k = Fraction(sign) * 2 * p * (p + 1) / (2 * p + 1)
-    b = -Fraction(sign) * p * (p + 1) * (p * p + (p + 1) ** 2) / (2 * p + 1)
+    k, b = _kb_row_period4(p, -sign * p / (p + 1))  # p -> -sign (p + 1)
     return MixedFamilyTriple(
         k, b, -(p * p + p + 1), 2, 4, p, {"p": p, "sign": Fraction(sign)}
     )

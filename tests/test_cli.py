@@ -406,6 +406,24 @@ def test_config_file_missing_is_domain_error(tmp_path):
     assert code == 1 and str(cfg) in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--kind", "kb", "--periods", "1", "--config", "{cfg}"], "invalid config line: 'height_k 2'"),
+    (["dynatomic", "--map", "quad:c=-3", "--n", "4", "--which", "factor4"],
+     "parameter excluded: factor4 requires a kb map"),
+    (["classify", "--map", "quad:c=-3", "--n", "4"], "parameter excluded: n=4"),
+    (["family", "--kind", "fixed", "--n", "1", "--q", "1"], "parameter excluded: --p is required"),
+    (["family", "--kind", "fixed", "--p", "3/2", "--n", "1"],
+     "parameter excluded: --q (or --m for n=4) is required"),
+    (["scan", "--kind", "quad", "--height-c", "2", "--periods", "4,x"], "invalid periods list: '4,x'"),
+    (["quartic", "--coeffs", "1,2,3"], "parameter excluded: --coeffs needs a4,a3,a2,a1,a0"),
+], ids=["config-line", "factor4-quad", "classify-n", "family-p", "family-q", "periods", "coeffs"])
+def test_domain_errors_exit_1_with_their_message(tmp_path, argv, message):
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("height_k 2\n")
+    code, out = run([arg.format(cfg=cfg) for arg in argv])
+    assert (code, out) == (1, message)
+
+
 def test_scan_point_bound_below_one_exits_1():
     code, out = run(
         ["scan", "--kind", "quad", "--height-c", "2", "--height-point", "-3", "--periods", "1"]

@@ -12,7 +12,14 @@ from hypothesis import example, given, settings, strategies as st
 from ratdyn import search
 from ratdyn._intpoly import rational_roots_int
 from ratdyn.classification import kb_period4_family, period3_family
-from ratdyn.core import count_rationals, enumerate_rationals, format_rational, height, rational_sqrt
+from ratdyn.core import (
+    count_rationals,
+    enumerate_rationals,
+    format_rational,
+    height,
+    rational_pairs,
+    rational_sqrt,
+)
 from ratdyn.dynamics import KBMap, QuadraticMap, exact_period, quad_window
 from ratdyn.dynatomic import _dynatomic_x, periodic_points_exact
 from ratdyn.errors import DomainError
@@ -472,12 +479,11 @@ def _brute_points(curve, bound, vs):
 
 def _kernel_points(curve, bound, vlo, vhi):
     L, A = curve.integer_form()
-    masks = search._square_masks(bound, L, A)
-    for m, rows in masks:
+    for m, rows in search._square_masks(bound, L, A):
         # one row per v mod m, 2B + 1 bits of u, nothing set past them
         assert rows.dtype == np.uint64 and rows.shape == (m, -(-(2 * bound + 1) // 64))
         assert all(int.from_bytes(row.tobytes(), "little") >> (2 * bound + 1) == 0 for row in rows)
-    found = search._quartic_chunk((range(vlo, vhi), bound, L, A, masks))
+    found = search._quartic_chunk((range(vlo, vhi), bound, L, A))  # builds its own masks
     return {(F(u, v), F(r, L * v * v)) for u, v, r in found}
 
 
@@ -622,6 +628,44 @@ def test_intersection_scan_finds_sign_pairs():
         k1, b1 = (F(x.split("=")[-1]) for x in h["map1"][3:].split(","))
         k2, b2 = (F(x.split("=")[-1]) for x in h["map2"][3:].split(","))
         assert (k2, b2) == (-k1, -b1)
+
+
+def _pairwise_intersection_scan(bound, height_point, workers):
+    """The intersection scan's canonical dict by the former pair loop: every
+    two entries at every point, all cycles intersected, bookkeeping sets for
+    the pairs seen and the hits reported."""
+    cs = list(rational_pairs(bound))
+    params = cs + [(k, b) for k in cs if k[0] for b in cs if b[0]]
+    point_index = {}
+    for i, cycles in enumerate(search._map_over(search._cycles_chunk, params, workers, height_point)):
+        for cyc in cycles:
+            for p in cyc:
+                point_index.setdefault(p, []).append((i, frozenset(cyc)))
+    hits, pairs_seen, reported = [], set(), set()
+    for p in sorted(point_index, key=search._rat_key):
+        entries = point_index[p]
+        for a in range(len(entries)):
+            for b in range(a + 1, len(entries)):
+                (i, set_i), (j, set_j) = entries[a], entries[b]
+                pairs_seen.add((i, j))
+                common = set_i & set_j
+                if len(common) >= 3 and (i, j, common) not in reported:
+                    reported.add((i, j, common))
+                    hits.append({"map1": search._describe(params[i]), "map2": search._describe(params[j]),
+                                 "point": format_rational(p), "size": len(common),
+                                 "common": sorted(format_rational(x) for x in common)})
+    return {"scan_kind": "intersection", "parameter_box": {"height": bound, "height_point": height_point},
+            "hits": hits, "scanned_count": len(pairs_seen)}
+
+
+def test_intersection_scan_matches_the_pairwise_reference():
+    # one point index, and only cycles of 3 or more points intersected, give
+    # the pair loop's hits in its order and its count of map pairs
+    for bound in (1, 2, 3, 5, 8):
+        for height_point in (3, 50):
+            for workers in (1, 2):
+                got = scan_intersection_bound(bound, height_point, workers=workers).canonical_dict()
+                assert got == _pairwise_intersection_scan(bound, height_point, workers)
 
 
 def test_quartic_examples():
