@@ -1,18 +1,23 @@
 """Height-bounded scans and the quartic point search.
 
-Scans list their box as reduced int parameters in the documented order
-(ascending height, then numerator, then denominator): (num, den) of a quad
-c, ((kn, kd), (bn, bd)) of a KB (k, b).  They find each map's points of
-exact period n and height <= B by one of two exact routes; neither reduces
-mod any prime, and neither builds a map object except for a candidate
-point.
+Scans report their box in the documented order (ascending height, then
+numerator, then denominator) and carry a map as reduced int parameters:
+(num, den) of a quad c, ((kn, kd), (bn, bd)) of a KB (k, b).  They find
+each map's points of exact period n and height <= B by one exact route per
+family; neither reduces mod any prime, and neither builds a map object
+except for a candidate point.  Both routes give (parameter, n, z) rows in
+scan order, one per hit.
 
-A quad map z^2 + c, c = num / den, walks its window.  Every periodic point
-is u/e in lowest terms with den = e^2 and |u| <= top
-(``dynamics.quad_window``), and there the map is integer arithmetic:
-u -> (u^2 + num) / e.  numpy walks the window points with |u| <= min(B,
-top), none unless e <= B, for max(periods) steps.  A point leaves the walk
-when e does not divide u^2 + num or the image passes top, since the image
+A quad map z^2 + c, c = num / den, has every periodic point u/e in lowest
+terms with den = e^2 and |u| <= top (``dynamics.quad_window``), and there
+the map is integer arithmetic: u -> v = (u^2 + num) / e.  So a quad scan
+lists the window's edges, not the maps: for each e <= min(B, isqrt(H(c)))
+it takes u coprime to e with |u| <= B and v up to the window bound at
+|num| = H(c), and sets num = v e - u^2.  It keeps an edge when |num| <=
+H(c) and u, v and v's own image lie in the window of c = num / e^2, as
+they do when u is periodic; a map with no edge is never touched.  numpy
+then walks the kept u for max(periods) steps.  A point leaves the walk
+when e does not divide z^2 + num or the image passes top, since the image
 then lies outside the window and is not periodic; the first step that
 brings it back to u is its exact period.
 
@@ -29,10 +34,10 @@ multiplier is a primitive (n/d)-th root of unity.
 
 A scan thus finds exactly the points of height <= B and exact period n:
 the set that ``dynatomic.periodic_points_exact`` returns with
-``height_bound=B``.  Workers partition the list of parameters into
-contiguous chunks and merge in chunk order, so any worker count yields
-byte-identical canonical output; ``elapsed`` is carried on the report
-object but never serialized.
+``height_bound=B``.  Workers take contiguous chunks of the KB parameters,
+merged in chunk order, or of the quad e, whose rows are then sorted into
+scan order, so any worker count yields byte-identical canonical output;
+``elapsed`` is carried on the report object but never serialized.
 
 The quartic search, an exact residue sieve over the curve's binary quartic,
 is described at ``quartic_rational_points``.
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +55,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ._intpoly import rational_roots_int
 from .core import count_rationals, format_rational, height, is_rational_square, rational_pairs
-from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period, quad_window
+from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period
 from .dynatomic import _dynatomic_x
 from .errors import DomainError, parameter_excluded
 
@@ -119,35 +125,75 @@ def _check_periods(periods) -> Tuple[int, ...]:
 
 # --- the two exact routes --------------------------------------------------
 
-_CELLS = 2**16  # cap on the quad window points walked in one array
-
-
-def _window(cs, periods, bound: int):
-    """(row, u, e, n) for each window point u/e of the ``row``-th quad map,
-    c = cs[row] = (num, den), whose exact period n is in ``periods``: the
-    integer walk of the module docstring, ``_CELLS`` points at a time."""
+def _quad_points(args) -> List[Tuple[Tuple[int, int], int, Fraction]]:
+    """(c, n, z) for each c = (num, e^2) with e in ``es`` and |num| <=
+    ``height_c``, and each point z = u/e of c's window with |u| <= ``bound``
+    and exact period n in ``periods``, unsorted: the edge walk of the module
+    docstring."""
     import numpy as np
 
-    # exact in int64 while top^2 + |num| < 2**63: |num| <= height_c, and a
-    # scan holds all 2 height_c + 1 numerators of its box in memory
-    num = np.array([n for n, _ in cs], dtype=np.int64)
-    e, top = (np.array(a, dtype=np.int64) for a in zip(*(quad_window(n, d) for n, d in cs)))
-    w = np.minimum(top, bound)
-    size = np.where((0 < e) & (e <= bound), 2 * w + 1, 0)
-    for rows in np.split(np.arange(len(w)), np.flatnonzero(np.diff(np.cumsum(size) // _CELLS)) + 1):
-        row = np.repeat(rows, size[rows])
-        u = np.arange(row.size) - np.repeat(np.cumsum(size[rows]) - size[rows] + w[rows], size[rows])
-        keep = np.gcd(u, e[row]) == 1
-        row, u = row[keep], u[keep]
-        c, v, t, z = num[row], e[row], top[row], u
-        for n in range(1, periods[-1] + 1):
-            z, r = np.divmod(z * z + c, v)
-            live = (r == 0) & (np.abs(z) <= t)
-            back = live & (z == u)
-            if n in periods:
-                yield from zip(row[back].tolist(), u[back].tolist(), v[back].tolist(), itertools.repeat(n))
-            live &= ~back
-            row, u, c, v, t, z = (a[live] for a in (row, u, c, v, t, z))
+    es, height_c, bound, periods = args
+    # |z| <= top(num, e) iff |z| (|z| - e) <= |num|: the window test, no isqrt
+    inside = lambda z, e, num: abs(z) * (abs(z) - e) <= abs(num)
+    # exact in int64: e <= isqrt(height_c) <= 1000 gives T <= 1618, so every
+    # value stays below about 4 * 10**6, and an image past top squared below 2 * 10**13
+    edges = []
+    for e in es:
+        T = (e + math.isqrt(e * e + 4 * height_c)) // 2  # top at |num| = height_c
+        u = np.arange(-min(bound, T), min(bound, T) + 1, dtype=np.int64)
+        u = u[np.gcd(u, e) == 1][:, None]  # then gcd(num, e) = gcd(u^2, e) = 1
+        v = np.arange(-T, T + 1, dtype=np.int64)
+        num = v * e - u * u
+        iu, iv = np.nonzero((abs(num) <= height_c) & inside(u, e, num) & inside(v, e, num))
+        u, v, num = u[iu, 0], v[iv], num[iu, iv]
+        # u's second image lies in the window too if u is periodic
+        w, r = np.divmod(v * v + num, e)
+        keep = (r == 0) & inside(w, e, num)
+        edges.append((np.full(np.count_nonzero(keep), e, dtype=np.int64), num[keep], u[keep]))
+    e, num, u = (np.concatenate(a) for a in zip(*edges))
+    rows, z = [], u
+    for n in range(1, periods[-1] + 1):
+        z, r = np.divmod(z * z + num, e)
+        live = (r == 0) & inside(z, e, num)
+        back = live & (z == u)
+        if n in periods:
+            rows += [((c, d * d), n, Fraction(x, d))
+                     for c, d, x in zip(num[back].tolist(), e[back].tolist(), u[back].tolist())]
+        live &= ~back
+        e, num, u, z = e[live], num[live], u[live], z[live]
+    return rows
+
+
+def _kb_points(args) -> List[Tuple[tuple, int, Fraction]]:
+    """(p, n, z) for each KB parameter p = ((kn, kd), (bn, bd)) in ``params``
+    and each point z of p's map with exact period n in ``periods`` and height
+    <= ``bound``, in scan order: the roots s of each k's Phi*_n in w, z =
+    +-sqrt(b s), and one ``exact_period`` call per z, on the one map built
+    per candidate z."""
+    params, periods, bound = args
+    by_k: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+    for i, (k, b) in enumerate(params):
+        by_k.setdefault(k, []).append((i, *b))
+    found = []
+    for k, rows in by_k.items():
+        k = Fraction(*k)
+        unit, hs = KBMap(k, Fraction(1)), bound * bound * max(max(abs(bn), bd) for _, bn, bd in rows)
+        for n in periods:
+            roots = [s.as_integer_ratio() for s in rational_roots_int(_dynatomic_x(unit, n), hs) if s]
+            for (i, bn, bd), (sn, sd) in itertools.product(rows, roots):
+                t = bn * bd * sn * sd  # b s = t / (bd sd)^2
+                if t <= 0 or (r := math.isqrt(t)) * r != t or height(z := Fraction(r, bd * sd)) > bound:
+                    continue
+                m = KBMap(k, Fraction(bn, bd))
+                for z in (-z, z):
+                    try:
+                        period = exact_period(m, z)
+                    except DomainError as exc:
+                        raise DomainError(f"{m.describe()}, n={n}: {exc}") from None
+                    if period == n:
+                        found.append((i, n, z))
+    found.sort(key=lambda row: (row[0], row[1], _rat_key(row[2])))
+    return [(params[i], n, z) for i, n, z in found]
 
 
 def _is_kb(p) -> bool:
@@ -161,84 +207,13 @@ def _describe(p) -> str:
     return "kb:k={},b={}".format(*r) if _is_kb(p) else f"quad:c={r[0]}"
 
 
-def _sieve(params, periods_of, bound: int) -> Dict[int, Dict[int, List[Fraction]]]:
-    """{i: {n: points}} for each parameter params[i] whose map has a point of
-    exact period n in ``periods_of[_is_kb(p)]`` with height <= ``bound``,
-    the points in ``_rat_key`` order.  A parameter is reduced ints: (num,
-    den) of a quad c, or ((kn, kd), (bn, bd)) of a KB (k, b).  The routes
-    are the module docstring's: ``_window`` for the quad parameters; for the
-    KB ones the roots s of each k's Phi*_n in w, z = +-sqrt(b s), and one
-    ``exact_period`` call per z, on the one map built per candidate z."""
-    found: Dict[int, Dict[int, List[Fraction]]] = {}
-
-    def add(i, n, z):
-        found.setdefault(i, {k: [] for k in periods_of[_is_kb(params[i])]})[n].append(z)
-
-    quads: List[int] = []
-    by_k: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
-    for i, p in enumerate(params):
-        if _is_kb(p):
-            by_k.setdefault(p[0], []).append((i, *p[1]))
-        else:
-            quads.append(i)
-    if quads:
-        for row, u, e, n in _window([params[i] for i in quads], periods_of[0], bound):
-            add(quads[row], n, Fraction(u, e))
-    for k, rows in by_k.items():
-        k = Fraction(*k)
-        unit, hs = KBMap(k, Fraction(1)), bound * bound * max(max(abs(bn), bd) for _, bn, bd in rows)
-        for n in periods_of[1]:
-            roots = [s.as_integer_ratio() for s in rational_roots_int(_dynatomic_x(unit, n), hs) if s]
-            for (i, bn, bd), (sn, sd) in itertools.product(rows, roots):
-                t = bn * bd * sn * sd  # b s = t / (bd sd)^2
-                if t <= 0 or (r := math.isqrt(t)) * r != t or height(z := Fraction(r, bd * sd)) > bound:
-                    continue
-                m = KBMap(k, Fraction(bn, bd))
-                for z in (-z, z):
-                    try:
-                        period = exact_period(m, z)
-                    except DomainError as exc:
-                        raise DomainError(f"{m.describe()}, n={n}: {exc}") from None
-                    if period == n:
-                        add(i, n, z)
-    return {i: {n: sorted(pts, key=_rat_key) for n, pts in found[i].items()} for i in sorted(found)}
-
-
-# --- workers (top level so they pickle) -----------------------------------
-
-def _periods_chunk(args) -> List[dict]:
-    params, periods, point_bound = args
-    found = _sieve(params, (periods, periods), point_bound)
-    return [{"map": name, "point": format_rational(z), "period": n} for i, pts in found.items()
-            for name in (_describe(params[i]),) for n in periods for z in pts[n]]
-
-
-_CYCLE_LENGTHS = ((1, 2, 3), (1, 2, 4))  # quad, KB
-
-
-def _cycles_chunk(args) -> List[List[FrozenSet[Fraction]]]:
-    """Per parameter: its map's rational cycles, each as a set.  Only a
-    parameter with a point builds its map."""
-    params, point_bound = args
-    out: List[list] = [[] for _ in params]
-    for i, found in _sieve(params, _CYCLE_LENGTHS, point_bound).items():
-        p = params[i]
-        m = KBMap(Fraction(*p[0]), Fraction(*p[1])) if _is_kb(p) else QuadraticMap(Fraction(*p))
-        for n, pts in found.items():
-            pts = set(pts)
-            while pts:
-                cyc = frozenset(cycle_from(m, min(pts, key=_rat_key), n))
-                pts -= cyc
-                out[i].append(cyc)
-    return out
-
-
 def _run_chunks(worker, chunks, workers: int):
     if workers <= 1 or len(chunks) <= 1:
         return [worker(ch) for ch in chunks]
     import multiprocessing  # here, not at the top: most runs start no pool
     try:
-        with multiprocessing.get_context("fork").Pool(min(workers, len(chunks))) as pool:
+        # no more processes than CPUs: the bytes do not depend on the pool
+        with multiprocessing.get_context("fork").Pool(min(workers, len(chunks), os.cpu_count() or 1)) as pool:
             return pool.map(worker, chunks)
     except (OSError, ImportError) as exc:
         raise DomainError(f"worker pool failed: {exc}") from None
@@ -246,24 +221,39 @@ def _run_chunks(worker, chunks, workers: int):
 
 def _split(seq: Sequence, parts: int) -> List[Sequence]:
     """``seq`` in at most ``parts`` contiguous nonempty pieces."""
+    parts = min(parts, len(seq))  # the same pieces, without listing every empty one
     ends = [len(seq) * i // parts for i in range(parts + 1)]
     return [seq[a:b] for a, b in zip(ends, ends[1:]) if a < b]
 
 
-def _map_over(worker, params: list, workers: int, *args) -> list:
+def _map_over(worker, params: Sequence, workers: int, *args) -> list:
     """``worker`` over contiguous chunks of ``params``, merged in chunk order."""
     chunks = [(chunk,) + args for chunk in _split(params, workers * 8 if workers > 1 else 1)]
     return [x for part in _run_chunks(worker, chunks, workers) for x in part]
 
 
+def _quad_es(height_c: int, bound: int) -> range:
+    """The e with e^2 <= height_c and e <= bound: only a c = num / e^2 with
+    such an e has window points of height <= bound."""
+    return range(1, min(bound, math.isqrt(max(height_c, 0))) + 1)
+
+
+def _quad_rows(height_c: int, bound: int, periods, workers: int) -> list:
+    """The rows of ``_quad_points`` over the box H(c) <= height_c, chunked
+    by e, in scan order."""
+    rows = _map_over(_quad_points, _quad_es(height_c, bound), workers, height_c, bound, periods)
+    return sorted(rows, key=lambda row: (max(abs(row[0][0]), row[0][1]), *row[0], row[1], _rat_key(row[2])))
+
+
 def _check_scan(box: Dict[str, int], workers: int, size) -> None:
     """Refuse a scan before it counts or lists anything.  Each height and
     the point bound must be <= 10**6, so that ``count_rationals(h)``, in
-    O(h^(3/4)) steps, stays ~0.03 s, and a quad window walks ~2 height_point
-    points per map.  Then ``size()``, the number of parameters the scan
-    lists (a bound on it for quad), must be <= 10**7, about a GB of int
-    tuples.  Every quad box with H(c) <= 10**4 passes at any point bound:
-    (2 H(c) + 1) isqrt(H(c)) is about 2 * 10**6."""
+    O(h^(3/4)) steps, stays ~0.03 s, and a quad scan's numbers stay small
+    (``_quad_points``).  Then ``size()`` must be <= 10**7: the number of
+    parameters a KB or intersection scan lists, about a GB of int tuples,
+    and for quad, which lists none, the (2 height_c + 1) len(es) c = num /
+    e^2 that can have a window point.  Every quad box with H(c) <= 10**4
+    passes at any point bound: (2 H(c) + 1) isqrt(H(c)) is about 2 * 10**6."""
     if not 1 <= box["height_point"] <= 10**6:
         raise parameter_excluded("height_point", box["height_point"])
     if workers < 1:
@@ -275,16 +265,16 @@ def _check_scan(box: Dict[str, int], workers: int, size) -> None:
         raise parameter_excluded("box", n)
 
 
-def _scan_periods(kind, box, periods, size, make_params, workers) -> ScanReport:
-    """The period scans: validate, list the parameters, fan out, report.
-    ``make_params`` returns the parameters to search and the size of the
-    box."""
+def _scan_periods(kind, box, periods, size, find, workers) -> ScanReport:
+    """The period scans: validate, find, report one hit per row.
+    ``find(periods)`` returns the (parameter, n, z) rows in scan order and
+    the size of the box."""
     periods = _check_periods(periods)
     _check_scan(box, workers, size)
     t0 = time.perf_counter()
-    params, scanned = make_params()
-    hits = _map_over(_periods_chunk, params, workers, periods, box["height_point"])
-    return ScanReport(kind, box, periods, tuple(hits), scanned, time.perf_counter() - t0)
+    rows, scanned = find(periods)
+    hits = tuple({"map": _describe(p), "point": format_rational(z), "period": n} for p, n, z in rows)
+    return ScanReport(kind, box, periods, hits, scanned, time.perf_counter() - t0)
 
 
 def scan_quadratic_periods(
@@ -295,16 +285,14 @@ def scan_quadratic_periods(
 ) -> ScanReport:
     """Search z^2 + c, height(c) <= height_c, for rational points of the
     given exact periods with height <= height_point."""
-    # by ``quad_window``, only c = n / e^2 with e <= height_point can have hits
-    es = range(1, min(height_point, math.isqrt(max(height_c, 0))) + 1)
 
-    def make_params():
+    def find(periods):
         scanned = count_rationals(height_c)  # first: it rejects height_c < 1
-        cs = [(n, e * e) for e in es for n in range(-height_c, height_c + 1) if math.gcd(n, e) == 1]
-        return sorted(cs, key=lambda c: (max(abs(c[0]), c[1]), *c)), scanned
+        return _quad_rows(height_c, height_point, periods, workers), scanned
 
     box = {"height_c": height_c, "height_point": height_point}
-    return _scan_periods("quad", box, periods, lambda: (2 * height_c + 1) * len(es), make_params, workers)
+    size = lambda: (2 * height_c + 1) * len(_quad_es(height_c, height_point))  # the c that can have a point
+    return _scan_periods("quad", box, periods, size, find, workers)
 
 
 def scan_kb_periods(
@@ -317,14 +305,14 @@ def scan_kb_periods(
     """Search kz + b/z over the (k, b) height box for rational points of the
     given exact periods with height <= height_point."""
 
-    def make_params():
+    def find(periods):
         bs = [b for b in rational_pairs(height_b) if b[0]]
         params = [(k, b) for k in rational_pairs(height_k) if k[0] for b in bs]
-        return params, len(params)
+        return _map_over(_kb_points, params, workers, periods, height_point), len(params)
 
     box = {"height_k": height_k, "height_b": height_b, "height_point": height_point}
     return _scan_periods("kb", box, periods, lambda: (count_rationals(height_k) - 1)
-                         * (count_rationals(height_b) - 1), make_params, workers)
+                         * (count_rationals(height_b) - 1), find, workers)
 
 
 def scan_intersection_bound(
@@ -337,33 +325,40 @@ def scan_intersection_bound(
     size >= 3.
 
     Quadratic maps contribute cycles of length 1-3, KB maps of length 1, 2,
-    4.  One point index lists the (map index, cycle set) entries through
-    each point; ``scanned_count`` counts the map pairs sharing a point.
-    Only cycles of 3 or more points are intersected.  A hit carries both
-    map descriptors, the least common point, and the intersection.
+    4: the two routes' rows, grouped per map, each cycle walked from its
+    least point.  One point index lists the (map, cycle set) entries
+    through each point, in scan order; ``scanned_count`` counts the map
+    pairs sharing a point.  Only cycles of 3 or more points are
+    intersected.  A hit carries both map descriptors, the least common
+    point, and the intersection.
     """
     box = {"height": bound, "height_point": height_point}
     _check_scan(box, workers, lambda: (n := count_rationals(bound)) + (n - 1) ** 2)
     t0 = time.perf_counter()
-    cs = list(rational_pairs(bound))
-    params = cs + [(k, b) for k in cs if k[0] for b in cs if b[0]]
+    ks = [r for r in rational_pairs(bound) if r[0]]
+    rows = _quad_rows(bound, height_point, (1, 2, 3), workers) + _map_over(
+        _kb_points, [(k, b) for k in ks for b in ks], workers, (1, 2, 4), height_point)
 
-    index: Dict[Fraction, List[Tuple[int, FrozenSet[Fraction]]]] = {}
-    for i, cycles in enumerate(_map_over(_cycles_chunk, params, workers, height_point)):
-        for cyc in cycles:
-            for p in cyc:
-                index.setdefault(p, []).append((i, cyc))
+    index: Dict[Fraction, List[Tuple[tuple, FrozenSet[Fraction]]]] = {}
+    for p, group in itertools.groupby(rows, key=lambda row: row[0]):
+        m = KBMap(Fraction(*p[0]), Fraction(*p[1])) if _is_kb(p) else QuadraticMap(Fraction(*p))
+        done = set()
+        for _, n, z in group:  # by n, then from the least point of each cycle
+            if z not in done:
+                done |= (cyc := frozenset(cycle_from(m, z, n)))
+                for x in cyc:
+                    index.setdefault(x, []).append((p, cyc))
 
-    pairs, least = set(), {}  # least: (i, j, common) -> least common point
-    for p in sorted(index, key=_rat_key):
-        pairs.update((i, j) for (i, _), (j, _) in itertools.combinations(index[p], 2))
+    pairs, least = set(), {}  # least: (p, q, common) -> least common point
+    for x in sorted(index, key=_rat_key):
+        pairs.update((p, q) for (p, _), (q, _) in itertools.combinations(index[x], 2))
         # a common set of 3 needs two cycles of 3 or more points
-        for (i, a), (j, b) in itertools.combinations([e for e in index[p] if len(e[1]) >= 3], 2):
+        for (p, a), (q, b) in itertools.combinations([e for e in index[x] if len(e[1]) >= 3], 2):
             if len(common := a & b) >= 3:
-                least.setdefault((i, j, common), p)
-    hits = tuple({"map1": _describe(params[i]), "map2": _describe(params[j]), "point": format_rational(p),
-                  "size": len(common), "common": sorted(format_rational(x) for x in common)}
-                 for (i, j, common), p in least.items())
+                least.setdefault((p, q, common), x)
+    hits = tuple({"map1": _describe(p), "map2": _describe(q), "point": format_rational(x),
+                  "size": len(common), "common": sorted(format_rational(y) for y in common)}
+                 for (p, q, common), x in least.items())
     return ScanReport("intersection", box, (), hits, len(pairs), time.perf_counter() - t0)
 
 

@@ -80,6 +80,11 @@ GOLDEN_CASES = {
     "scan_quad_h20_p100.json": [
         "scan", "--kind", "quad", "--height-c", "20", "--height-point", "100", "--periods", "1,2,3",
     ],
+    # 468 hits over 14 denominators e^2: the window work dominates; also
+    # diffed against the installed console script in CI, at one and two workers
+    "scan_quad_h200_p100.json": [
+        "scan", "--kind", "quad", "--height-c", "200", "--height-point", "100", "--periods", "1,2,3",
+    ],
     # many maps have sqrt(den(c)) > 3, so the scan drops them unsearched
     "scan_quad_h40_p3.json": [
         "scan", "--kind", "quad", "--height-c", "40", "--height-point", "3", "--periods", "1,2,3",
@@ -465,10 +470,11 @@ def test_scan_failed_worker_pool_exits_1(monkeypatch):
         def Pool(self, processes):
             raise OSError("cannot fork")
 
-    # search imports multiprocessing only when it starts a pool
+    # search imports multiprocessing only when it starts a pool; a quad box
+    # of height 4 has two e, so two chunks
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: NoFork())
     code, out = run(
-        ["scan", "--kind", "quad", "--height-c", "3", "--height-point", "10",
+        ["scan", "--kind", "quad", "--height-c", "4", "--height-point", "10",
          "--periods", "1", "--workers", "2"]
     )
     assert code == 1 and out == "worker pool failed: cannot fork"

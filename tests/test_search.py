@@ -1,9 +1,11 @@
+import functools
+import itertools
 import json
 import math
 import multiprocessing
+import os
 from fractions import Fraction as F
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,16 +13,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from ratdyn import search
 from ratdyn._intpoly import rational_roots_int
-from ratdyn.classification import kb_period4_family, period3_family
+from ratdyn.classification import kb_period4_family, period3_family, quad_periodic_points
 from ratdyn.core import (
     count_rationals,
     enumerate_rationals,
     format_rational,
     height,
-    rational_pairs,
     rational_sqrt,
 )
-from ratdyn.dynamics import KBMap, QuadraticMap, exact_period, quad_window
+from ratdyn.dynamics import KBMap, QuadraticMap, cycle_from, exact_period, quad_window
 from ratdyn.dynatomic import _dynatomic_x, periodic_points_exact
 from ratdyn.errors import DomainError
 from ratdyn.search import (
@@ -192,10 +193,11 @@ def test_scans_build_maps_only_for_candidates(monkeypatch):
 
 
 def test_chunks_that_cut_a_run_of_b_merge_to_the_same_bytes(monkeypatch):
-    # three workers split the parameters into 24 contiguous chunks: a chunk
-    # then starts inside one k's run of b (and an intersection chunk mixes
-    # quad and KB parameters); merged in chunk order the bytes are those of
-    # one worker
+    # three workers split the KB parameters into 24 contiguous chunks: a
+    # chunk then starts inside one k's run of b; merged in chunk order the
+    # bytes are those of one worker.  The intersection scan sends its quad
+    # part out first, as contiguous ranges of e, and no chunk mixes the
+    # families
     real, cuts = search._run_chunks, []
 
     def spy(worker, chunks, workers):
@@ -203,15 +205,15 @@ def test_chunks_that_cut_a_run_of_b_merge_to_the_same_bytes(monkeypatch):
         return real(worker, chunks, workers)
 
     monkeypatch.setattr(search, "_run_chunks", spy)
-    for scan, mixed in ((lambda w: scan_kb_periods(2, 4, 50, (1, 2, 4), workers=w), False),
-                        (lambda w: scan_intersection_bound(5, 50, workers=w), True)):
+    for scan in (lambda w: scan_kb_periods(2, 4, 50, (1, 2, 4), workers=w),
+                 lambda w: scan_intersection_bound(5, 50, workers=w)):
         one = scan(1)
         assert one.hits and json.dumps(scan(3).canonical_dict()) == json.dumps(one.canonical_dict())
         chunks = cuts[-1]
         assert len(chunks) == 24
-        assert any(search._is_kb(a[-1]) and search._is_kb(b[0]) and a[-1][0] == b[0][0]
-                   for a, b in zip(chunks, chunks[1:]))
-        assert mixed == any(not search._is_kb(ch[0]) and search._is_kb(ch[-1]) for ch in chunks)
+        assert all(search._is_kb(p) for ch in chunks for p in ch)
+        assert any(a[-1][0] == b[0][0] for a, b in zip(chunks, chunks[1:]))
+    assert cuts[-2] == [range(1, 2), range(2, 3)]  # e <= isqrt(5)
 
 
 def test_worker_errors_name_map_and_period(monkeypatch):
@@ -269,17 +271,48 @@ def test_failed_worker_pool_is_domain_error(monkeypatch):
         def Pool(self, processes):
             raise OSError("cannot fork")
 
-    # search imports multiprocessing only when it starts a pool
+    # search imports multiprocessing only when it starts a pool; a quad box
+    # of height 4 has two e, so two chunks
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: NoFork())
     msg = "worker pool failed: cannot fork"
     with pytest.raises(DomainError, match=msg):
-        scan_quadratic_periods(3, 10, {1}, workers=2)
+        scan_quadratic_periods(4, 10, {1}, workers=2)
     with pytest.raises(DomainError, match=msg):
         scan_intersection_bound(2, 10, workers=2)
     with pytest.raises(DomainError, match=msg):
         quartic_rational_points(QuarticCurve(F(1), F(6), F(7), F(2), F(1)), 20, workers=2)
     # one worker never builds a pool
     assert scan_quadratic_periods(2, 10, {1}, workers=1).hits
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # a fake pool records its size and maps serially: no process is started
+    sizes = []
+
+    class Serial:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, chunks):
+            return [worker(ch) for ch in chunks]
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Serial))
+    scans = (
+        lambda w: scan_quadratic_periods(20, 100, (1, 2, 3), workers=w),
+        lambda w: scan_kb_periods(2, 2, 10, {1, 2}, workers=w),
+        lambda w: scan_intersection_bound(3, 50, workers=w),
+        lambda w: quartic_rational_points(QuarticCurve(F(1), F(6), F(7), F(2), F(1)), 20, workers=w),
+    )
+    for scan in scans:
+        sizes.clear()
+        assert json.dumps(scan(10**6).canonical_dict()) == json.dumps(scan(1).canonical_dict())
+        assert sizes and all(1 <= n <= (os.cpu_count() or 1) for n in sizes)
 
 
 # --- the scan routes against the dynatomic route ---------------------------
@@ -295,18 +328,20 @@ def _param(m):
 
 
 def _assert_sieve_is_dynatomic(maps, periods_of, bound):
-    # periods_of = (quad periods, KB periods); the sieve reports exactly the
-    # maps with a point, and each map's points per requested n
-    found = search._sieve([_param(m) for m in maps], periods_of, bound)
-    out = []
-    for i, m in enumerate(maps):
-        want = {n: sorted(periodic_points_exact(m, n, height_bound=bound), key=search._rat_key)
-                for n in periods_of[type(m) is KBMap]}
-        assert found.get(i, {n: [] for n in want}) == want, (m.describe(), bound)
-        assert (i in found) == any(want.values()), (m.describe(), bound)
-        out.append(want)
-    assert set(found) <= set(range(len(maps)))
-    return out
+    # periods_of = (quad periods, KB periods).  Each quad map goes through the
+    # quad route over the box of its height, and all KB maps at once through
+    # the KB route; the rows are exactly each map's points per requested n,
+    # in scan order
+    kbs = [m for m in maps if type(m) is KBMap]
+    want_of = {m: {n: sorted(periodic_points_exact(m, n, height_bound=bound), key=search._rat_key)
+                   for n in periods_of[type(m) is KBMap]} for m in maps}
+    kb_rows = search._kb_points(([_param(m) for m in kbs], periods_of[1], bound))
+    assert kb_rows == [(_param(m), n, z) for m in kbs for n, pts in want_of[m].items() for z in pts], bound
+    for m in maps:
+        if type(m) is QuadraticMap:
+            rows = [r for r in search._quad_rows(height(m.c), bound, periods_of[0], 1) if r[0] == _param(m)]
+            assert rows == [(_param(m), n, z) for n, pts in want_of[m].items() for z in pts], (m.describe(), bound)
+    return [want_of[m] for m in maps]
 
 
 @settings(max_examples=40, deadline=None)
@@ -316,38 +351,30 @@ def _assert_sieve_is_dynatomic(maps, periods_of, bound):
 @example([KBMap(F(-23, 30), F(29, 21))], (1,), (8,), 8)  # square-free Phi*_8, 3 bad primes
 def test_sieve_matches_dynatomic_on_mixed_chunks(maps, quad_periods, kb_periods, bound):
     # parameters reach height 60, so the KB roots s = z^2 / b reach height
-    # B^2 H(b), far past B; a chunk mixes both families, as the intersection
-    # scan's do
+    # B^2 H(b), far past B; the KB chunk repeats and interleaves k, and each
+    # quad map is found among the maps of its box
     _assert_sieve_is_dynatomic(maps, (quad_periods, kb_periods), bound)
 
 
-# quad maps with a window (den(c) a square) as often as without one
-_QUAD_BLOCKS = st.lists(st.builds(QuadraticMap, rationals(60) | st.builds(
-    lambda n, e: F(n, e * e), st.integers(-60, 60), st.integers(1, 8))), min_size=1, max_size=6)
-
-
 @settings(max_examples=40, deadline=None)
-@given(_QUAD_BLOCKS, st.integers(1, 12), _PERIODS, st.sampled_from([1, 8, search._CELLS]))
-@example([QuadraticMap(F(-13)), QuadraticMap(F(-29, 16)), QuadraticMap(F(1, 2))], 4, (2, 3), 8)
-@example([QuadraticMap(F(-13)), QuadraticMap(F(-3, 2))], 2, (1, 2), 1)  # clipped; no window
-@example([QuadraticMap(F(-29, 16)), QuadraticMap(F(-21, 16))], 3, (1, 2, 3), 2**16)  # e > bound
-@example([QuadraticMap(F(-29, 16)), QuadraticMap(F(-3, 4))], 8, (7, 8), 8)  # beyond every period
-def test_window_walk_gives_the_exact_periods_of_plain_iteration(block, bound, periods, cells):
-    # each quad map's window, v = e and |u| <= min(bound, top) in lowest
-    # terms: the walk reports (row, u, e, n) for exactly the points whose
-    # exact_period n is requested, however the windows are cut into blocks
-    # of about ``cells``
-    with mock.patch.object(search, "_CELLS", cells):
-        got = list(search._window([m.c.as_integer_ratio() for m in block], periods, bound))
+@given(st.integers(1, 40), st.integers(1, 12), _PERIODS, st.integers(0, 3))
+@example(29, 4, (2, 3), 0)
+@example(13, 2, (1, 2), 0)  # clipped: c = -13 has top 4
+@example(29, 3, (1, 2, 3), 1)  # -29/16 has e = 4 > bound: not walked
+@example(29, 8, (7, 8), 2)  # beyond every period
+def test_window_walk_gives_the_exact_periods_of_plain_iteration(height_c, bound, periods, skip):
+    # every c = num / e^2 of a small box with e in a chunk of ``_quad_es``
+    # and every point of its window, u/e in lowest terms with |u| <=
+    # min(bound, top): the edge walk reports (c, n, u/e) for exactly the
+    # points whose exact_period n is requested
+    es = search._quad_es(height_c, bound)[skip:]
+    got = search._quad_points((es, height_c, bound, periods)) if es else []
     want = []
-    for row, m in enumerate(block):
-        e, top = quad_window(*m.c.as_integer_ratio())
-        if not 0 < e <= bound:
-            continue
-        w = min(bound, top)
-        for u in (u for u in range(-w, w + 1) if math.gcd(u, e) == 1):
-            if (n := exact_period(m, F(u, e))) in periods:
-                want.append((row, u, e, n))
+    for e, num in itertools.product(es, range(-height_c, height_c + 1)):
+        m, (_, top) = QuadraticMap(F(num, e * e)), quad_window(num, e * e)
+        for u in range(-min(bound, top), min(bound, top) + 1):
+            if math.gcd(u, e) == 1 and math.gcd(num, e) == 1 and (n := exact_period(m, F(u, e))) in periods:
+                want.append(((num, e * e), n, F(u, e)))
     assert len(set(got)) == len(got) and sorted(got) == sorted(want)
 
 
@@ -379,10 +406,27 @@ def test_quad_scan_building_only_kept_maps_keeps_the_box():
     want = [{"map": m.describe(), "point": format_rational(z), "period": n} for m in box for n in (1, 2, 3)
             for z in sorted(periodic_points_exact(m, n, height_bound=3), key=search._rat_key)]
     assert list(one.hits) == want
-    assert want == search._map_over(search._periods_chunk, [_param(m) for m in box], 1, (1, 2, 3), 3)
+    # the same rows come from each e of the box alone
+    rows = sorted((r for e in range(1, 4) for r in search._quad_points((range(e, e + 1), 12, 3, (1, 2, 3)))),
+                  key=lambda r: (height(F(*r[0])), *r[0], r[1], search._rat_key(r[2])))
+    assert want == [{"map": f"quad:c={format_rational(F(*c))}", "point": format_rational(z), "period": n}
+                    for c, n, z in rows]
     assert {h["map"] for h in one.hits} >= {"quad:c=-3/4", "quad:c=2/9"}
     two = scan_quadratic_periods(12, 3, (1, 2, 3), workers=2)
     assert json.dumps(two.canonical_dict()) == json.dumps(one.canonical_dict())
+
+
+def test_quad_scan_matches_the_closed_forms():
+    # an independent check: the closed forms of periods 1-3 share no code
+    # with the edge walk.  Every c = num / e^2 of the box, in scan order; the
+    # other c have no rational periodic point
+    box = sorted((F(num, e * e) for e in range(1, math.isqrt(500) + 1) for num in range(-500, 501)
+                  if math.gcd(num, e) == 1), key=search._rat_key)
+    want = [{"map": QuadraticMap(c).describe(), "point": format_rational(z), "period": n}
+            for c in box for n in (1, 2, 3)
+            for z in sorted((z for z in quad_periodic_points(c, n) if height(z) <= 100), key=search._rat_key)]
+    assert len(want) == 1158
+    assert list(scan_quadratic_periods(500, 100, (1, 2, 3)).hits) == want
 
 
 def test_quad_periodic_points_have_denominator_sqrt_den_c():
@@ -630,17 +674,31 @@ def test_intersection_scan_finds_sign_pairs():
         assert (k2, b2) == (-k1, -b1)
 
 
-def _pairwise_intersection_scan(bound, height_point, workers):
+@functools.lru_cache(maxsize=None)
+def _dynatomic_box(bound):
+    """Every map of the intersection box, in scan order, and per map its
+    points {n: points of height <= 50} by the dynatomic route."""
+    cs = list(enumerate_rationals(bound))
+    maps = [QuadraticMap(c) for c in cs] + [KBMap(k, b) for k in cs if k for b in cs if b]
+    return maps, [{n: periodic_points_exact(m, n, height_bound=50)
+                   for n in ((1, 2, 4) if type(m) is KBMap else (1, 2, 3))} for m in maps]
+
+
+def _pairwise_intersection_scan(bound, height_point):
     """The intersection scan's canonical dict by the former pair loop: every
     two entries at every point, all cycles intersected, bookkeeping sets for
-    the pairs seen and the hits reported."""
-    cs = list(rational_pairs(bound))
-    params = cs + [(k, b) for k in cs if k[0] for b in cs if b[0]]
+    the pairs seen and the hits reported.  The cycles come from the
+    dynatomic route and ``cycle_from`` on every map of the box."""
+    maps, points = _dynatomic_box(bound)
     point_index = {}
-    for i, cycles in enumerate(search._map_over(search._cycles_chunk, params, workers, height_point)):
-        for cyc in cycles:
-            for p in cyc:
-                point_index.setdefault(p, []).append((i, frozenset(cyc)))
+    for i, m in enumerate(maps):
+        for n, pts in points[i].items():
+            pts = {z for z in pts if height(z) <= height_point}
+            while pts:
+                cyc = frozenset(cycle_from(m, min(pts, key=search._rat_key), n))
+                pts -= cyc
+                for p in cyc:
+                    point_index.setdefault(p, []).append((i, cyc))
     hits, pairs_seen, reported = [], set(), set()
     for p in sorted(point_index, key=search._rat_key):
         entries = point_index[p]
@@ -651,7 +709,7 @@ def _pairwise_intersection_scan(bound, height_point, workers):
                 common = set_i & set_j
                 if len(common) >= 3 and (i, j, common) not in reported:
                     reported.add((i, j, common))
-                    hits.append({"map1": search._describe(params[i]), "map2": search._describe(params[j]),
+                    hits.append({"map1": maps[i].describe(), "map2": maps[j].describe(),
                                  "point": format_rational(p), "size": len(common),
                                  "common": sorted(format_rational(x) for x in common)})
     return {"scan_kind": "intersection", "parameter_box": {"height": bound, "height_point": height_point},
@@ -663,9 +721,9 @@ def test_intersection_scan_matches_the_pairwise_reference():
     # the pair loop's hits in its order and its count of map pairs
     for bound in (1, 2, 3, 5, 8):
         for height_point in (3, 50):
+            want = _pairwise_intersection_scan(bound, height_point)
             for workers in (1, 2):
-                got = scan_intersection_bound(bound, height_point, workers=workers).canonical_dict()
-                assert got == _pairwise_intersection_scan(bound, height_point, workers)
+                assert scan_intersection_bound(bound, height_point, workers=workers).canonical_dict() == want
 
 
 def test_quartic_examples():
@@ -741,8 +799,9 @@ def test_scan_reports_are_pure_functions():
 
 def test_step_records_change_no_sieve_input_or_scan_bytes():
     """A map's cached step record is kept off its parameters: maps whose
-    record is filled equal fresh maps and give the sieve the same int
-    parameters, which sieve alike at one and two workers."""
+    record is filled equal fresh maps and give the same int parameters,
+    which the KB route finds alike at one and two workers, as the quad
+    route does its box."""
     periods = (1, 2, 3, 4)
 
     def fresh():
@@ -755,8 +814,11 @@ def test_step_records_change_no_sieve_input_or_scan_bytes():
     assert all("_record" in vars(m) for m in warm) and warm == fresh()
     params = [_param(m) for m in fresh()]
     assert [_param(m) for m in warm] == params
-    want = search._map_over(search._periods_chunk, params, 1, periods, 20)
-    assert want and search._map_over(search._periods_chunk, params, 2, periods, 20) == want
+    kbs = [p for p in params if search._is_kb(p)]
+    want = search._map_over(search._kb_points, kbs, 1, periods, 20)
+    assert want and search._map_over(search._kb_points, kbs, 2, periods, 20) == want
+    want = search._quad_rows(12, 20, periods, 1)
+    assert want and search._quad_rows(12, 20, periods, 2) == want
     for scan in (
         lambda w: scan_quadratic_periods(8, 50, (1, 2, 3), workers=w),
         lambda w: scan_kb_periods(3, 3, 50, (1, 2, 4), workers=w),
