@@ -194,44 +194,38 @@ def kb_map_with_fixed_and_period2(q1: Fraction, q2: Fraction) -> KBMap:
 
 
 def quad_witness(c: Fraction, n: int) -> Optional[Fraction]:
-    """A parameter witnessing the period-n classification of z^2 + c.
+    """A parameter witnessing the period-n classification of z^2 + c, read
+    off ``quad_periodic_points``.
 
-    n=1: rho with c = 1/4 - rho^2; n=2: sigma with c = -3/4 - sigma^2;
+    n=1: rho = max - 1/2 of the points 1/2 +- rho, so c = 1/4 - rho^2;
+    n=2: sigma = max + 1/2 of the points -1/2 +- sigma, so c = -3/4 - sigma^2;
     n=3: a tau whose family produces this cycle.  None when no rational
     period-n point exists.
     """
     c = Fraction(c)
-    if n == 1:
-        s = rational_sqrt(1 - 4 * c)
-        return None if s is None else s / 2
-    if n == 2:
-        s = rational_sqrt(-4 * c - 3)
-        return None if s is None or s == 0 else s / 2
+    pts = quad_periodic_points(c, n)
+    if not pts:
+        return None
     if n == 3:
-        pts = quad_periodic_points(c, 3)
         return min((t for q in pts for t in period3_taus(q) if period3_family(t).c == c),
                    default=None)
-    raise parameter_excluded("n", n)
+    return max(pts) - _HALF if n == 1 else max(pts) + _HALF
 
 
 def kb_witness(k: Fraction, b: Fraction, n: int) -> Optional[Fraction]:
-    """A parameter witnessing the period-n classification of kz + b/z.
+    """A parameter witnessing the period-n classification of kz + b/z, read
+    off ``kb_periodic_points`` (which refuses k = 0 or b = 0).
 
-    n=1, n=2: the nonnegative m of the square condition; n=4: the cycle
-    ratio p/phi(p) from the largest cycle point (it satisfies
-    k = 2m/(m^2-1)).
+    n=1, n=2: the largest point m of the pair +-m of the square condition;
+    n=4: the cycle ratio p/phi(p) from the largest cycle point p (it
+    satisfies k = 2m/(m^2-1)).  None when no rational period-n point exists.
     """
     k, b = Fraction(k), Fraction(b)
-    if n == 1:
-        return rational_sqrt(b / (1 - k)) if k != 1 else None
-    if n == 2:
-        return rational_sqrt(-b / (k + 1)) if k != -1 else None
-    if n == 4:
-        cyc = kb_period4_cycle(k, b)
-        if cyc is None:
-            return None
-        return cyc[0] / cyc[1]
-    raise parameter_excluded("n", n)
+    pts = kb_periodic_points(k, b, n)
+    if not pts:
+        return None
+    p = max(pts)
+    return p / (k * p + b / p) if n == 4 else p
 
 
 def period3_taus(q: Fraction) -> List[Fraction]:

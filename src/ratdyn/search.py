@@ -213,7 +213,7 @@ def _run_chunks(worker, chunks, workers: int):
     import multiprocessing  # here, not at the top: most runs start no pool
     try:
         # no more processes than CPUs: the bytes do not depend on the pool
-        with multiprocessing.get_context("fork").Pool(min(workers, len(chunks), os.cpu_count() or 1)) as pool:
+        with multiprocessing.get_context("fork").Pool(min(_parts(workers), len(chunks))) as pool:
             return pool.map(worker, chunks)
     except (OSError, ImportError) as exc:
         raise DomainError(f"worker pool failed: {exc}") from None
@@ -226,9 +226,16 @@ def _split(seq: Sequence, parts: int) -> List[Sequence]:
     return [seq[a:b] for a, b in zip(ends, ends[1:]) if a < b]
 
 
+def _parts(workers: int) -> int:
+    """How many processes ``workers`` can use: no more than the CPUs, so a
+    large ``workers`` does not split the work into chunks no process runs."""
+    return min(workers, os.cpu_count() or 1)
+
+
 def _map_over(worker, params: Sequence, workers: int, *args) -> list:
     """``worker`` over contiguous chunks of ``params``, merged in chunk order."""
-    chunks = [(chunk,) + args for chunk in _split(params, workers * 8 if workers > 1 else 1)]
+    parts = _parts(workers)
+    chunks = [(chunk,) + args for chunk in _split(params, parts * 8 if parts > 1 else 1)]
     return [x for part in _run_chunks(worker, chunks, workers) for x in part]
 
 
@@ -503,7 +510,7 @@ def quartic_rational_points(
         raise parameter_excluded("workers", workers)
     L, A = curve.integer_form()
     t0 = time.perf_counter()
-    chunks = [(vs, bound, L, A) for vs in _split(range(1, bound + 1), workers)]
+    chunks = [(vs, bound, L, A) for vs in _split(range(1, bound + 1), _parts(workers))]
     pts = {}
     for part in _run_chunks(_quartic_chunk, chunks, workers):
         pts.update((Fraction(u, v), Fraction(r, L * v * v)) for u, v, r in part)

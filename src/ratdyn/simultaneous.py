@@ -12,9 +12,13 @@ Three layers:
 * the at-most-three quadratic polynomials z^2 + c_i sharing one periodic
   rational point.
 
-Every generator fills in closed forms; the claimed periods are cheap to
-re-verify by exact orbit iteration, and the heavier generators do so before
-returning.
+Every KB side comes from one table, ``_ROWS``: for each period n in 1, 2, 4
+the one-parameter row (k, b) = row(p, s) keeping p periodic of period n, its
+k and b texts, and its excluded s.  It is the single source of these
+families; ``_kb_row`` reads it for every generator and the family
+descriptors are built from it.  Every generator fills in closed forms; the
+claimed periods are cheap to re-verify by exact orbit iteration, and the
+heavier generators do so before returning.
 """
 
 from __future__ import annotations
@@ -52,30 +56,24 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# shared row formulas for kz + b/z with prescribed periodic point p
+# the KB rows: every family of kz + b/z with p periodic of period n, by n
 
-def _kb_row_fixed(p: Fraction, s: Fraction) -> Tuple[Fraction, Fraction]:
-    """(1 - s, s p^2): p is a fixed point; s not in {0, 1}."""
-    return 1 - s, s * p * p
-
-
-def _kb_row_period2(p: Fraction, s: Fraction) -> Tuple[Fraction, Fraction]:
-    """(s - 1, -s p^2): p has exact period 2; s not in {0, 1}."""
-    return s - 1, -s * p * p
-
-
-def _kb_row_period4(p: Fraction, s: Fraction) -> Tuple[Fraction, Fraction]:
-    """The 4-cycle (p, p/s, -p, -p/s); s not in {0, 1, -1}."""
-    return 2 * s / (s * s - 1), -p * p * (s * s + 1) / (s * (s * s - 1))
+_ROWS = {
+    1: ("fixed", lambda p, s: (1 - s, s * p * p), "1 - s", "s*p^2", (0, 1)),
+    2: ("period2", lambda p, s: (s - 1, -s * p * p), "s - 1", "-s*p^2", (0, 1)),
+    # the 4-cycle (p, p/s, -p, -p/s)
+    4: ("period4", lambda p, s: (2 * s / (s * s - 1), -p * p * (s * s + 1) / (s * (s * s - 1))),
+        "2*s/(s^2 - 1)", "-p^2*(s^2 + 1)/(s*(s^2 - 1))", (0, 1, -1)),
+}
 
 
-_ROW_BUILDERS = {1: _kb_row_fixed, 2: _kb_row_period2, 4: _kb_row_period4}
-
-
-def _check_s(name: str, s: Fraction, period: int, value=None) -> None:
-    """Reject an excluded s, reported as name=value (by default, name=s)."""
-    if s == 0 or s == 1 or (period == 4 and s == -1):
+def _kb_row(n: int, p: Fraction, s: Fraction, name: str, value=None) -> Tuple[Fraction, Fraction]:
+    """(k, b) of row n at (p, s); an excluded s is reported as name=value
+    (by default, name=s)."""
+    _, row, _, _, excluded = _ROWS[n]
+    if s in excluded:
         raise parameter_excluded(name, s if value is None else value)
+    return row(p, s)
 
 
 @dataclass(frozen=True)
@@ -97,43 +95,39 @@ class MixedFamilyTriple:
         return KBMap(self.k, self.b)
 
 
-def _mixed_kb_part(p: Fraction, n: int, param: Fraction) -> Tuple[Fraction, Fraction]:
-    """(k, b) making p periodic of period n for kz + b/z: the shared row at
-    s = -q/p (n = 1), s = q/p (n = 2) or s = m (n = 4)."""
-    if n not in _ROW_BUILDERS:
+def _triple(c: Fraction, f_period: int, x: Fraction, n: int, param: Fraction, s: Fraction,
+            parameters: Dict[str, Fraction]) -> MixedFamilyTriple:
+    """z^2 + c with x of period f_period, and the KB row n at (x, s); the
+    row's parameter is given as param, named q, or m for n = 4."""
+    if n not in _ROWS:
         raise parameter_excluded("n", n)
-    s = {1: -param / p, 2: param / p, 4: param}[n]
-    _check_s("m" if n == 4 else "q", s, n, param)
-    return _ROW_BUILDERS[n](p, s)
+    name = "m" if n == 4 else "q"
+    k, b = _kb_row(n, x, s, name, param)
+    return MixedFamilyTriple(k, b, c, f_period, n, x, {**parameters, name: param})
 
 
 def triples_fixed_point(p: Fraction, n: int, param: Fraction) -> MixedFamilyTriple:
     """p a rational fixed point of z^2 + c and of period n for kz + b/z.
 
-    c = p - p^2; the KB side is q-parametrized for n = 1, 2 and
-    m-parametrized for n = 4.
+    c = p - p^2; the KB side is the row at s = -q/p (n = 1), s = q/p
+    (n = 2) or s = m (n = 4).
     """
     p, param = Fraction(p), Fraction(param)
     if p == 0:
         raise parameter_excluded("p", p)
-    k, b = _mixed_kb_part(p, n, param)
-    name = "m" if n == 4 else "q"
-    return MixedFamilyTriple(k, b, p - p * p, 1, n, p, {"p": p, name: param})
+    return _triple(p - p * p, 1, p, n, param, {1: -param / p, 2: param / p}.get(n, param), {"p": p})
 
 
 def triples_period2(p: Fraction, n: int, param: Fraction) -> MixedFamilyTriple:
     """p of exact period 2 for z^2 + c and of period n for kz + b/z.
 
-    c = -(p^2 + p + 1); p not in {0, -1/2} (the 2-cycle is p, -p-1).
+    c = -(p^2 + p + 1); p not in {0, -1/2} (the 2-cycle is p, -p-1).  The
+    KB side is as in ``triples_fixed_point``.
     """
     p, param = Fraction(p), Fraction(param)
     if p == 0 or p == Fraction(-1, 2):
         raise parameter_excluded("p", p)
-    k, b = _mixed_kb_part(p, n, param)
-    name = "m" if n == 4 else "q"
-    return MixedFamilyTriple(
-        k, b, -(p * p + p + 1), 2, n, p, {"p": p, name: param}
-    )
+    return _triple(-(p * p + p + 1), 2, p, n, param, {1: -param / p, 2: param / p}.get(n, param), {"p": p})
 
 
 def triples_period3(
@@ -148,15 +142,7 @@ def triples_period3(
     if i not in (1, 2, 3):
         raise parameter_excluded("i", i)
     fam = period3_family(tau)  # validates tau
-    x = fam.points[i - 1]
-    if n not in _ROW_BUILDERS:
-        raise parameter_excluded("n", n)
-    name = "m" if n == 4 else "q"
-    _check_s(name, param, n)
-    k, b = _ROW_BUILDERS[n](x, param)
-    return MixedFamilyTriple(
-        k, b, fam.c, 3, n, x, {"tau": tau, "i": Fraction(i), name: param}
-    )
+    return _triple(fam.c, 3, fam.points[i - 1], n, param, param, {"tau": tau, "i": Fraction(i)})
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +169,7 @@ def two_point_intersection_mixed(p: Fraction, sign: int) -> MixedFamilyTriple:
         raise parameter_excluded("sign", sign)
     if p in (0, Fraction(-1, 2), -1):
         raise parameter_excluded("p", p)
-    k, b = _kb_row_period4(p, -sign * p / (p + 1))  # p -> -sign (p + 1)
+    k, b = _kb_row(4, p, -sign * p / (p + 1), "p", p)  # p -> -sign (p + 1)
     return MixedFamilyTriple(
         k, b, -(p * p + p + 1), 2, 4, p, {"p": p, "sign": Fraction(sign)}
     )
@@ -205,9 +191,7 @@ def two_point_intersection_period3(
     fam = period3_family(tau)
     xi, xj = fam.points[i - 1], fam.points[j - 1]
     m = Fraction(sign) * xi / xj
-    if m in (0, 1, -1):
-        raise parameter_excluded("m_tau", m)
-    k, b = _kb_row_period4(xi, m)
+    k, b = _kb_row(4, xi, m, "m_tau")
     return MixedFamilyTriple(
         k,
         b,
@@ -264,10 +248,8 @@ def kb_pair_family(row: int, p: Fraction, s1: Fraction, s2: Fraction) -> KBPairQ
     if p == 0:
         raise parameter_excluded("p", p)
     n1, n2 = _ROW_PERIODS[row]
-    _check_s("s1", s1, n1)
-    _check_s("s2", s2, n2)
-    k1, b1 = _ROW_BUILDERS[n1](p, s1)
-    k2, b2 = _ROW_BUILDERS[n2](p, s2)
+    k1, b1 = _kb_row(n1, p, s1, "s1")
+    k2, b2 = _kb_row(n2, p, s2, "s2")
     return KBPairQuadruple(
         k1, b1, k2, b2, (n1, n2), p, {"p": p, "s1": s1, "s2": s2}
     )
@@ -285,17 +267,12 @@ def two_point_intersection_kb(
     p, s1, s2 = Fraction(p), Fraction(s1), Fraction(s2)
     if p == 0:
         raise parameter_excluded("p", p)
-    if case == 1:
-        quad = kb_pair_family(2, p, s1, s2)
-    elif case == 2:
-        quad = kb_pair_family(6, p, s1, s2)
-    elif case == 3:
-        if s1 == s2 or s1 == -s2:
-            raise DomainError("maps coincide up to sign")
-        quad = kb_pair_family(3, p, s1, s2)
-    else:
+    row = {1: 2, 2: 6, 3: 3}.get(case)
+    if row is None:
         raise parameter_excluded("case", case)
-    return quad
+    if case == 3 and (s1 == s2 or s1 == -s2):
+        raise DomainError("maps coincide up to sign")
+    return kb_pair_family(row, p, s1, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -313,32 +290,12 @@ class KBFamilyDescriptor:
     excluded: Tuple[Fraction, ...]
 
     def map_at(self, s: Fraction) -> KBMap:
-        s = Fraction(s)
-        if s in self.excluded:
-            raise parameter_excluded("s", s)
-        builder = _ROW_BUILDERS[self.period]
-        k, b = builder(self.p, s)
-        return KBMap(k, b)
+        return KBMap(*_kb_row(self.period, self.p, Fraction(s), "s"))
 
 
 def _family_descriptors(p: Fraction) -> Tuple[KBFamilyDescriptor, ...]:
-    one = Fraction(1)
-    return (
-        KBFamilyDescriptor(
-            "fixed", p, 1, "1 - s", "s*p^2", (Fraction(0), one)
-        ),
-        KBFamilyDescriptor(
-            "period2", p, 2, "s - 1", "-s*p^2", (Fraction(0), one)
-        ),
-        KBFamilyDescriptor(
-            "period4",
-            p,
-            4,
-            "2*s/(s^2 - 1)",
-            "-p^2*(s^2 + 1)/(s*(s^2 - 1))",
-            (Fraction(0), one, -one),
-        ),
-    )
+    return tuple(KBFamilyDescriptor(kind, p, n, k_text, b_text, tuple(map(Fraction, excluded)))
+                 for n, (kind, _, k_text, b_text, excluded) in _ROWS.items())
 
 
 @dataclass(frozen=True)
@@ -386,8 +343,7 @@ def maps_with_both_periodic(a: Fraction, b: Fraction) -> SimultaneousPointResult
     m2 = kb_map_with_fixed_and_period2(b, a)
     entries.append(SimultaneousMapEntry(m2, 2, 1))
     for s in (a / b, -a / b):
-        k, bc = _kb_row_period4(a, s)
-        entries.append(SimultaneousMapEntry(KBMap(k, bc), 4, 4))
+        entries.append(SimultaneousMapEntry(KBMap(*_kb_row(4, a, s, "s")), 4, 4))
 
     for e in entries:
         if exact_period(e.map, a) != e.period_a or exact_period(e.map, b) != e.period_b:

@@ -174,6 +174,16 @@ def test_witnesses():
     assert 2 * w / (w * w - 1) == F(4, 3)
 
 
+@pytest.mark.parametrize("k,b,n,name", [
+    (F(0), F(1), 1, "k"), (F(1, 2), F(0), 1, "b"), (F(3), F(0), 2, "b"),
+    (F(0), F(1), 2, "k"), (F(0), F(1), 4, "k"), (F(2), F(0), 4, "b"), (F(0), F(0), 1, "k"),
+])
+def test_kb_witness_refuses_what_kbmap_refuses(k, b, n, name):
+    # read off kb_periodic_points, every n refuses k = 0 or b = 0 as KBMap does
+    with pytest.raises(DomainError, match=f"^parameter excluded: {name}=0$"):
+        kb_witness(k, b, n)
+
+
 def test_kb_period4_cycle_cycle_order():
     assert kb_period4_cycle(F(4, 3), F(-10, 3)) == (F(2), F(1), F(-2), F(-1))
     assert kb_period4_cycle(F(5), F(1)) is None

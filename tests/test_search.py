@@ -197,7 +197,8 @@ def test_chunks_that_cut_a_run_of_b_merge_to_the_same_bytes(monkeypatch):
     # chunk then starts inside one k's run of b; merged in chunk order the
     # bytes are those of one worker.  The intersection scan sends its quad
     # part out first, as contiguous ranges of e, and no chunk mixes the
-    # families
+    # families.  Three CPUs are claimed, so the chunk count does not depend
+    # on the machine
     real, cuts = search._run_chunks, []
 
     def spy(worker, chunks, workers):
@@ -205,6 +206,7 @@ def test_chunks_that_cut_a_run_of_b_merge_to_the_same_bytes(monkeypatch):
         return real(worker, chunks, workers)
 
     monkeypatch.setattr(search, "_run_chunks", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for scan in (lambda w: scan_kb_periods(2, 4, 50, (1, 2, 4), workers=w),
                  lambda w: scan_intersection_bound(5, 50, workers=w)):
         one = scan(1)
@@ -272,8 +274,10 @@ def test_failed_worker_pool_is_domain_error(monkeypatch):
             raise OSError("cannot fork")
 
     # search imports multiprocessing only when it starts a pool; a quad box
-    # of height 4 has two e, so two chunks
+    # of height 4 has two e, so two chunks.  Two CPUs are claimed, so two
+    # workers split the work on any machine
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: NoFork())
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     msg = "worker pool failed: cannot fork"
     with pytest.raises(DomainError, match=msg):
         scan_quadratic_periods(4, 10, {1}, workers=2)
@@ -313,6 +317,29 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
         sizes.clear()
         assert json.dumps(scan(10**6).canonical_dict()) == json.dumps(scan(1).canonical_dict())
         assert sizes and all(1 <= n <= (os.cpu_count() or 1) for n in sizes)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5, None])
+def test_chunks_are_capped_at_the_cpu_count(monkeypatch, cpus):
+    # a workers count past the CPUs adds no chunk: the quartic search splits
+    # into one chunk per usable CPU and the scans into eight.  The spy maps
+    # serially, so no process is started
+    counts = []
+
+    def spy(worker, chunks, workers):
+        counts.append(len(chunks))
+        return [worker(ch) for ch in chunks]
+
+    monkeypatch.setattr(search, "_run_chunks", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    usable = cpus or 1
+    curve = QuarticCurve(F(1), F(6), F(7), F(2), F(1))
+    for workers in (1, 2, 64, 256):
+        counts.clear()
+        quartic_rational_points(curve, 200, workers=workers)
+        scan_kb_periods(3, 3, 10, (1, 2), workers=workers)
+        parts = min(workers, usable)
+        assert counts == [parts, parts * 8 if parts > 1 else 1], (cpus, workers)
 
 
 # --- the scan routes against the dynatomic route ---------------------------

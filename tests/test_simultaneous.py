@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from ratdyn.classification import period3_family, period3_tau_cubics, quad_witness
+from ratdyn import simultaneous
+from ratdyn.classification import Period3Family, period3_family, period3_tau_cubics, quad_witness
 from ratdyn.core import enumerate_rationals
 from ratdyn.dynamics import KBMap, QuadraticMap, cycle_from, exact_period
 from ratdyn.dynatomic import rational_roots
@@ -55,6 +57,61 @@ def test_mixed_kb_exclusions_name_the_given_q():
             fn(F(3, 2), 2, F(0))
         with pytest.raises(DomainError, match=r"^parameter excluded: m=-1$"):
             fn(F(3, 2), 4, F(-1))
+
+
+# each generator's refusals, in the order it checks its arguments: the first
+# failing argument is named, with the value as it was passed
+_FAMILIES = maps_with_both_periodic(F(1), F(-1)).families
+_REFUSED = [
+    (lambda: _FAMILIES[0].map_at(F(1)), "parameter excluded: s=1"),
+    (lambda: _FAMILIES[1].map_at(F(0)), "parameter excluded: s=0"),
+    (lambda: _FAMILIES[2].map_at(F(-1)), "parameter excluded: s=-1"),
+    (lambda: kb_pair_family(7, F(0), F(1), F(1)), "parameter excluded: row=7"),
+    (lambda: kb_pair_family(1, F(0), F(1), F(1)), "parameter excluded: p=0"),
+    (lambda: kb_pair_family(1, F(2), F(1), F(0)), "parameter excluded: s1=1"),
+    (lambda: kb_pair_family(5, F(2), F(2), F(-1)), "parameter excluded: s2=-1"),
+    (lambda: kb_pair_family(4, F(2), F(-1), F(1)), "parameter excluded: s2=1"),
+    (lambda: two_point_intersection_kb(4, F(0), F(2), F(3)), "parameter excluded: p=0"),
+    (lambda: two_point_intersection_kb(0, F(1), F(2), F(3)), "parameter excluded: case=0"),
+    (lambda: two_point_intersection_kb(4, F(1), F(2), F(3)), "parameter excluded: case=4"),
+    (lambda: two_point_intersection_kb(3, F(1), F(1), F(-1)), "maps coincide up to sign"),
+    (lambda: two_point_intersection_kb(2, F(1), F(2), F(-1)), "parameter excluded: s2=-1"),
+    (lambda: triples_fixed_point(F(0), 3, F(0)), "parameter excluded: p=0"),
+    (lambda: triples_fixed_point(F(2), 3, F(0)), "parameter excluded: n=3"),
+    (lambda: triples_period2(F(-1, 2), 3, F(0)), "parameter excluded: p=-1/2"),
+    (lambda: triples_period2(F(2), 0, F(1)), "parameter excluded: n=0"),
+    (lambda: triples_period3(F(0), 4, 3, F(0)), "parameter excluded: i=4"),
+    (lambda: triples_period3(F(0), 1, 3, F(0)), "parameter excluded: tau=0"),
+    (lambda: triples_period3(F(1), 1, 3, F(0)), "parameter excluded: n=3"),
+    (lambda: triples_period3(F(1), 2, 1, F(1)), "parameter excluded: q=1"),
+    (lambda: triples_period3(F(1), 3, 4, F(-1)), "parameter excluded: m=-1"),
+    (lambda: two_point_intersection_mixed(F(-1), 2), "parameter excluded: sign=2"),
+    (lambda: two_point_intersection_mixed(F(-1), 1), "parameter excluded: p=-1"),
+    (lambda: two_point_intersection_period3(F(0), 2, 1, 2), "parameter excluded: sign=2"),
+    (lambda: two_point_intersection_period3(F(0), 2, 1, 1), "parameter excluded: (i,j)=(2,1)"),
+    (lambda: two_point_intersection_period3(F(0), 1, 2, 1), "parameter excluded: tau=0"),
+]
+
+
+@pytest.mark.parametrize("call,message", _REFUSED,
+                         ids=[f"{i}-{m.replace('parameter excluded: ', '')}" for i, (_, m) in enumerate(_REFUSED)])
+def test_generator_refusals_name_the_first_bad_argument(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("points,i,j,sign,m", [
+    ((F(0), F(1), F(2)), 1, 2, 1, "0"),
+    ((F(2), F(2), F(3)), 1, 2, 1, "1"),
+    ((F(2), F(3), F(-2)), 1, 3, 1, "-1"),
+    ((F(2), F(3), F(2)), 1, 3, -1, "-1"),
+])
+def test_period3_intersection_refuses_a_degenerate_cycle_ratio(monkeypatch, points, i, j, sign, m):
+    # no valid tau gives x_i = 0 or x_i = +-x_j, so the guard is reached
+    # through a stand-in family
+    monkeypatch.setattr(simultaneous, "period3_family", lambda tau: Period3Family(tau, F(-2), *points))
+    with pytest.raises(DomainError, match=f"^parameter excluded: m_tau={m}$"):
+        two_point_intersection_period3(F(1), i, j, sign)
 
 
 def test_triples_period2_examples():
