@@ -408,7 +408,7 @@ def _cmd_scan(args) -> dict:
 
 
 def _parse_periods(text: Optional[str], default: str):
-    raw = text if text else default
+    raw = default if text is None else text
     try:
         return [int(x) for x in raw.split(",") if x.strip()]
     except ValueError:

@@ -30,14 +30,15 @@ num(s) divides u^2 den(b) and den(s) divides v^2 num(b).  Each b then
 keeps z = +-sqrt(b s) of height <= B, by integer tests; only then is the
 map kz + b/z built, and ``exact_period`` confirms z, as on the dynatomic
 route: a root of Phi*_n of exact period d < n lies on a d-cycle whose
-multiplier is a primitive (n/d)-th root of unity.
+multiplier is a primitive (n/d)-th root of unity.  The map is odd and its
+region symmetric, so one call decides both of +-z.
 
 A scan thus finds exactly the points of height <= B and exact period n:
 the set that ``dynatomic.periodic_points_exact`` returns with
-``height_bound=B``.  Workers take contiguous chunks of the KB parameters,
-merged in chunk order, or of the quad e, whose rows are then sorted into
-scan order, so any worker count yields byte-identical canonical output;
-``elapsed`` is carried on the report object but never serialized.
+``height_bound=B``.  Workers take contiguous chunks of the KB k, each k
+rooted in one chunk, merged in chunk order, or of the quad e, whose rows
+are then sorted into scan order, so any worker count yields byte-identical
+canonical output; ``elapsed`` is carried on the report but never serialized.
 
 The quartic search, an exact residue sieve over the curve's binary quartic,
 is described at ``quartic_rational_points``.
@@ -165,35 +166,32 @@ def _quad_points(args) -> List[Tuple[Tuple[int, int], int, Fraction]]:
 
 
 def _kb_points(args) -> List[Tuple[tuple, int, Fraction]]:
-    """(p, n, z) for each KB parameter p = ((kn, kd), (bn, bd)) in ``params``
-    and each point z of p's map with exact period n in ``periods`` and height
-    <= ``bound``, in scan order: the roots s of each k's Phi*_n in w, z =
-    +-sqrt(b s), and one ``exact_period`` call per z, on the one map built
-    per candidate z."""
-    params, periods, bound = args
-    by_k: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
-    for i, (k, b) in enumerate(params):
-        by_k.setdefault(k, []).append((i, *b))
-    found = []
-    for k, rows in by_k.items():
-        k = Fraction(*k)
-        unit, hs = KBMap(k, Fraction(1)), bound * bound * max(max(abs(bn), bd) for _, bn, bd in rows)
+    """(p, n, z) for each KB parameter p = (k, b), k in ``ks`` and b in
+    ``bs`` as (num, den), and each point z of p's map with exact period n in
+    ``periods`` and height <= ``bound``, in scan order: the roots s of each
+    k's Phi*_n in w, z = +-sqrt(b s), and one ``exact_period`` call per
+    pair +-z, on the one map built per candidate: the map is odd, and its
+    region symmetric, so -z has the exact period of z."""
+    ks, bs, periods, bound = args
+    hs, found = bound * bound * max(max(abs(bn), bd) for bn, bd in bs), []
+    for k in ks:
+        unit, hits = KBMap(Fraction(*k), Fraction(1)), []
         for n in periods:
             roots = [s.as_integer_ratio() for s in rational_roots_int(_dynatomic_x(unit, n), hs) if s]
-            for (i, bn, bd), (sn, sd) in itertools.product(rows, roots):
+            for (i, (bn, bd)), (sn, sd) in itertools.product(enumerate(bs), roots):
                 t = bn * bd * sn * sd  # b s = t / (bd sd)^2
                 if t <= 0 or (r := math.isqrt(t)) * r != t or height(z := Fraction(r, bd * sd)) > bound:
                     continue
-                m = KBMap(k, Fraction(bn, bd))
-                for z in (-z, z):
-                    try:
-                        period = exact_period(m, z)
-                    except DomainError as exc:
-                        raise DomainError(f"{m.describe()}, n={n}: {exc}") from None
-                    if period == n:
-                        found.append((i, n, z))
-    found.sort(key=lambda row: (row[0], row[1], _rat_key(row[2])))
-    return [(params[i], n, z) for i, n, z in found]
+                m = KBMap(unit.k, Fraction(bn, bd))
+                try:
+                    period = exact_period(m, z)
+                except DomainError as exc:
+                    raise DomainError(f"{m.describe()}, n={n}: {exc}") from None
+                if period == n:
+                    hits += [(i, n, -z), (i, n, z)]
+        hits.sort(key=lambda row: (row[0], row[1], _rat_key(row[2])))
+        found += [((k, bs[i]), n, z) for i, n, z in hits]
+    return found
 
 
 def _is_kb(p) -> bool:
@@ -254,19 +252,19 @@ def _quad_rows(height_c: int, bound: int, periods, workers: int) -> list:
 
 def _check_scan(box: Dict[str, int], workers: int, size) -> None:
     """Refuse a scan before it counts or lists anything.  Each height and
-    the point bound must be <= 10**6, so that ``count_rationals(h)``, in
-    O(h^(3/4)) steps, stays ~0.03 s, and a quad scan's numbers stay small
-    (``_quad_points``).  Then ``size()`` must be <= 10**7: the number of
-    parameters a KB or intersection scan lists, about a GB of int tuples,
-    and for quad, which lists none, the (2 height_c + 1) len(es) c = num /
-    e^2 that can have a window point.  Every quad box with H(c) <= 10**4
+    the point bound must be in [1, 10**6], so that ``count_rationals(h)``,
+    in O(h^(3/4)) steps, stays ~0.03 s, and a quad scan's numbers stay small
+    (``_quad_points``).  Then ``size()`` must be <= 10**7: the (k, b) pairs
+    a KB or intersection scan tests, which lists only the k and the b, and
+    for quad, which lists no c, the (2 height_c + 1) len(es) c = num / e^2
+    that can have a window point.  Every quad box with H(c) <= 10**4
     passes at any point bound: (2 H(c) + 1) isqrt(H(c)) is about 2 * 10**6."""
     if not 1 <= box["height_point"] <= 10**6:
         raise parameter_excluded("height_point", box["height_point"])
     if workers < 1:
         raise parameter_excluded("workers", workers)
     for name, h in box.items():
-        if h > 10**6:
+        if not 1 <= h <= 10**6:
             raise parameter_excluded(name, h)
     if (n := size()) > 10**7:
         raise parameter_excluded("box", n)
@@ -294,7 +292,7 @@ def scan_quadratic_periods(
     given exact periods with height <= height_point."""
 
     def find(periods):
-        scanned = count_rationals(height_c)  # first: it rejects height_c < 1
+        scanned = count_rationals(height_c)
         return _quad_rows(height_c, height_point, periods, workers), scanned
 
     box = {"height_c": height_c, "height_point": height_point}
@@ -313,9 +311,8 @@ def scan_kb_periods(
     given exact periods with height <= height_point."""
 
     def find(periods):
-        bs = [b for b in rational_pairs(height_b) if b[0]]
-        params = [(k, b) for k in rational_pairs(height_k) if k[0] for b in bs]
-        return _map_over(_kb_points, params, workers, periods, height_point), len(params)
+        ks, bs = ([r for r in rational_pairs(h) if r[0]] for h in (height_k, height_b))
+        return _map_over(_kb_points, ks, workers, bs, periods, height_point), len(ks) * len(bs)
 
     box = {"height_k": height_k, "height_b": height_b, "height_point": height_point}
     return _scan_periods("kb", box, periods, lambda: (count_rationals(height_k) - 1)
@@ -344,7 +341,7 @@ def scan_intersection_bound(
     t0 = time.perf_counter()
     ks = [r for r in rational_pairs(bound) if r[0]]
     rows = _quad_rows(bound, height_point, (1, 2, 3), workers) + _map_over(
-        _kb_points, [(k, b) for k in ks for b in ks], workers, (1, 2, 4), height_point)
+        _kb_points, ks, workers, ks, (1, 2, 4), height_point)
 
     index: Dict[Fraction, List[Tuple[tuple, FrozenSet[Fraction]]]] = {}
     for p, group in itertools.groupby(rows, key=lambda row: row[0]):

@@ -445,22 +445,35 @@ def test_scan_workers_zero_exits_1():
 
 
 @pytest.mark.parametrize("box, name", [
-    (["--kind", "quad", "--height-c", "100000000000"], "height_c"),
-    (["--kind", "kb", "--height-k", "100000000000", "--height-b", "2"], "height_k"),
-    (["--kind", "kb", "--height-k", "2", "--height-b", "100000000000"], "height_b"),
-    (["--kind", "intersection", "--height", "100000000000"], "height"),
+    (["--kind", "quad", "--height-c"], "height_c"),
+    (["--kind", "kb", "--height-b", "2", "--height-k"], "height_k"),
+    (["--kind", "kb", "--height-k", "2", "--height-b"], "height_b"),
+    (["--kind", "intersection", "--height"], "height"),
 ])
 def test_scan_height_above_the_cap_exits_1(monkeypatch, box, name):
     # refused before the box is counted: count_rationals at this height ran
-    # out of memory
+    # out of memory; a height below 1 is refused there too, under its name
     from ratdyn import search
 
     def no_count(bound):
         raise AssertionError(f"count_rationals({bound})")
 
     monkeypatch.setattr(search, "count_rationals", no_count)
-    code, out = run(["scan", *box, "--height-point", "3", "--periods", "1"])
-    assert code == 1 and out == f"parameter excluded: {name}=100000000000"
+    for bad in ("100000000000", "0", "-3"):
+        code, out = run(["scan", *box, bad, "--height-point", "3", "--periods", "1"])
+        assert code == 1 and out == f"parameter excluded: {name}={bad}"
+
+
+@pytest.mark.parametrize("kind", [["--kind", "quad", "--height-c", "2"],
+                                  ["--kind", "kb", "--height-k", "2", "--height-b", "2"]])
+def test_scan_empty_periods_exits_1(kind):
+    # only an absent --periods takes the default; an empty list is refused
+    # like a list of commas
+    for periods in ("", ","):
+        code, out = run(["scan", *kind, "--height-point", "3", "--periods", periods])
+        assert (code, out) == (1, "parameter excluded: periods=empty")
+    code, out = run(["scan", *kind, "--height-point", "3"])
+    assert code == 0 and json.loads(out)["periods"] == ([4, 5, 6] if "quad" in kind else [5, 6])
 
 
 def test_scan_failed_worker_pool_exits_1(monkeypatch):

@@ -478,6 +478,22 @@ def test_exact_period_matches_a_k_only_walk(case, steps):
     assert exact_period(m, z, max_steps=steps) == _k_walk(m, z, steps)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_map_and_start().filter(lambda case: isinstance(case[0], KBMap)),
+       st.sampled_from([1, 2, 3, 4, 8, DEFAULT_MAX_STEPS]))
+@example((KBMap(F(4, 3), F(-10, 3)), F(2)), 4)  # the 4-cycle 1 -> -2 -> -1 -> 2
+@example((KBMap(F(4, 3), F(-10, 3)), F(2)), 3)
+@example((KBMap(F(3), F(1)), F(0)), 8)
+def test_kb_exact_period_and_cycles_are_odd(case, steps):
+    # phi(-z) = -phi(z) and the region is symmetric in x -> -x, so -z has
+    # the exact period of z and the negated cycle: a KB scan confirms one
+    # of +-z and keeps both
+    m, z = case
+    assert exact_period(m, -z, max_steps=steps) == exact_period(m, z, max_steps=steps)
+    cycle = cycle_from(m, z, steps)
+    assert cycle_from(m, -z, steps) == (None if cycle is None else tuple(-x for x in cycle))
+
+
 @pytest.mark.parametrize("make", [lambda: QuadraticMap(F(-29, 16)), lambda: KBMap(F(4, 3), F(-10, 3))])
 def test_step_record_is_invisible(make):
     m = make()

@@ -19,6 +19,7 @@ from ratdyn.core import (
     enumerate_rationals,
     format_rational,
     height,
+    rational_pairs,
     rational_sqrt,
 )
 from ratdyn.dynamics import KBMap, QuadraticMap, cycle_from, exact_period, quad_window
@@ -118,12 +119,13 @@ def test_scans_reject_workers_below_one():
 ])
 def test_scans_refuse_heights_above_the_cap_before_counting(monkeypatch, scan, name):
     # count_rationals holds a list of bound + 1 totients: at 10**11 it ran
-    # out of memory; every height past 10**6 is refused before it is called
+    # out of memory; every height past 10**6 is refused before it is called,
+    # and so is every height below 1, under the height's own name
     def no_count(bound):
         raise AssertionError(f"count_rationals({bound})")
 
     monkeypatch.setattr(search, "count_rationals", no_count)
-    for bad in (10**6 + 1, 10**11):
+    for bad in (0, -3, 10**6 + 1, 10**11):
         with pytest.raises(DomainError, match=f"^parameter excluded: {name}={bad}$"):
             scan(bad)
 
@@ -192,35 +194,56 @@ def test_scans_build_maps_only_for_candidates(monkeypatch):
     assert built == {KBMap: 0, QuadraticMap: 0}
 
 
-def test_chunks_that_cut_a_run_of_b_merge_to_the_same_bytes(monkeypatch):
-    # three workers split the KB parameters into 24 contiguous chunks: a
-    # chunk then starts inside one k's run of b; merged in chunk order the
-    # bytes are those of one worker.  The intersection scan sends its quad
-    # part out first, as contiguous ranges of e, and no chunk mixes the
-    # families.  Three CPUs are claimed, so the chunk count does not depend
-    # on the machine
+def test_kb_chunks_are_runs_of_whole_k_and_merge_to_the_same_bytes(monkeypatch):
+    # three workers split the KB k into up to 24 contiguous chunks, each
+    # with every b of the box; merged in chunk order the bytes are those of
+    # one worker.  The intersection scan sends its quad part out first, as
+    # contiguous ranges of e.  Three CPUs are claimed, so the chunk count
+    # does not depend on the machine
     real, cuts = search._run_chunks, []
 
     def spy(worker, chunks, workers):
-        cuts.append([chunk[0] for chunk in chunks])
+        cuts.append([chunk[:2] for chunk in chunks])
         return real(worker, chunks, workers)
 
     monkeypatch.setattr(search, "_run_chunks", spy)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    for scan in (lambda w: scan_kb_periods(2, 4, 50, (1, 2, 4), workers=w),
-                 lambda w: scan_intersection_bound(5, 50, workers=w)):
+    for scan, hk, hb in ((lambda w: scan_kb_periods(2, 4, 50, (1, 2, 4), workers=w), 2, 4),
+                         (lambda w: scan_intersection_bound(5, 50, workers=w), 5, 5)):
         one = scan(1)
         assert one.hits and json.dumps(scan(3).canonical_dict()) == json.dumps(one.canonical_dict())
+        ks, bs = ([r for r in rational_pairs(h) if r[0]] for h in (hk, hb))
         chunks = cuts[-1]
-        assert len(chunks) == 24
-        assert all(search._is_kb(p) for ch in chunks for p in ch)
-        assert any(a[-1][0] == b[0][0] for a, b in zip(chunks, chunks[1:]))
-    assert cuts[-2] == [range(1, 2), range(2, 3)]  # e <= isqrt(5)
+        assert len(chunks) == min(24, len(ks))
+        assert [k for ch, _ in chunks for k in ch] == ks and all(b == bs for _, b in chunks)
+    assert [es for es, _ in cuts[-2]] == [range(1, 2), range(2, 3)]  # e <= isqrt(5)
+
+
+def test_each_k_is_rooted_once_at_any_worker_count(monkeypatch):
+    # Phi*_n of kz + 1/z is rooted once per k and n, however many chunks
+    # three workers cut the k into.  The spy maps serially, so no process
+    # is started
+    rooted = []
+
+    def counting(m, n):
+        rooted.append((m.k, n))
+        return _dynatomic_x(m, n)
+
+    monkeypatch.setattr(search, "_run_chunks", lambda worker, chunks, workers: [worker(ch) for ch in chunks])
+    monkeypatch.setattr(search, "_dynatomic_x", counting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for scan, hk in ((lambda: scan_kb_periods(2, 4, 50, (1, 2, 4), workers=3), 2),
+                     (lambda: scan_intersection_bound(5, 50, workers=3), 5)):
+        rooted.clear()
+        assert scan().hits
+        ks = [r for r in enumerate_rationals(hk) if r]
+        assert sorted(rooted) == sorted((k, n) for k in ks for n in (1, 2, 4))
 
 
 def test_worker_errors_name_map_and_period(monkeypatch):
-    # each KB point z = +-sqrt(b s) is confirmed by one exact_period call; an
-    # error there names the map and the period n of the root s it came from.
+    # each KB pair of points z = +-sqrt(b s) is confirmed by one
+    # exact_period call; an error there names the map and the period n of
+    # the root s it came from.
     # kb:k=4/3,b=-10/3 has the 4-cycle 1 -> -2 -> -1 -> 2; the fixed points
     # +-1 of kb:k=2,b=-1 are its only points of periods 1 and 4.
     real, failing_map = search.exact_period, None
@@ -265,7 +288,8 @@ def test_kb_roots_of_a_lower_exact_period_are_dropped(monkeypatch):
     monkeypatch.setattr(search, "rational_roots_int", lambda c, bound: sorted(set(real_roots(c, bound)) | {F(-1)}))
     monkeypatch.setattr(search, "exact_period", period)
     assert scan_kb_periods(2, 2, 10, {1, 2}).canonical_dict() == want
-    assert {("kb:k=2,b=-1", F(1)), ("kb:k=2,b=-1", F(-1))} <= checked
+    # one call per pair +-z, on the positive z
+    assert {c for c in checked if c[0] == "kb:k=2,b=-1"} == {("kb:k=2,b=-1", F(1))}
 
 
 def test_failed_worker_pool_is_domain_error(monkeypatch):
@@ -337,7 +361,7 @@ def test_chunks_are_capped_at_the_cpu_count(monkeypatch, cpus):
     for workers in (1, 2, 64, 256):
         counts.clear()
         quartic_rational_points(curve, 200, workers=workers)
-        scan_kb_periods(3, 3, 10, (1, 2), workers=workers)
+        scan_kb_periods(6, 1, 10, (1, 2), workers=workers)  # 46 k
         parts = min(workers, usable)
         assert counts == [parts, parts * 8 if parts > 1 else 1], (cpus, workers)
 
@@ -356,13 +380,13 @@ def _param(m):
 
 def _assert_sieve_is_dynatomic(maps, periods_of, bound):
     # periods_of = (quad periods, KB periods).  Each quad map goes through the
-    # quad route over the box of its height, and all KB maps at once through
-    # the KB route; the rows are exactly each map's points per requested n,
-    # in scan order
+    # quad route over the box of its height, and each KB map through the KB
+    # route as a box of one k and one b; the rows are exactly each map's
+    # points per requested n, in scan order
     kbs = [m for m in maps if type(m) is KBMap]
     want_of = {m: {n: sorted(periodic_points_exact(m, n, height_bound=bound), key=search._rat_key)
                    for n in periods_of[type(m) is KBMap]} for m in maps}
-    kb_rows = search._kb_points(([_param(m) for m in kbs], periods_of[1], bound))
+    kb_rows = [row for k, b in map(_param, kbs) for row in search._kb_points(([k], [b], periods_of[1], bound))]
     assert kb_rows == [(_param(m), n, z) for m in kbs for n, pts in want_of[m].items() for z in pts], bound
     for m in maps:
         if type(m) is QuadraticMap:
@@ -378,8 +402,8 @@ def _assert_sieve_is_dynatomic(maps, periods_of, bound):
 @example([KBMap(F(-23, 30), F(29, 21))], (1,), (8,), 8)  # square-free Phi*_8, 3 bad primes
 def test_sieve_matches_dynatomic_on_mixed_chunks(maps, quad_periods, kb_periods, bound):
     # parameters reach height 60, so the KB roots s = z^2 / b reach height
-    # B^2 H(b), far past B; the KB chunk repeats and interleaves k, and each
-    # quad map is found among the maps of its box
+    # B^2 H(b), far past B; maps may repeat, and each quad map is found
+    # among the maps of its box
     _assert_sieve_is_dynatomic(maps, (quad_periods, kb_periods), bound)
 
 
@@ -842,8 +866,10 @@ def test_step_records_change_no_sieve_input_or_scan_bytes():
     params = [_param(m) for m in fresh()]
     assert [_param(m) for m in warm] == params
     kbs = [p for p in params if search._is_kb(p)]
-    want = search._map_over(search._kb_points, kbs, 1, periods, 20)
-    assert want and search._map_over(search._kb_points, kbs, 2, periods, 20) == want
+    ks, bs = (list(dict.fromkeys(p[i] for p in kbs)) for i in (0, 1))
+    assert [(k, b) for k in ks for b in bs] == kbs
+    want = search._map_over(search._kb_points, ks, 1, bs, periods, 20)
+    assert want and search._map_over(search._kb_points, ks, 2, bs, periods, 20) == want
     want = search._quad_rows(12, 20, periods, 1)
     assert want and search._quad_rows(12, 20, periods, 2) == want
     for scan in (
