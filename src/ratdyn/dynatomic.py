@@ -8,32 +8,49 @@ division of the mu=+1 product by the mu=-1 product.  Every rational point of
 exact period n is a root of Phi*_n; the converse needs an exact-period
 filter because roots can have period strictly dividing n.
 
-Univariate polynomials are the y=1 dehomogenizations.  They are built
-from one integer iterate tower per map, kept in the map's ``__dict__``
-next to its step record and extended on demand, so the n asked of one map
-share Phi_1..Phi_max.  With D = den(c) for z^2 + c and D = den(k) den(b)
-for kz + b/z, its k-th entry (F_k, G_k) is D^(2^k - 1) times the
-dehomogenized k-th iterate (f_k, g_k).  A KB map is odd, so f_k is even
-and g_k odd: its tower is kept in w = z^2, with f_k = F_k(w) and
-g_k = z G_k(w), at half the degree, and spread back into z at the edge.
-In both families Phi_k = F_k - x G_k, with x = z or w.  The exact iterate
-and period polynomials divide D^(2^k - 1) back out; the dynatomic
-polynomial needs no division, since constant factors drop out of its
-canonical form: primitive integer coefficients, positive leading
-coefficient.  ``_dynatomic_x`` returns it in x, before the spread into z:
-for a KB map a polynomial in w whose roots are the squares of its z-roots,
-which the KB scans root once per k for kz + 1/z (``search``).
+Univariate polynomials are the y=1 dehomogenizations.  A map's own
+integer iterate tower is kept in its ``__dict__`` next to its step record
+and extended on demand, so the n asked of one map share Phi_1..Phi_max.
+With D = den(c) for z^2 + c and D = den(k) den(b) for kz + b/z, its k-th
+entry (F_k, G_k) is D^(2^k - 1) times the dehomogenized k-th iterate
+(f_k, g_k).  A KB map is odd, so f_k is even and g_k odd: its tower is
+kept in w = z^2, with f_k = F_k(w) and g_k = z G_k(w), at half the degree,
+and spread back into z at the edge.  In both families Phi_k = F_k - x G_k,
+with x = z or w.  The exact iterate and period polynomials divide
+D^(2^k - 1) back out; the dynatomic polynomial needs no division, since
+constant factors drop out of its canonical form: primitive integer
+coefficients, positive leading coefficient.  ``_dynatomic_x`` returns it in
+x, before the spread into z: for a KB map a polynomial in w whose roots are
+the squares of its z-roots, which the KB scans root once per k for
+kz + 1/z (``search``).
+
+Up to n = 5 no map builds a tower for Phi*_n: each family has one over
+Z[t] (Morton, Acta Arith. 1998; Silverman, The Arithmetic of Dynamical
+Systems, 4.1), of z^2 + t in z and of tz + 1/z in w, built once per
+process (``_family``) and evaluated homogeneously at t = c or k; as
+kz + b/z is conjugate to b = 1 by w = b s, KB coefficient i is then
+multiplied by bn^(deg - i) bd^i.  The bytes are the tower's: a map's tower
+entries are constant multiples of the family's at t = c (or k, after
+w = b s), and evaluation is a ring map, sending num = Phi*_n den over Z[t]
+to the map's own identity with den(t0) != 0 (monic in z for z^2 + t, and
+in w its constant term is a power of t).  The two quotients differ by a
+constant, which the canonical form drops, as it strips a degree drop such
+as k = +-1's.  The cutoff is measured, not derived: a family build at n = 6
+(56 / 91 ms, quad / KB) costs what about 290 maps save, and
+``ratdyn scan --kind kb`` at its default height-k 10 (127 k) is faster on
+the towers, from height-k 20 on the family (CHANGES.md has the timings).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
+from operator import mul
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Tuple
 
 from . import _intpoly
-from .dynamics import DEFAULT_MAX_STEPS, Map, exact_period
+from .dynamics import Map, QuadraticMap, exact_period
 from .errors import DomainError, parameter_excluded
 from .polynomials import HomogeneousPoly, Poly
 
@@ -47,6 +64,9 @@ __all__ = [
     "rational_roots",
     "periodic_points_exact",
 ]
+
+
+_FAMILY_MAX_N = 5  # the last n specialised from the family (module docstring)
 
 
 def moebius(n: int) -> int:
@@ -70,10 +90,6 @@ def moebius(n: int) -> int:
     return -1 if count % 2 else 1
 
 
-def _divisors(n: int) -> List[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 @dataclass(frozen=True)
 class IteratePair:
     """Homogeneous n-th iterate [F : G], both of degree 2^n, coprime."""
@@ -83,30 +99,36 @@ class IteratePair:
     n: int
 
 
-def _tower(m: Map, n: int) -> Tuple[Tuple[List[int], List[int]], ...]:
-    """The first n entries (F_k, G_k) of m's integer iterate tower.
+def _grow(tower: tuple, n: int, quad: bool, A: List[int], B: List[int], D: List[int]) -> tuple:
+    """``tower``'s first n entries (F_k, G_k), the missing ones built.
 
     f_1 = A z^2 + B and f' = A f^2 + B g^2, where A/D and B/D are the map's
     z^2 and constant coefficients (1, c or k, b); g' = D g^2 for z^2 + c and
     D f g for kz + b/z: the integers of the map's orbit step.  In w = z^2 a
-    KB entry steps as F' = A F^2 + B w G^2, G' = D F G.  A longer tower
-    replaces the stored one whole, so a reader never sees a partial one.
+    KB entry steps as F' = A F^2 + B w G^2, G' = D F G.  The scalars are
+    vectors: constants for one map, powers of u for a family (``_family``).
     """
+    tower = list(tower) or [(_intpoly.padd(B, [0] * (1 + quad) + A), D)]
+    while len(tower) < n:
+        f, g = tower[-1]
+        gg = _intpoly.pmul(g, g)
+        tower.append((
+            _intpoly.padd(_intpoly.pmul(A, _intpoly.pmul(f, f)), _intpoly.pmul(B, gg if quad else [0] + gg)),
+            _intpoly.pmul(D, gg if quad else _intpoly.pmul(f, g)),
+        ))
+    return tuple(tower)
+
+
+def _tower(m: Map, n: int) -> Tuple[Tuple[List[int], List[int]], ...]:
+    """The first n entries of m's integer iterate tower (``_grow``), kept in
+    m's ``__dict__``.  A longer tower replaces the stored one whole, so a
+    reader never sees a partial one."""
     if n < 1:
         raise parameter_excluded("n", n)
     tower = m.__dict__.get("_tower", ())
     if len(tower) < n:
         quad, A, B, D, _, _ = m._record
-        tower = list(tower) or [([B, 0, A] if quad else [B, A], [D])]
-        while len(tower) < n:
-            f, g = tower[-1]
-            gg = _intpoly.pmul(g, g)
-            tower.append((
-                _intpoly.padd(_intpoly.pscale(_intpoly.pmul(f, f), A),
-                              _intpoly.pscale(gg if quad else [0] + gg, B)),
-                _intpoly.pscale(gg if quad else _intpoly.pmul(f, g), D),
-            ))
-        tower = m.__dict__["_tower"] = tuple(tower)
+        tower = m.__dict__["_tower"] = _grow(tower, n, quad, [A], [B], [D])
     return tower
 
 
@@ -117,7 +139,7 @@ def _phi(f: List[int], g: List[int]) -> List[int]:
 
 def _in_z(m: Map, v: List[int], shift: int = 0) -> List[int]:
     """A tower vector in z: unchanged for a quad map, z^shift v(z^2) for KB."""
-    if m._record[0] or not v:
+    if isinstance(m, QuadraticMap) or not v:
         return v
     out = [0] * (2 * len(v) - 1 + shift)
     out[shift::2] = v
@@ -145,16 +167,48 @@ def period_polynomial(m: Map, n: int) -> Poly:
     return _exact(m, n, _phi(*_tower(m, n)[n - 1]))
 
 
-def _dynatomic_x(m: Map, n: int) -> List[int]:
-    """Phi*_n as a canonical integer vector in the tower's variable x: z for
-    a quad map, w = z^2 for a KB map (its roots are the squares of the
-    z-roots).  Only the Phi_d with mu(n/d) != 0 are formed."""
-    tower, factors = _tower(m, n), {1: [], -1: []}
-    for d in _divisors(n):
-        if mu := moebius(n // d):
+def _quotient(tower: tuple, n: int) -> List[int]:
+    """Phi*_n of a tower, canonical: the product of its Phi_d with mu(n/d) = 1
+    over the product of those with mu(n/d) = -1, by one exact division."""
+    factors = {1: [], -1: []}
+    for d in range(1, n + 1):
+        if n % d == 0 and (mu := moebius(n // d)):
             factors[mu].append(_phi(*tower[d - 1]))
     num, den = (_intpoly.pprimitive(reduce(_intpoly.pmul, factors[mu] or [[1]])) for mu in (1, -1))
     return _intpoly.pprimitive(_intpoly.pdiv_exact(num, den))
+
+
+@cache
+def _family(quad: bool, n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Phi*_n over Z[t] of z^2 + t in x = z, or of tz + 1/z in x = w: row i
+    is the t-vector of x^i.  Kronecker's substitution x = u, t = u^S is a
+    ring map, so ``_grow`` and ``_quotient`` build it in Z[u]; S exceeds the
+    x-degree of Phi_n (2^n, or 2^(n-1) in w), so u^(i + S j) is x^i t^j."""
+    S = 2 ** (n - 1 + quad) + 1
+    t = [0] * S + [1]
+    v = _quotient(_grow((), n, quad, *(([1], t, [1]) if quad else (t, [1], [1]))), n)
+    rows = [tuple(_intpoly.pstrip(v[i::S])) for i in range(S)]
+    while not rows[-1]:
+        rows.pop()
+    return tuple(rows)
+
+
+def _dynatomic_x(m: Map, n: int) -> List[int]:
+    """Phi*_n as a canonical integer vector in x: z for a quad map, w = z^2
+    for a KB map (its roots are the squares of the z-roots).  Up to
+    ``_FAMILY_MAX_N`` the family's (module docstring), past it the tower's."""
+    if not 1 <= n <= _FAMILY_MAX_N:
+        return _quotient(_tower(m, n), n)
+    quad = isinstance(m, QuadraticMap)
+    rows = _family(quad, n)
+    tn, td = (m.c if quad else m.k).as_integer_ratio()
+    e = max(map(len, rows)) - 1
+    w = [tn**j * td ** (e - j) for j in range(e + 1)]
+    v = [sum(map(mul, row, w)) for row in rows]
+    if not quad:
+        bn, bd = m.b.as_integer_ratio()
+        v = [c * bn ** (len(v) - 1 - i) * bd**i for i, c in enumerate(v)]
+    return _intpoly.pprimitive(v)
 
 
 def dynatomic_int(m: Map, n: int) -> List[int]:
@@ -212,11 +266,9 @@ def rational_roots(p: Poly, height_bound: Optional[int] = None) -> FrozenSet[Fra
 
 
 def periodic_points_exact(
-    m: Map,
-    n: int,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    height_bound: Optional[int] = None,
+    m: Map, n: int, *, height_bound: Optional[int] = None
 ) -> FrozenSet[Fraction]:
-    """Rational points of exact period n: dynatomic roots + period filter."""
+    """Rational points of exact period n: dynatomic roots + period filter.
+    Every root of Phi*_n closes within n steps, so the filter walks n."""
     roots = _intpoly.rational_roots_int(dynatomic_int(m, n), height_bound)
-    return frozenset(r for r in roots if exact_period(m, r, max_steps=max_steps) == n)
+    return frozenset(r for r in roots if exact_period(m, r, max_steps=n) == n)

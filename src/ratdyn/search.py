@@ -23,15 +23,16 @@ brings it back to u is its exact period.
 
 A KB map kz + b/z is conjugate to sqrt(b) (kt + 1/t) by z = sqrt(b) t, so
 a rational point z of exact period n gives the nonzero rational root
-s = z^2 / b of Phi*_n of kz + 1/z in w = z^2 (``dynatomic._dynatomic_x``),
-a polynomial in k alone.  Its roots are taken once per k and n, up to
-height B^2 max H(b): for z = u/v in lowest terms with |u|, v <= B,
-num(s) divides u^2 den(b) and den(s) divides v^2 num(b).  Each b then
-keeps z = +-sqrt(b s) of height <= B, by integer tests; only then is the
-map kz + b/z built, and ``exact_period`` confirms z, as on the dynatomic
-route: a root of Phi*_n of exact period d < n lies on a d-cycle whose
-multiplier is a primitive (n/d)-th root of unity.  The map is odd and its
-region symmetric, so one call decides both of +-z.
+s = z^2 / b of Phi*_n of kz + 1/z in w = z^2, a polynomial in k alone
+(``dynatomic._dynatomic_x``: up to n = 5 the one polynomial of tz + 1/z
+over Z[t], built once per process and evaluated at t = k).  Its roots are
+taken once per k and n, up to height B^2 max H(b): for z = u/v in lowest
+terms with |u|, v <= B, num(s) divides u^2 den(b) and den(s) divides
+v^2 num(b).  Each b then keeps z = +-sqrt(b s) of height <= B, by integer
+tests; only then is the map kz + b/z built, and ``exact_period`` confirms
+z, as on the dynatomic route: a root of Phi*_n of exact period d < n lies
+on a d-cycle whose multiplier is a primitive (n/d)-th root of unity.  The
+map is odd and its region symmetric, so one call decides both of +-z.
 
 A scan thus finds exactly the points of height <= B and exact period n:
 the set that ``dynatomic.periodic_points_exact`` returns with

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,10 +17,11 @@ from ratdyn.dynatomic import (
     periodic_points_exact,
     rational_roots,
 )
-from ratdyn import _intpoly
+from ratdyn import _intpoly, dynatomic
 from ratdyn.errors import DomainError
 from ratdyn.polynomials import Poly
-from tests.conftest import sample_rationals, step_walk
+from ratdyn.search import scan_kb_periods
+from tests.conftest import rationals, sample_rationals, step_walk
 
 
 def brute_moebius(n):
@@ -416,6 +418,10 @@ def test_periodic_points_exact_examples():
         F(-3),
         F(4),
     }
+    # the exact-period filter walks n steps, within which every root of
+    # Phi*_n closes
+    assert periodic_points_exact(KBMap(F(4, 3), F(-10, 3)), 4) == {F(-2), F(-1), F(1), F(2)}
+    assert periodic_points_exact(QuadraticMap(F(-29, 16)), 3) == {F(-7, 4), F(-1, 4), F(5, 4)}
 
 
 def test_periodic_points_against_direct_orbit_scan(rng):
@@ -526,3 +532,69 @@ def test_kb_w_route_matches_z_route_reference():
                     assert periodic_points_exact(m, n, height_bound=bound) == expected, (m, n, bound)
     with pytest.raises(DomainError, match="parameter excluded: height_bound=-3"):
         periodic_points_exact(KBMap(F(1), F(1)), 4, height_bound=-3)
+
+
+def _tower_route(m, n):
+    """Phi*_n from a fresh copy of m's own iterate tower."""
+    fresh = QuadraticMap(m.c) if isinstance(m, QuadraticMap) else KBMap(m.k, m.b)
+    return dynatomic._quotient(dynatomic._tower(fresh, n), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.builds(QuadraticMap, rationals(10**6)),
+                 st.builds(KBMap, rationals(10**6, nonzero=True), rationals(10**6, nonzero=True))),
+       st.integers(1, dynatomic._FAMILY_MAX_N))
+@example(KBMap(F(1), F(-7, 3)), 4)
+@example(KBMap(F(-1), F(5)), 2)
+@example(KBMap(F(1), F(1)), 5)
+@example(KBMap(F(-1), F(-2, 9)), 3)
+@example(QuadraticMap(F(1, 4)), 1)
+@example(QuadraticMap(F(1, 4)), 4)
+@example(QuadraticMap(F(-3, 4)), 2)
+@example(QuadraticMap(F(-3, 4)), 5)
+def test_family_route_equals_the_tower_route(m, n):
+    # the family's Phi*_n at the map's parameter, against the map's own
+    # tower and Moebius division; k = +-1 drops Phi*_n's degree in w, and
+    # c = 1/4, -3/4 are where a fixed point, or a 2-cycle, is a double root
+    assert dynatomic._dynatomic_x(m, n) == _tower_route(m, n), (m, n)
+
+
+def test_family_phi3_of_z2_plus_t_is_the_closed_form():
+    # Phi*_3 = z^6 + z^5 + (3c+1) z^4 + (2c+1) z^3 + (3c^2+3c+1) z^2
+    #          + (c+1)^2 z + c^3 + 2c^2 + c + 1  (quad_periodic_points)
+    assert dynatomic._family(True, 3) == (
+        (1, 1, 2, 1), (1, 2, 1), (1, 3, 3), (1, 2), (1, 3), (1,), (1,))
+
+
+def test_family_phi4_of_tz_plus_1_over_z_is_the_product_of_the_period4_factors():
+    # the rows in w = z^2, t-vectors of degree <= 12, evaluated at 14 values
+    # of t, against the quartic times the cofactor at (k, 1): a pin of
+    # every coefficient
+    rows = dynatomic._family(False, 4)
+    assert len(rows) == 7 and max(map(len, rows)) <= 13
+    for k in [k for k in range(-7, 8) if k]:
+        quartic, cofactor = period4_dynatomic_factors(F(k), F(1))
+        want = (quartic * cofactor).coeffs
+        assert want[1::2] == (0,) * 6, k
+        assert [sum(c * k**j for j, c in enumerate(row)) for row in rows] == list(want[::2]), k
+
+
+def test_each_family_polynomial_is_built_once(monkeypatch):
+    # a KB scan and 200 fresh maps at n <= 5 build each family polynomial
+    # once and no map's tower; the maps keep no step record or tower
+    built, grow = [], dynatomic._grow
+    monkeypatch.setattr(dynatomic, "_grow", lambda tower, n, quad, *s: built.append((quad, n)) or grow(tower, n, quad, *s))
+    dynatomic._family.cache_clear()
+    scan_kb_periods(10, 10, 100, (1, 2, 4, 5))
+    rng = random.Random(24)
+    for i in range(200):
+        m = QuadraticMap(*sample_rationals(rng, 1, 50)) if i % 2 else KBMap(*sample_rationals(rng, 2, 50, nonzero=True))
+        periodic_points_exact(m, rng.randint(1, 5))
+    assert len(built) == len(set(built)) == dynatomic._family.cache_info().currsize <= 10
+    for n in range(1, 6):
+        for m in (QuadraticMap(F(-29, 16)), KBMap(F(4, 3), F(-10, 3))):
+            dynatomic_int(m, n)
+            assert "_record" not in vars(m) and "_tower" not in vars(m), (m, n)
+    m = QuadraticMap(F(-29, 16))
+    dynatomic_int(m, 6)
+    assert "_tower" in vars(m)
