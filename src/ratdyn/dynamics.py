@@ -8,9 +8,12 @@ finite point outside the map's local region, where no periodic point lies
 (so a walk that leaves it never recurs): the Walde-Russo denominator and
 escape radius of z^2 + c, and for kz + b/z the escape radius when |k| > 1
 and the height bound K(m).  ``orbit``, ``exact_period`` and ``cycle_from``
-read its result.  Every walk takes one ``step`` on the map's integer
-record, built once per map on first use and kept in its ``__dict__``, off
-the dataclass fields.
+read its result.  ``exact_period`` first runs the walk's own start test on
+the same record and decides a start outside the region without a walk;
+``orbit`` still reports such a start as a one-point ``escapes`` tail, and
+``cycle_from`` is unchanged.  Every walk takes one ``step`` on the map's
+integer record, built once per map on first use and kept in its
+``__dict__``, off the dataclass fields.
 """
 
 from __future__ import annotations
@@ -215,16 +218,23 @@ def exact_period(m: Map, p, max_steps: int = DEFAULT_MAX_STEPS) -> Optional[int]
     """Least n <= max_steps with m^n(p) == p, or None.
 
     Returns None for points that are preperiodic with a nonempty tail and for
-    points whose orbit did not close within the bound.  The walk stops at the
-    first point, the start included, outside the map's region
-    (``_StepRecord``): no periodic point lies outside it.  Accepts a
+    points whose orbit did not close within the bound.  No periodic point
+    lies outside the map's region (``_StepRecord``): after ``max_steps`` is
+    checked, a start outside it is decided without a walk (None, or 1 for
+    infinity), and a walk stops at the first image outside it.  Accepts a
     ProjectivePoint or anything convertible to Fraction.
     """
+    if max_steps < 1:
+        raise parameter_excluded("max_steps", max_steps)
     if isinstance(p, ProjectivePoint):
-        start = p.x, p.y
+        x, y = p.x, p.y
     else:
-        start = (p if isinstance(p, Fraction) else Fraction(p)).as_integer_ratio()
-    seen, end = _walk(m._record, start, max_steps)
+        x, y = (p if isinstance(p, Fraction) else Fraction(p)).as_integer_ratio()
+    rec = m._record
+    lo, hi, top, cx, cy = rec[-1]
+    if not (lo <= y <= hi and abs(x) <= top and (not cx or cx * x * x <= cy * y * y)):
+        return None if y else 1  # _walk's first test, decided without a walk
+    seen, end = _walk(rec, (x, y), max_steps)
     return len(seen) if end == 0 else None
 
 

@@ -375,29 +375,59 @@ def test_exact_period_contract_edges(m, p, n, monkeypatch):
     assert exact_period(m, INFINITY) == 1
     if isinstance(m, KBMap):
         assert exact_period(m, 0) is None
-    # a start past any face takes no step; a walk stops at the first image
-    # outside the region, or once it closes
-    walked = []
+    # a start past any face takes no step, nor a walk; a walk stops at the
+    # first image outside the region, or once it closes
+    walked, walks, walk = [], [], dynamics._walk
     monkeypatch.setattr(dynamics, "step", lambda rec, x, y: walked.append((x, y)) or step(rec, x, y))
-    assert exact_period(m, p) == n and len(walked) == n
+    monkeypatch.setattr(dynamics, "_walk", lambda rec, pair, s: walks.append(pair) or walk(rec, pair, s))
+    assert exact_period(m, p) == n and len(walked) == n and walks == [p.as_integer_ratio()]
     for x, y in faces:
         assert not _inside(m, x, y)
         walked.clear()
         assert exact_period(m, F(x, y)) is None and walked == []
         assert exact_period(m, F(x, y), max_steps=10**6) is None and walked == []
+    assert exact_period(m, INFINITY) == 1 and walked == [] and walks == [p.as_integer_ratio()]
     for start in enumerate_rationals(12):
         walked.clear()
         exact_period(m, start)
         assert len(walked) == _steps_to_stop(m, *start.as_integer_ratio())
+    # one walk for each start inside the region and none for a start
+    # outside it, where ``orbit``, on _walk's own test, stops at the start;
+    # every answer is that of the region-blind walk, stopped past K(m)
+    starts = list(enumerate_rationals(30))
+    walks.clear()
+    got = [exact_period(m, z) for z in starts]
+    assert walks == [z.as_integer_ratio() for z in starts if _inside(m, *z.as_integer_ratio())]
+    entered = set(walks)
+    for z, period in zip(starts, got):
+        rep = orbit(m, pt(z))
+        assert (z.as_integer_ratio() in entered) == (rep.status != "escapes" or len(rep.tail) > 1)
+        pairs, hit = step_walk(m, z, DEFAULT_MAX_STEPS, guard=_K(m))
+        assert period == (len(pairs) if hit == 0 else None)
 
 
 def test_exact_period_region_edges(monkeypatch):
     # infinity is fixed: tested before the region, which holds no finite
     # point of z^2 + 1/2 (den(c) is not a square)
-    for m in (QuadraticMap(F(1, 2)), QuadraticMap(F(-3, 7)), KBMap(F(3), F(1)), KBMap(F(-5, 2), F(2, 3))):
+    for m in (QuadraticMap(F(1, 2)), QuadraticMap(F(-3, 7)), QuadraticMap(F(5, 8)),
+              KBMap(F(3), F(1)), KBMap(F(-5, 2), F(2, 3))):
         assert exact_period(m, INFINITY) == 1
         assert exact_period(m, ProjectivePoint(1, 0), max_steps=1) == 1
+    # max_steps is refused before the start is read, at any start
+    for m, p in [(QuadraticMap(F(1, 2)), F(1, 3)), (QuadraticMap(F(1, 2)), INFINITY), (KBMap(F(3), F(1)), INFINITY)]:
+        with pytest.raises(DomainError, match="^parameter excluded: max_steps=0$"):
+            exact_period(m, p, max_steps=0)
+    # no walk for infinity, for any finite start of z^2 + 1/2, or for a KB
+    # start past the escape radius (|k| > 1)
+    walks, walk = [], dynamics._walk
+    monkeypatch.setattr(dynamics, "_walk", lambda rec, pair, s: walks.append(pair) or walk(rec, pair, s))
     assert not any(exact_period(QuadraticMap(F(1, 2)), q) for q in enumerate_rationals(20))
+    assert exact_period(QuadraticMap(F(1, 2)), INFINITY) == 1 and exact_period(QuadraticMap(F(5, 8)), INFINITY) == 1
+    for m in (KBMap(F(3), F(1)), KBMap(F(-5, 2), F(2, 3))):
+        A, B, C = _abc(m)
+        past = [q for q in enumerate_rationals(20) if (abs(A) - C) * q.numerator**2 > abs(B) * q.denominator**2]
+        assert len(past) > 100 and not any(exact_period(m, q) for q in past)
+    assert walks == []
     # 0 -> inf -> inf on a KB map, with |k| > 1 and with |k| < 1
     for m in (KBMap(F(3), F(1)), KBMap(F(1, 3), F(1)), KBMap(F(4, 3), F(-2, 15))):
         assert exact_period(m, 0) is None and exact_period(m, F(0)) is None
