@@ -9,11 +9,14 @@ finite point outside the map's local region, where no periodic point lies
 escape radius of z^2 + c, and for kz + b/z the escape radius when |k| > 1
 and the height bound K(m).  ``orbit``, ``exact_period`` and ``cycle_from``
 read its result.  ``exact_period`` first runs the walk's own start test on
-the same record and decides a start outside the region without a walk;
-``orbit`` still reports such a start as a one-point ``escapes`` tail, and
-``cycle_from`` is unchanged.  Every walk takes one ``step`` on the map's
-integer record, built once per map on first use and kept in its
-``__dict__``, off the dataclass fields.
+the same record and decides a start outside the region without a walk.  On
+a KB map it then rejects, also without a walk, a start that fails a filter
+on the valuations of s = z^2/b, which every periodic point passes but a
+preperiodic one may fail, so ``orbit`` and ``cycle_from`` do not read it.
+``orbit`` still reports a start outside the region as a one-point
+``escapes`` tail, and a preperiodic start with its tail and cycle.  Every
+walk takes one ``step`` on the map's integer record, built once per map on
+first use and kept in its ``__dict__``, off the dataclass fields.
 """
 
 from __future__ import annotations
@@ -58,8 +61,9 @@ def quad_window(n: int, d: int) -> Tuple[int, int]:
 
 
 class _StepRecord:
-    """``m._record`` = (quad, a, b, c, q, (lo, hi, top, cx, cy)): built on first
-    read into m's ``__dict__``, shadowing this descriptor: no dataclass field.
+    """``m._record`` = (quad, a, b, c, q, (lo, hi, top, cx, cy), kb): built on
+    first read into m's ``__dict__``, shadowing this descriptor: no dataclass
+    field.
 
     ``step`` sends a canonical coprime pair (x, y) to (F, G) / gcd(F, G), with
     (F, G) = (a x^2 + b y^2, c y^2) for a quad map and (a x^2 + b y^2, c x y)
@@ -81,24 +85,41 @@ class _StepRecord:
           H(P)^2 / K, K = max(|B|(C+|B|), |A|(C+|A|)) (compare Silverman,
           The Arithmetic of Dynamical Systems, Prop. 2.13), so hi = top = K;
           lo = 1, as 0 maps to the fixed point infinity.
+
+    kb is None for a quad map and (kn, kd, bn, bd) for a KB map, k = kn/kd
+    and b = bn/bd in lowest terms: the start filter of ``exact_period``.  The
+    substitution s = z^2/b sends k z + b/z to psi(s) = (k s + 1)^2 / s, free
+    of b.  At a prime p, with v = v_p(s):
+      p not dividing kn kd: v > 0 gives v_p(psi(s)) = -v < 0, and a negative
+          valuation w stays w (v_p(k s + 1) = w), so s never recurs;
+      p | kd, delta = v_p(kd) > 0: v < delta gives v_p(k s + 1) = v - delta
+          and v_p(psi(s)) = v - 2 delta, still below delta, so it falls
+          strictly; v > delta gives v_p(psi(s)) = -v < delta, so it then falls.
+    s is a function of z, so a periodic z = x/y has v_p(s) <= 0 at every p
+    not dividing kn kd and v_p(s) = v_p(kd) at every p | kd: |num(x^2 bd /
+    (y^2 bn))| = kd r, every prime of r dividing kn (and z = 0 maps to
+    infinity).  Nothing holds for preperiodic points: on kz + b/z with k = 4/3,
+    b = -10/3, the start -5/4 fails the filter and maps to 1 on the 4-cycle
+    1 -> -2 -> -1 -> 2, so ``_walk``, ``orbit`` and ``cycle_from`` never read it.
     """
 
     def __get__(self, m: Map, cls=None) -> tuple:
         if quad := isinstance(m, QuadraticMap):
             n, d = m.c.as_integer_ratio()
             e, top = quad_window(n, d)
-            rec = quad, d, n, d, d * d, (e or 1, e, top, 0, 0)
+            rec = quad, d, n, d, d * d, (e or 1, e, top, 0, 0), None
         else:
             (kn, kd), (bn, bd) = m.k.as_integer_ratio(), m.b.as_integer_ratio()
             a, b, c = kn * bd, bn * kd, kd * bd
             K = max(abs(b) * (c + abs(b)), abs(a) * (c + abs(a)))
-            rec = quad, a, b, c, a * b * c, (1, K, K, max(abs(a) - c, 0), abs(b))
+            region = 1, K, K, max(abs(a) - c, 0), abs(b)
+            rec = quad, a, b, c, a * b * c, region, (kn, kd, bn, bd)
         return m.__dict__.setdefault("_record", rec)
 
 
 def step(rec: tuple, x: int, y: int) -> Tuple[int, int]:
     """The image of the canonical pair (x, y) under the map of ``rec``."""
-    quad, a, b, c, q, _ = rec
+    quad, a, b, c, q, _, _ = rec
     f, g = a * x * x + b * y * y, c * y * (y if quad else x)
     h = gcd(f, q, g) * (1 if (g or f) > 0 else -1)  # y > 0, or (1 : 0)
     return f // h, g // h
@@ -158,7 +179,7 @@ def _walk(rec: tuple, pair: Tuple[int, int], max_steps: int) -> Tuple[dict, Unio
     families, ends the walk as a repeat without a step."""
     if max_steps < 1:
         raise parameter_excluded("max_steps", max_steps)
-    lo, hi, top, cx, cy = rec[-1]
+    lo, hi, top, cx, cy = rec[5]
     seen = {}
     for i in range(max_steps):
         x, y = pair
@@ -221,8 +242,10 @@ def exact_period(m: Map, p, max_steps: int = DEFAULT_MAX_STEPS) -> Optional[int]
     points whose orbit did not close within the bound.  No periodic point
     lies outside the map's region (``_StepRecord``): after ``max_steps`` is
     checked, a start outside it is decided without a walk (None, or 1 for
-    infinity), and a walk stops at the first image outside it.  Accepts a
-    ProjectivePoint or anything convertible to Fraction.
+    infinity), and a walk stops at the first image outside it.  On a KB map a
+    start inside the region that fails the valuation filter on s = z^2/b
+    (``_StepRecord``), which no periodic point fails, is None without a walk.
+    Accepts a ProjectivePoint or anything convertible to Fraction.
     """
     if max_steps < 1:
         raise parameter_excluded("max_steps", max_steps)
@@ -231,9 +254,19 @@ def exact_period(m: Map, p, max_steps: int = DEFAULT_MAX_STEPS) -> Optional[int]
     else:
         x, y = (p if isinstance(p, Fraction) else Fraction(p)).as_integer_ratio()
     rec = m._record
-    lo, hi, top, cx, cy = rec[-1]
+    lo, hi, top, cx, cy = rec[5]
     if not (lo <= y <= hi and abs(x) <= top and (not cx or cx * x * x <= cy * y * y)):
         return None if y else 1  # _walk's first test, decided without a walk
+    if kb := rec[6]:  # the KB start filter (``_StepRecord``): |num(s)| = kd r
+        kn, kd, bn, bd = kb
+        t = x * x * bd
+        r, rem = divmod(t // gcd(t, y * y * bn), kd)
+        if rem or not r:  # 0 maps to infinity
+            return None
+        while (g := gcd(r, kn)) > 1:
+            r //= g
+        if r != 1:  # a prime of r not in kn
+            return None
     seen, end = _walk(rec, (x, y), max_steps)
     return len(seen) if end == 0 else None
 

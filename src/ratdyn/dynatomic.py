@@ -127,7 +127,7 @@ def _tower(m: Map, n: int) -> Tuple[Tuple[List[int], List[int]], ...]:
         raise parameter_excluded("n", n)
     tower = m.__dict__.get("_tower", ())
     if len(tower) < n:
-        quad, A, B, D, _, _ = m._record
+        quad, A, B, D, _, _, _ = m._record
         tower = m.__dict__["_tower"] = _grow(tower, n, quad, [A], [B], [D])
     return tower
 

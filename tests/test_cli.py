@@ -23,6 +23,13 @@ GOLDEN_CASES = {
     # also diffed against the installed console script in CI
     "orbit_quad_c0_p2.json": ["orbit", "--map", "quad:c=0", "--point", "2"],
     "period_kb_43_p2.json": ["period", "--map", "kb:k=4/3,b=-10/3", "--point", "2"],
+    # -5/4 fails exact_period's KB start filter (no walk, null), yet maps to
+    # 1 on the 4-cycle: orbit, which does not read the filter, reports it as
+    # a periodic tail; both also diffed against the installed console script in CI
+    "orbit_kb_43_p-5-4.json": ["orbit", "--map", "kb:k=4/3,b=-10/3", "--point", "-5/4"],
+    "period_kb_43_p-5-4.json": ["period", "--map", "kb:k=4/3,b=-10/3", "--point", "-5/4"],
+    # a KB escapes tail: 973/54 lies past K(m) = 18, |k| < 1
+    "orbit_kb_1-3_1_p1-18.json": ["orbit", "--map", "kb:k=1/3,b=1", "--point", "1/18"],
     # starts outside the local region: den(c) = 2 is not a square; 1/3 has
     # the wrong denominator for den(c) = 4
     "period_quad_c1-2_p1-3.json": ["period", "--map", "quad:c=1/2", "--point", "1/3"],

@@ -283,6 +283,19 @@ def _inside(m, x, y):
     return 0 < y <= _K(m) and abs(x) <= _K(m) and (abs(A) <= C or (abs(A) - C) * x * x <= abs(B) * y * y)
 
 
+def _passes(m, x, y):
+    """Whether the finite point x/y passes the start filter of a KB map,
+    read from the valuations of s = x^2 / (y^2 b), k = kn/kd: v_p(s) =
+    v_p(kd) at each prime p | kd and v_p(s) <= 0 at each p not dividing
+    kn kd, that is kd divides |num(s)| = n exactly and n divides a power of
+    kn kd.  A quad map has no filter."""
+    if isinstance(m, QuadraticMap):
+        return True
+    kn, kd = m.k.as_integer_ratio()
+    n = abs((F(x, y) ** 2 / m.b).numerator)
+    return n > 0 and n % kd == 0 and math.gcd(n // kd, kd) == 1 and pow(kn * kd, n.bit_length(), n) == 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(_map_and_start(), st.integers(1, 6))
 @example((QuadraticMap(F(-(10**302 + 10**151 + 1))), F(10**151)), 2)
@@ -347,8 +360,11 @@ def _past_faces(m):
 
 
 def _steps_to_stop(m, x, y, max_steps=DEFAULT_MAX_STEPS):
-    """The number of steps a walk from x/y takes before it closes or meets
-    a point outside the region."""
+    """The number of steps ``exact_period`` takes from x/y: none for a start
+    that fails the filter, else those of a walk before it closes or meets a
+    point outside the region."""
+    if not _passes(m, x, y):
+        return 0
     seen = set()
     for n in range(1, max_steps + 1):
         if not _inside(m, x, y):
@@ -391,17 +407,23 @@ def test_exact_period_contract_edges(m, p, n, monkeypatch):
         walked.clear()
         exact_period(m, start)
         assert len(walked) == _steps_to_stop(m, *start.as_integer_ratio())
-    # one walk for each start inside the region and none for a start
-    # outside it, where ``orbit``, on _walk's own test, stops at the start;
-    # every answer is that of the region-blind walk, stopped past K(m)
+    # one walk for each start inside the region that passes the KB filter,
+    # and none for a start outside it, where ``orbit``, on _walk's own test,
+    # stops at the start, or for one that fails the filter, which ``orbit``
+    # does not read; every answer is that of the region-blind walk, stopped
+    # past K(m)
     starts = list(enumerate_rationals(30))
     walks.clear()
     got = [exact_period(m, z) for z in starts]
-    assert walks == [z.as_integer_ratio() for z in starts if _inside(m, *z.as_integer_ratio())]
+    assert walks == [z.as_integer_ratio() for z in starts if _inside(m, *z.as_integer_ratio())
+                     and _passes(m, *z.as_integer_ratio())]
+    if isinstance(m, KBMap):
+        assert 0 < len(walks) < sum(_inside(m, *z.as_integer_ratio()) for z in starts)
     entered = set(walks)
     for z, period in zip(starts, got):
         rep = orbit(m, pt(z))
-        assert (z.as_integer_ratio() in entered) == (rep.status != "escapes" or len(rep.tail) > 1)
+        stays = rep.status != "escapes" or len(rep.tail) > 1
+        assert (z.as_integer_ratio() in entered) == (stays and _passes(m, *z.as_integer_ratio()))
         pairs, hit = step_walk(m, z, DEFAULT_MAX_STEPS, guard=_K(m))
         assert period == (len(pairs) if hit == 0 else None)
 
@@ -448,11 +470,11 @@ def test_exact_period_region_edges(monkeypatch):
     for m, z, image in [
         (QuadraticMap(F(-13)), F(2), F(-9)),  # quad radius
         (KBMap(F(3), F(1)), F(1, 2), F(7, 2)),  # KB radius, |k| > 1
-        (KBMap(F(1, 3), F(1)), F(1, 18), F(973, 54)),  # KB K = 18, |k| < 1
+        (KBMap(F(1, 3), F(3)), F(3, 11), F(122, 11)),  # KB K = 108, |k| < 1
     ]:
         walked.clear()
         x, y = z.as_integer_ratio()
-        assert _inside(m, x, y) and not _inside(m, *image.as_integer_ratio())
+        assert _inside(m, x, y) and _passes(m, x, y) and not _inside(m, *image.as_integer_ratio())
         assert step(m._record, x, y) == image.as_integer_ratio()
         assert exact_period(m, z) is None and walked == [(x, y)]
 
@@ -482,6 +504,79 @@ def test_planted_cycles_lie_inside_the_region(case):
     for z in points:
         assert _inside(m, *z.as_integer_ratio())
         assert exact_period(m, z) == n
+
+
+@st.composite
+def _kb_cycle(draw):
+    """(map, cycle points, n): a planted KB fixed point (b = z^2 (1 - k)) or
+    2-cycle {z, -z} (b = -z^2 (k + 1)), a ``kb_period4_family`` cycle scaled
+    by z (b -> z^2 b), or ``periodic_points_exact`` on a random KB map."""
+    kind = draw(st.sampled_from(["fixed", "two", "four", "random"]))
+    big = rationals(2**64, nonzero=True)
+    if kind == "random":
+        m = draw(RANDOM_MAPS.filter(lambda m: isinstance(m, KBMap)))
+        n = draw(st.sampled_from([1, 2, 4]))
+        return m, sorted(periodic_points_exact(m, n)), n
+    z = draw(big)
+    if kind == "fixed":
+        k = draw(big.filter(lambda k: k != 1))
+        return KBMap(k, z * z * (1 - k)), (z,), 1
+    if kind == "two":
+        k = draw(big.filter(lambda k: k != -1))
+        return KBMap(k, -z * z * (k + 1)), (z, -z), 2
+    fam = kb_period4_family(draw(big.filter(lambda t: t not in (1, -1))))
+    return KBMap(fam.k, fam.b * z * z), tuple(z * x for x in fam.points), 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kb_cycle())
+@example((KBMap(F(4, 3), F(-10, 3)), (F(1), F(-2), F(-1), F(2)), 4))
+def test_kb_filter_keeps_every_periodic_point(case):
+    m, points, n = case
+    for z in points:
+        assert _passes(m, *z.as_integer_ratio())
+        assert exact_period(m, z) == n
+
+
+def test_kb_filter_is_read_by_exact_period_alone(monkeypatch):
+    # -5/4 fails the filter of kz + b/z at k = 4/3, b = -10/3, yet maps to 1
+    # on the 4-cycle 1 -> -2 -> -1 -> 2: exact_period rejects it without a
+    # walk, while orbit and cycle_from walk it as before
+    walks, walk = [], dynamics._walk
+    monkeypatch.setattr(dynamics, "_walk", lambda rec, pair, s: walks.append(pair) or walk(rec, pair, s))
+    m = KBMap(F(4, 3), F(-10, 3))
+    assert _inside(m, -5, 4) and not _passes(m, -5, 4)
+    assert exact_period(m, F(-5, 4)) is None and exact_period(m, pt(F(-5, 4))) is None and walks == []
+    rep = orbit(m, pt(F(-5, 4)))
+    assert rep.status == "periodic" and vals(rep.tail) == [F(-5, 4)] and vals(rep.cycle) == [1, -2, -1, 2]
+    assert cycle_from(m, F(-5, 4)) is None and walks == [(-5, 4), (-5, 4)]
+    # on k = 1/3, b = 1 no start passes (|num(s)| = x^2 is never 3), so
+    # 1/18, one step from leaving K(m) = 18, is rejected at the start
+    m, walks[:] = KBMap(F(1, 3), F(1)), []
+    assert not any(_passes(m, *z.as_integer_ratio()) for z in enumerate_rationals(30))
+    assert exact_period(m, F(1, 18)) is None and walks == []
+    assert vals(orbit(m, pt(F(1, 18))).tail) == [F(1, 18), F(973, 54)]
+
+
+def test_kb_census_walks_only_the_starts_that_pass_the_filter(monkeypatch):
+    # the KB half of the orbit census: the m 4-cycle family for H(m) <= 3
+    # and two worked examples, every start of height <= 30
+    maps = [KBMap(F(4, 3), F(-10, 3)), KBMap(F(5, 3), F(-3, 2))]
+    for t in enumerate_rationals(3):
+        if t not in (0, 1, -1):
+            fam = kb_period4_family(t)
+            maps.append(KBMap(fam.k, fam.b))
+    starts = list(enumerate_rationals(30))
+    walks, walk = [], dynamics._walk
+    monkeypatch.setattr(dynamics, "_walk", lambda rec, pair, s: walks.append(pair) or walk(rec, pair, s))
+    got = [exact_period(m, z) for m in maps for z in starts]
+    inside = [(m, z.as_integer_ratio()) for m in maps for z in starts if _inside(m, *z.as_integer_ratio())]
+    passing = [pair for m, pair in inside if _passes(m, *pair)]
+    assert len(got) == 15554 and len(inside) == 9588
+    assert walks == passing and len(walks) == 326
+    for m in maps:
+        want = {n: set(periodic_points_exact(m, n, height_bound=30)) for n in (1, 2, 4)}
+        assert want == {n: {z for z in starts if exact_period(m, z) == n} for n in (1, 2, 4)}
 
 
 def _k_walk(m, z, max_steps):
