@@ -137,10 +137,12 @@ def parse_rational(text: str) -> Fraction:
     """Parse "n" or "n/d" (optional leading minus, no whitespace)."""
     if not _RATIONAL_RE.match(text):
         raise DomainError(f"invalid rational: {text!r}")
-    if "/" in text:
-        n, d = text.split("/")
-        return normalize_rational(int(n), int(d))
-    return Fraction(int(text))
+    n, _, d = text.partition("/")
+    try:
+        n, d = int(n), int(d or 1)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise DomainError(f"invalid rational: {text!r}") from None
+    return normalize_rational(n, d)
 
 
 def format_rational(r: Fraction) -> str:

@@ -4,9 +4,9 @@ Scans report their box in the documented order (ascending height, then
 numerator, then denominator) and carry a map as reduced int parameters:
 (num, den) of a quad c, ((kn, kd), (bn, bd)) of a KB (k, b).  They find
 each map's points of exact period n and height <= B by one exact route per
-family; neither reduces mod any prime, and neither builds a map object
-except for a candidate point.  Both routes give (parameter, n, z) rows in
-scan order, one per hit.
+family; neither reduces mod any prime, and only the KB route builds map
+objects, one per k and one per root.  Both routes give (parameter, n, z)
+rows in scan order, one per hit.
 
 A quad map z^2 + c, c = num / den, has every periodic point u/e in lowest
 terms with den = e^2 and |u| <= top (``dynamics.quad_window``), and there
@@ -21,18 +21,18 @@ when e does not divide z^2 + num or the image passes top, since the image
 then lies outside the window and is not periodic; the first step that
 brings it back to u is its exact period.
 
-A KB map kz + b/z is conjugate to sqrt(b) (kt + 1/t) by z = sqrt(b) t, so
-a rational point z of exact period n gives the nonzero rational root
-s = z^2 / b of Phi*_n of kz + 1/z in w = z^2, a polynomial in k alone
-(``dynatomic._dynatomic_x``: up to n = 5 the one polynomial of tz + 1/z
-over Z[t], built once per process and evaluated at t = k).  Its roots are
-taken once per k and n, up to height B^2 max H(b): for z = u/v in lowest
-terms with |u|, v <= B, num(s) divides u^2 den(b) and den(s) divides
-v^2 num(b).  Each b then keeps z = +-sqrt(b s) of height <= B, by integer
-tests; only then is the map kz + b/z built, and ``exact_period`` confirms
-z, as on the dynatomic route: a root of Phi*_n of exact period d < n lies
-on a d-cycle whose multiplier is a primitive (n/d)-th root of unity.  The
-map is odd and its region symmetric, so one call decides both of +-z.
+A KB map kz + b/z is conjugate to kz + (b/t^2)/z by z = t u for any
+t != 0, so a point z of (k, b) depends only on k and s = z^2 / b.  With
+t = +-z, the point +-z has the exact period of the point 1 of kz + (1/s)/z;
+with t = sqrt(b), s is a nonzero root of Phi*_n of kz + 1/z in w = z^2, a
+polynomial in k alone (``dynatomic._dynatomic_x``: up to n = 5 the one
+polynomial of tz + 1/z over Z[t], built once per process and evaluated at
+t = k).  Its roots are taken once per k and n, with no height bound, and
+``exact_period`` decides each nonzero root once, on that point 1, as on the
+dynatomic route: a root of Phi*_n of exact period d < n lies on a d-cycle
+whose multiplier is a primitive (n/d)-th root of unity.  Each b then keeps
+z = +-sqrt(b s) of height <= B by integer tests, so the exact_period calls
+do not depend on the b box.
 
 A scan thus finds exactly the points of height <= B and exact period n:
 the set that ``dynatomic.periodic_points_exact`` returns with
@@ -169,27 +169,24 @@ def _quad_points(args) -> List[Tuple[Tuple[int, int], int, Fraction]]:
 def _kb_points(args) -> List[Tuple[tuple, int, Fraction]]:
     """(p, n, z) for each KB parameter p = (k, b), k in ``ks`` and b in
     ``bs`` as (num, den), and each point z of p's map with exact period n in
-    ``periods`` and height <= ``bound``, in scan order: the roots s of each
-    k's Phi*_n in w, z = +-sqrt(b s), and one ``exact_period`` call per
-    pair +-z, on the one map built per candidate: the map is odd, and its
-    region symmetric, so -z has the exact period of z."""
+    ``periods`` and height <= ``bound``, in scan order: each root s of k's
+    Phi*_n in w decided once, then z = +-sqrt(b s) for each b."""
     ks, bs, periods, bound = args
-    hs, found = bound * bound * max(max(abs(bn), bd) for bn, bd in bs), []
+    found = []
     for k in ks:
         unit, hits = KBMap(Fraction(*k), Fraction(1)), []
         for n in periods:
-            roots = [s.as_integer_ratio() for s in rational_roots_int(_dynatomic_x(unit, n), hs) if s]
-            for (i, (bn, bd)), (sn, sd) in itertools.product(enumerate(bs), roots):
-                t = bn * bd * sn * sd  # b s = t / (bd sd)^2
-                if t <= 0 or (r := math.isqrt(t)) * r != t or height(z := Fraction(r, bd * sd)) > bound:
-                    continue
-                m = KBMap(unit.k, Fraction(bn, bd))
+            for sn, sd in (s.as_integer_ratio() for s in rational_roots_int(_dynatomic_x(unit, n)) if s):
+                m = KBMap(unit.k, Fraction(sd, sn))  # z -> z t takes (k, b) at z = t to (k, 1/s) at 1
                 try:
-                    period = exact_period(m, z)
+                    if exact_period(m, 1, n) != n:
+                        continue
                 except DomainError as exc:
                     raise DomainError(f"{m.describe()}, n={n}: {exc}") from None
-                if period == n:
-                    hits += [(i, n, -z), (i, n, z)]
+                for i, (bn, bd) in enumerate(bs):
+                    t = bn * bd * sn * sd  # b s = t / (bd sd)^2
+                    if t > 0 and (r := math.isqrt(t)) * r == t and height(z := Fraction(r, bd * sd)) <= bound:
+                        hits += [(i, n, -z), (i, n, z)]
         hits.sort(key=lambda row: (row[0], row[1], _rat_key(row[2])))
         found += [((k, bs[i]), n, z) for i, n, z in hits]
     return found

@@ -83,6 +83,14 @@ GOLDEN_CASES = {
         "scan", "--kind", "kb", "--height-k", "4", "--height-b", "10",
         "--height-point", "2", "--periods", "4",
     ],
+    # 524 hits over 22 k and 126 b, 262 with negative b: each root s of a k
+    # is decided once, then read off for every b; recorded before that
+    # route replaced one exact_period call per hit, and also diffed against
+    # the installed console script in CI, at one and two workers
+    "scan_kb_k4_b10_p50_n124.json": [
+        "scan", "--kind", "kb", "--height-k", "4", "--height-b", "10",
+        "--height-point", "50", "--periods", "1,2,4",
+    ],
     # 45 hits; also diffed against the installed console script in CI
     "scan_quad_h20_p100.json": [
         "scan", "--kind", "quad", "--height-c", "20", "--height-point", "100", "--periods", "1,2,3",
@@ -434,6 +442,29 @@ def test_domain_errors_exit_1_with_their_message(tmp_path, argv, message):
     cfg.write_text("height_k 2\n")
     code, out = run([arg.format(cfg=cfg) for arg in argv])
     assert (code, out) == (1, message)
+
+
+_LONG = "1" + "0" * 5000  # past Python's 4300-digit int-string limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["period", "--map", "quad:c=1", "--point", _LONG],
+    ["period", "--map", f"kb:k=1,b=-{_LONG}", "--point", "1"],
+    ["quartic", "--coeffs", f"1,0,0,0,1/{_LONG}", "--height", "3"],
+    ["shared", "--q", _LONG],
+    ["simul", "--a", _LONG, "--b", "1"],
+    ["simul", "--a", "1", "--b", f"-{_LONG}"],
+], ids=["point", "map", "coeffs", "q", "a", "b"])
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+def test_overlong_integer_exits_1_without_traceback(monkeypatch, capsys, argv):
+    # int() refuses the digits with a ValueError; parse_rational turns it
+    # into the DomainError of any other malformed rational
+    monkeypatch.setattr(sys, "argv", ["ratdyn", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert err.startswith("invalid rational: '") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_scan_point_bound_below_one_exits_1():

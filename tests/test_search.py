@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ratdyn import search
+from ratdyn import search, simultaneous
 from ratdyn._intpoly import rational_roots_int
 from ratdyn.classification import kb_period4_family, period3_family, quad_periodic_points
 from ratdyn.core import (
@@ -20,7 +20,6 @@ from ratdyn.core import (
     format_rational,
     height,
     rational_pairs,
-    rational_sqrt,
 )
 from ratdyn.dynamics import KBMap, QuadraticMap, cycle_from, exact_period, quad_window
 from ratdyn.dynatomic import _dynatomic_x, periodic_points_exact
@@ -163,13 +162,11 @@ def test_scan_caps_admit_every_quad_box_up_to_height_ten_thousand(monkeypatch):
 
 def test_scans_build_maps_only_for_candidates(monkeypatch):
     # the scans carry int parameters: a KB scan builds kz + 1/z once per k to
-    # root its Phi*_n and one map per (b, s) whose z = sqrt(b s) passes the
-    # integer-square and height test; a period scan never builds a quad map
-    def survivors(hk, hb, bound, periods):
-        (n,), (ks, bs) = periods, ([r for r in enumerate_rationals(h) if r] for h in (hk, hb))
-        roots = {k: [s for s in rational_roots_int(_dynatomic_x(KBMap(k, F(1)), n)) if s] for k in ks}
-        return len(ks), sum(1 for k in ks for b in bs for s in roots[k]
-                            if (z := rational_sqrt(b * s)) is not None and height(z) <= bound)
+    # root its Phi*_n and kz + (1/s)/z once per nonzero root s, whatever
+    # the b; a period scan never builds a quad map
+    def maps(hk, hb, bound, periods):
+        (n,), ks = periods, [r for r in enumerate_rationals(hk) if r]
+        return len(ks) + sum(1 for k in ks for s in rational_roots_int(_dynatomic_x(KBMap(k, F(1)), n)) if s)
 
     built = {KBMap: 0, QuadraticMap: 0}
 
@@ -180,11 +177,10 @@ def test_scans_build_maps_only_for_candidates(monkeypatch):
         return make
 
     for box, hits in (((2, 4, 50, (3,)), 0), ((4, 10, 2, (4,)), 20)):
-        units, passed = survivors(*box)
         monkeypatch.setattr(search, "KBMap", counting(KBMap))
         built[KBMap] = 0
         assert len(scan_kb_periods(*box).hits) == hits
-        assert units <= built[KBMap] <= units + passed, box
+        assert built[KBMap] == maps(*box), box
         monkeypatch.undo()
     monkeypatch.setattr(search, "KBMap", counting(KBMap))
     monkeypatch.setattr(search, "QuadraticMap", counting(QuadraticMap))
@@ -285,10 +281,11 @@ def test_kb_roots_of_a_lower_exact_period_are_dropped(monkeypatch):
         return real_period(m, z, *args)
 
     want = scan_kb_periods(2, 2, 10, {1, 2}).canonical_dict()
-    monkeypatch.setattr(search, "rational_roots_int", lambda c, bound: sorted(set(real_roots(c, bound)) | {F(-1)}))
+    monkeypatch.setattr(search, "rational_roots_int", lambda c, bound=None: sorted(set(real_roots(c, bound)) | {F(-1)}))
     monkeypatch.setattr(search, "exact_period", period)
     assert scan_kb_periods(2, 2, 10, {1, 2}).canonical_dict() == want
-    # one call per pair +-z, on the positive z
+    # one call per root s and n, on the point 1 of kz + (1/s)/z, which the
+    # root s = -1 of k = 2 names as kb:k=2,b=-1 at either n
     assert {c for c in checked if c[0] == "kb:k=2,b=-1"} == {("kb:k=2,b=-1", F(1))}
 
 
@@ -405,6 +402,62 @@ def test_sieve_matches_dynatomic_on_mixed_chunks(maps, quad_periods, kb_periods,
     # B^2 H(b), far past B; maps may repeat, and each quad map is found
     # among the maps of its box
     _assert_sieve_is_dynatomic(maps, (quad_periods, kb_periods), bound)
+
+
+# (n, k, b, p): a KB map with the point p of exact period n, from a row of
+# the closed-form table or from the 4-cycle family
+_PLANTED = st.one_of(
+    st.tuples(st.sampled_from((1, 2, 4)), rationals(12, nonzero=True), rationals(12))
+    .filter(lambda t: t[2] not in simultaneous._ROWS[t[0]][4])
+    .map(lambda t: (t[0], *simultaneous._ROWS[t[0]][1](t[1], t[2]), t[1])),
+    rationals(12).filter(lambda m: m not in (0, 1, -1)).map(kb_period4_family)
+    .map(lambda f: (4, f.k, f.b, f.points[0])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PLANTED, rationals(40, nonzero=True), st.integers(1, 600))
+@example((4, F(4, 3), F(-10, 3), F(1)), F(1), 2)
+@example((1, F(2), F(-1), F(1)), F(999, 1000), 1000)  # b = -998001/10^6
+@example((2, F(-10, 11), F(-1, 11), F(1)), F(1000, 3), 1000)  # b = -10^6/99
+def test_kb_route_matches_dynatomic_on_planted_points(planted, q, bound):
+    # u = q z conjugates kz + b/z to ku + b q^2/u and moves p to q p, so the
+    # rescaled map has q p of period n, and b reaches height about 10^6,
+    # negative too: the route roots kz + 1/z with no height bound and finds
+    # exactly the points that the dynatomic route of the map itself finds
+    n, k, b, p = planted
+    b *= q * q
+    param = (k.as_integer_ratio(), b.as_integer_ratio())
+    want = sorted(periodic_points_exact(KBMap(k, b), n, height_bound=bound), key=search._rat_key)
+    assert search._kb_points(([param[0]], [param[1]], (n,), bound)) == [(param, n, z) for z in want]
+    assert q * p in want or height(q * p) > bound
+
+
+def test_kb_exact_periods_are_decided_once_per_root_whatever_the_b_box(monkeypatch):
+    # one exact_period call per nonzero root (k, n, s), on the point 1 of
+    # kz + (1/s)/z, so widening the b box and the point bound adds none;
+    # every root is taken with no height bound
+    real_roots, real_period, roots, decided = search.rational_roots_int, search.exact_period, [], []
+
+    def rooting(c, *args, **kwargs):
+        assert not args and not kwargs
+        got = real_roots(c)
+        roots.extend(s for s in got if s)
+        return got
+
+    def period(m, z, *args):
+        decided.append((m.k, 1 / m.b, z, args))
+        return real_period(m, z, *args)
+
+    monkeypatch.setattr(search, "rational_roots_int", rooting)
+    monkeypatch.setattr(search, "exact_period", period)
+    counts = []
+    for box in ((4, 10, 50), (4, 40, 200)):
+        roots.clear(), decided.clear()
+        assert scan_kb_periods(*box, (1, 2, 4)).hits
+        assert len(set(decided)) == len(decided) == len(roots) and {z for _, _, z, _ in decided} == {1}
+        counts.append(len(decided))
+    assert counts == [50, 50]
 
 
 @settings(max_examples=40, deadline=None)
