@@ -544,3 +544,7 @@ def main() -> None:
         stream = sys.stdout if code == 0 else sys.stderr
         print(text, file=stream)
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -47,6 +47,7 @@ is described at ``quartic_rational_points``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -419,6 +420,18 @@ _WORDS = 2**17  # cap on the mask words ANDed in one block of v
 _SPAN = 2**12  # cap on the nonzero words whose bits are read at once
 
 
+@functools.cache
+def _residue_tables() -> list:
+    """(m, mono, square) per modulus m, curve-free and built once per
+    process: mono[i, v m + u] = u^(4-i) v^i mod m as int16, and square[x] says
+    whether x is a square mod m for 0 <= x <= 5 (m-1)^2 < 2^15."""
+    import numpy as np
+
+    pw = {m: (np.arange(m) ** np.arange(5)[:, None] % m).astype(np.int16) for m in _SQUARE_MODULI}
+    return [(m, (p[:, :, None] * p[::-1, None, :] % m).reshape(5, m * m),
+             np.tile(np.bincount(p[2], minlength=m) > 0, 5 * m)) for m, p in pw.items()]
+
+
 def _square_masks(bound: int, L: int, A) -> list:
     """(m, masks) per modulus m: an (m, ceil((2 bound + 1) / 64)) uint64
     array whose row v % m has bit i set when L * F(i - bound, v) is a square
@@ -427,14 +440,12 @@ def _square_masks(bound: int, L: int, A) -> list:
 
     out, width = [], 2 * bound + 1
     words = -(-width // 64)
-    for m in _SQUARE_MODULI:
-        u, v = (np.arange(m) - bound) % m, np.arange(m)[:, None]  # bit i: u = i - bound
-        squares = np.zeros(m, dtype=bool)
-        squares[np.arange(m) ** 2 % m] = True
-        a4, a3, a2, a1, a0 = (a % m for a in A)  # every term stays below 65**5
-        F = a4 * u**4 + a3 * u**3 * v + a2 * u**2 * v**2 + a1 * u * v**3 + a0 * v**4
-        # bit i depends on i % m alone, so word k on k % m: pack m words, repeat them
-        period = np.tile(np.packbits(np.tile(squares[L % m * F % m], 8), axis=1, bitorder="little"), 8)
+    for m, mono, square in _residue_tables():
+        c = np.array([L * a % m for a in A], dtype=np.int16)  # Python ints: any size
+        s = np.take(square, np.einsum("i,ij->j", c, mono)).reshape(m, m)  # s[v, u]
+        # bit i depends on i % m alone, u = i - bound: m words per period, repeated
+        r = -bound % m
+        period = np.tile(np.packbits(np.tile(s, 9)[:, r : r + 8 * m], axis=1, bitorder="little"), 8)
         masks = np.take(period.view("<u8"), np.arange(words) % m, axis=1)
         masks[:, -1] &= np.uint64(2 ** (width - 64 * words + 64) - 1)
         out.append((m, masks))
@@ -487,13 +498,14 @@ def quartic_rational_points(
     coefficients' denominators and F the integer binary quartic, so t is a
     point iff L F(u, v) is a perfect square.  For each modulus m in
     ``_SQUARE_MODULI`` (64, 63, 65, 11, 17, ..., 53) a table says whether
-    L F(u, v) is a square mod m; coefficients are reduced mod m first, so
-    nothing overflows at any coefficient size.  Each table becomes an (m, W)
-    uint64 array, W = ceil((2B + 1) / 64), whose row v mod m has bit i set
-    when u = i - B passes: sum(m) (2B + 1) bits, about 1.36 MB at B = 10^4,
-    built by each chunk, so nothing large is pickled.  The kernel ANDs the
-    rows into a block of consecutive v, reads the set bits, drops u with
-    gcd(u, v) != 1 (they repeat a t of smaller v), and confirms each
+    L F(u, v) is a square mod m: the coefficients reduced mod m (so nothing
+    overflows at any size) against curve-free tables that the process
+    builds once, before any fork, so pool workers inherit them.  Each chunk
+    expands it into an (m, W) uint64 mask, W = ceil((2B + 1) / 64), whose
+    row v mod m has bit i set when u = i - B passes: sum(m) (2B + 1) bits,
+    about 1.36 MB at B = 10^4, so nothing large is pickled.  The kernel
+    ANDs the rows into a block of consecutive v, reads the set bits, drops
+    u with gcd(u, v) != 1 (they repeat a t of smaller v), and confirms each
     survivor with an exact isqrt in Python ints.  A perfect square is a
     square mod every m, so no point is missed; isqrt decides exactly, so no
     false point is reported.  Survivors are coprime with |u|, v <= B, so
@@ -505,6 +517,7 @@ def quartic_rational_points(
         raise parameter_excluded("workers", workers)
     L, A = curve.integer_form()
     t0 = time.perf_counter()
+    _residue_tables()  # before the fork, so every worker inherits the tables
     chunks = [(vs, bound, L, A) for vs in _split(range(1, bound + 1), _parts(workers))]
     pts = {}
     for part in _run_chunks(_quartic_chunk, chunks, workers):

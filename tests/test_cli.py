@@ -569,12 +569,17 @@ def test_orbit_zero_point_kb_goes_to_infinity():
     assert data["tail"] == ["0"] and data["cycle"] == ["inf"]
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh interpreter holds ``module`` after ``import ratdyn.cli``."""
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports ratdyn from this checkout's ``src``."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys, ratdyn.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter holds ``module`` after ``import ratdyn.cli``."""
+    out = _python("-c", f"import sys, ratdyn.cli; print({module!r} in sys.modules)")
+    assert out.returncode == 0, out.stderr
     assert out.stdout in ("True\n", "False\n")
     return out.stdout == "True\n"
 
@@ -589,3 +594,17 @@ def test_cli_import_loads_no_multiprocessing():
     # a worker pool imports multiprocessing when it starts, so importing the
     # CLI does not pay for it
     assert not _loaded_by_cli_import("multiprocessing")
+
+
+@pytest.mark.parametrize("module", ["ratdyn", "ratdyn.cli"])
+@pytest.mark.parametrize("argv", [
+    ["quartic", "--coeffs", "1,6,7,2,1", "--height", "30"],
+    ["quartic", "--coeffs", "0,1,1,1,1", "--height", "30"],  # a4 = 0: exit 1
+])
+def test_module_forms_run_the_cli(module, argv):
+    # python -m ratdyn and python -m ratdyn.cli print what run() returns, to
+    # stdout on exit 0 and to stderr otherwise, and exit with its code
+    code, text = run(argv)
+    out = _python("-m", module, *argv)
+    assert (out.returncode, out.stdout, out.stderr) == (code, text + "\n" if code == 0 else "",
+                                                       "" if code == 0 else text + "\n")

@@ -742,6 +742,51 @@ def test_quartic_search_matches_brute_force(coeffs, bound, plant):
     assert json.dumps(many.canonical_dict()) == json.dumps(rep.canonical_dict())
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(COEFFS.filter(bool), COEFFS, COEFFS, COEFFS, COEFFS), st.integers(1, 70))
+# 2B + 1 = 63, 65, 127, 129: the last word holds 63 bits or one; the shift
+# -B % m is 0 for m = 63 at B = 63, m = 64 at 64 and m = 65 at 65
+@example((F(1), F(6), F(7), F(2), F(1)), 31)
+@example((F(1), F(6), F(7), F(2), F(1)), 32)
+@example((F(-3), F(2), F(5), F(0), F(1, 7)), 63)
+@example((F(1, 4), F(0), F(-3, 2), F(1), F(9, 4)), 64)
+@example((F(10**14 - 1, 10**14), F(-(10**14)), F(3), F(0), F(1)), 65)
+def test_every_mask_bit_is_the_square_test_of_its_u_and_v(coeffs, bound):
+    # row v, bit i of the masks of m says whether L F(i - B, v) is a square
+    # mod m, computed here in Python ints for every m, v < m and i < 2B + 1;
+    # a wrong shift or a swapped u and v in one modulus shows here even when
+    # the AND of all masks hides it
+    L, A = QuarticCurve(*coeffs).integer_form()
+    masks = search._square_masks(bound, L, A)
+    assert [m for m, _ in masks] == list(search._SQUARE_MODULI)
+    for m, rows in masks:
+        squares = {x * x % m for x in range(m)}
+        assert rows.dtype == np.uint64 and rows.shape == (m, -(-(2 * bound + 1) // 64))
+        for v, row in enumerate(rows):
+            bits = int.from_bytes(row.tobytes(), "little")
+            want = sum(1 << i for i in range(2 * bound + 1)
+                       if L * sum(a * (i - bound) ** (4 - j) * v**j for j, a in enumerate(A)) % m in squares)
+            assert bits == want, (m, v)
+
+
+def test_residue_tables_are_built_once_per_process(monkeypatch):
+    # the curve-free tables serve every curve and bound; the search builds
+    # them before it forks, so a pool's workers inherit them.  The int16
+    # product c . mono stays below 5 (m-1)^2 < 2^15, where the lookup ends
+    for m, mono, square in search._residue_tables():
+        assert 5 * (m - 1) ** 2 < 2**15 and mono.dtype == np.int16 and mono.shape == (5, m * m)
+        assert len(square) > 5 * (m - 1) ** 2
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    search._residue_tables.cache_clear()
+    curves = [QuarticCurve(F(1), F(6), F(7), F(2), F(1)), QuarticCurve(F(1), F(-2), F(-5), F(-2), F(1)),
+              QuarticCurve(F(1, 64), F(1, 63), F(1, 65), F(1, 11), F(1))]
+    for workers, bound in ((2, 60), (1, 7)):
+        for curve in curves:
+            quartic_rational_points(curve, bound, workers=workers)
+            # built here, not in the two forked workers of the first call
+            assert search._residue_tables.cache_info().misses == 1
+
+
 def test_scan_hits_in_enumeration_order():
     rep = scan_quadratic_periods(3, 50, {1, 2})
     maps = [h["map"] for h in rep.hits]
