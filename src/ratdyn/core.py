@@ -28,6 +28,7 @@ __all__ = [
     "enumerate_rationals",
     "count_rationals",
     "parse_rational",
+    "format_ratio",
     "format_rational",
     "ProjectivePoint",
     "INFINITY",
@@ -145,10 +146,13 @@ def parse_rational(text: str) -> Fraction:
     return normalize_rational(n, d)
 
 
+def format_ratio(n: int, d: int) -> str:
+    """The rational n/d, given in lowest terms with d > 0, as "n" or "n/d"."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def format_rational(r: Fraction) -> str:
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+    return format_ratio(r.numerator, r.denominator)
 
 
 @dataclass(frozen=True)

@@ -5,20 +5,26 @@ numerator, then denominator) and carry a map as reduced int parameters:
 (num, den) of a quad c, ((kn, kd), (bn, bd)) of a KB (k, b).  They find
 each map's points of exact period n and height <= B by one exact route per
 family; neither reduces mod any prime, and only the KB route builds map
-objects, one per k and one per root.  Both routes give (parameter, n, z)
-rows in scan order, one per hit.
+objects, one per k and one per root.  The quad route gives int rows
+(num, e, n, u) for c = num / e^2 and z = u / e, the KB route
+(parameter, n, z) rows; both are in scan order, one per hit, and each hit
+is formatted from the ints.
 
 A quad map z^2 + c, c = num / den, has every periodic point u/e in lowest
 terms with den = e^2 and |u| <= top (``dynamics.quad_window``), and there
 the map is integer arithmetic: u -> v = (u^2 + num) / e.  So a quad scan
-lists the window's edges, not the maps: for each e <= min(B, isqrt(H(c)))
-it takes u coprime to e with |u| <= B and v up to the window bound at
-|num| = H(c), and sets num = v e - u^2.  It keeps an edge when |num| <=
-H(c) and u, v and v's own image lie in the window of c = num / e^2, as
-they do when u is periodic; a map with no edge is never touched.  numpy
-then walks the kept u for max(periods) steps.  A point leaves the walk
-when e does not divide z^2 + num or the image passes top, since the image
-then lies outside the window and is not periodic; the first step that
+lists the window's edges, not the maps.  The e <= min(B, isqrt(H(c))) are
+cut into blocks of consecutive e (``_quad_blocks``), and numpy lists each
+block's edges in one pass over a 2-D grid: a column per v up to the
+window bound T at |num| = H(c) of the block's last e, and a row per coprime
+(e, u) with |u| <= min(B, T), with num = v e - u^2.  It keeps an edge when |num| <=
+H(c), u and v lie in the window of c = num / e^2, and e divides v^2 + num,
+as they do when u is periodic; a map with no edge is never touched.  numpy
+then walks the kept u for up to max(periods) steps.  A point leaves the
+walk when e does not divide z^2 + num or the image passes top, since the
+image then lies outside the window and is not periodic, and when the image
+is the point it was at on the last power-of-two step (Brent's cycle test),
+since its orbit then runs into a cycle without u; the first step that
 brings it back to u is its exact period.
 
 A KB map kz + b/z is conjugate to kz + (b/t^2)/z by z = t u for any
@@ -37,9 +43,10 @@ do not depend on the b box.
 A scan thus finds exactly the points of height <= B and exact period n:
 the set that ``dynatomic.periodic_points_exact`` returns with
 ``height_bound=B``.  Workers take contiguous chunks of the KB k, each k
-rooted in one chunk, merged in chunk order, or of the quad e, whose rows
-are then sorted into scan order, so any worker count yields byte-identical
-canonical output; ``elapsed`` is carried on the report but never serialized.
+rooted in one chunk, merged in chunk order, or of the quad e, whose int
+rows are then put in scan order by one ``np.lexsort``, so any worker count
+or block size yields byte-identical canonical output; ``elapsed`` is carried
+on the report but never serialized.
 
 The quartic search, an exact residue sieve over the curve's binary quartic,
 is described at ``quartic_rational_points``.
@@ -57,7 +64,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from ._intpoly import rational_roots_int
-from .core import count_rationals, format_rational, height, is_rational_square, rational_pairs
+from .core import count_rationals, format_ratio, format_rational, height, is_rational_square, rational_pairs
 from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period
 from .dynatomic import _dynatomic_x
 from .errors import DomainError, parameter_excluded
@@ -82,6 +89,7 @@ DEFAULT_BOUNDS = {
 }
 
 _ALLOWED_PERIODS = frozenset(range(1, 9))
+_BLOCK_CELLS = 2**16  # cap on the (u, v) cells of one quad edge pass, unless one e alone has more
 
 
 def _rat_key(r: Fraction):
@@ -128,42 +136,81 @@ def _check_periods(periods) -> Tuple[int, ...]:
 
 # --- the two exact routes --------------------------------------------------
 
-def _quad_points(args) -> List[Tuple[Tuple[int, int], int, Fraction]]:
-    """(c, n, z) for each c = (num, e^2) with e in ``es`` and |num| <=
-    ``height_c``, and each point z = u/e of c's window with |u| <= ``bound``
-    and exact period n in ``periods``, unsorted: the edge walk of the module
-    docstring."""
+def _quad_blocks(es: range, height_c: int, bound: int) -> List[Tuple[range, int]]:
+    """``es`` cut into runs of consecutive e, each with T, the top of its last
+    e at |num| = height_c.  A run grows while its cells, 2 min(bound, T) + 1
+    values of u by 2T + 1 of v for each e, stay within ``_BLOCK_CELLS``; an
+    e whose cells alone pass the cap makes a run of its own."""
+    top = lambda e: (e + math.isqrt(e * e + 4 * height_c)) // 2  # rises with e
+    cells = lambda e: (2 * min(bound, top(e)) + 1) * (2 * top(e) + 1)
+    blocks, i = [], 0
+    while i < len(es):
+        j = i + 1
+        while j < len(es) and (j + 1 - i) * cells(es[j]) <= _BLOCK_CELLS:
+            j += 1
+        blocks.append((es[i:j], top(es[j - 1])))
+        i = j
+    return blocks
+
+
+def _quad_points(args):
+    """The rows (num, e, n, u) as the columns of a (4, k) int64 array: one
+    per c = num / e^2 with e in ``es``, a range, and |num| <= ``height_c``,
+    and per point u/e of c's window with |u| <= ``bound`` and exact period n
+    in ``periods``, unsorted: the edge walk of the module docstring."""
     import numpy as np
 
     es, height_c, bound, periods = args
-    # |z| <= top(num, e) iff |z| (|z| - e) <= |num|: the window test, no isqrt
-    inside = lambda z, e, num: abs(z) * (abs(z) - e) <= abs(num)
-    # exact in int64: e <= isqrt(height_c) <= 1000 gives T <= 1618, so every
-    # value stays below about 4 * 10**6, and an image past top squared below 2 * 10**13
-    edges = []
-    for e in es:
-        T = (e + math.isqrt(e * e + 4 * height_c)) // 2  # top at |num| = height_c
-        u = np.arange(-min(bound, T), min(bound, T) + 1, dtype=np.int64)
-        u = u[np.gcd(u, e) == 1][:, None]  # then gcd(num, e) = gcd(u^2, e) = 1
-        v = np.arange(-T, T + 1, dtype=np.int64)
+    # |z| <= top(num, e) iff reach(z, e) = |z| (|z| - e) <= |num|: the window
+    # test, no isqrt.  With e <= isqrt(height_c) <= 1000 and T <= 1618 every
+    # value of the edge grid stays below about 4.2 * 10**6, so int32 is exact
+    # there; the walk squares images past top, below 2 * 10**13, in int64
+    reach = lambda z, e: abs(z) * (abs(z) - e)
+    rows = [np.zeros((4, 0), dtype=np.int64)]
+    for block, T in _quad_blocks(es, height_c, bound):
+        # one row per coprime (e, u) with |u| <= min(bound, T) and one column
+        # per |v| <= T: a u or v past a smaller e's own top fails the window test
+        u, e = np.arange(-min(bound, T), min(bound, T) + 1, dtype=np.int32), np.array(block, dtype=np.int32)
+        ie, iu = np.nonzero(np.gcd(u, e[:, None]) == 1)  # then gcd(num, e) = gcd(u^2, e) = 1
+        e, u, v = e[ie], u[iu], np.arange(-T, T + 1, dtype=np.int32)
+        col, uu = (e[:, None] if len(block) > 1 else e[0]), (u * u)[:, None]  # one e keeps |v| e one-dimensional
+        num = v * col - uu
+        a = abs(num)
+        # u -> v is an edge of c = num / e^2 inside its window, and v has an
+        # image: e divides v^2 + num, which is v^2 - u^2 mod e
+        iu, iv = np.nonzero((a <= height_c) & (np.maximum(reach(u, e)[:, None], reach(v, col)) <= a)
+                            & ((v * v - uu) % col == 0))
+        u, v, e = (x.astype(np.int64)[ix] for x, ix in ((u, iu), (v, iv), (e, iu)))
         num = v * e - u * u
-        iu, iv = np.nonzero((abs(num) <= height_c) & inside(u, e, num) & inside(v, e, num))
-        u, v, num = u[iu, 0], v[iv], num[iu, iv]
-        # u's second image lies in the window too if u is periodic
-        w, r = np.divmod(v * v + num, e)
-        keep = (r == 0) & inside(w, e, num)
-        edges.append((np.full(np.count_nonzero(keep), e, dtype=np.int64), num[keep], u[keep]))
-    e, num, u = (np.concatenate(a) for a in zip(*edges))
-    rows, z = [], u
+        rows += _quad_walk(np.array((num, e, e, u, abs(num), u)), periods)
+    return np.concatenate(rows, axis=1)
+
+
+def _quad_walk(walk, periods) -> list:
+    """The walk of the module docstring on the edges of one block, the
+    columns of ``walk``, whose rows are num, e, a row for n, u, |num|, and
+    a copy of u: (4, k) pieces of rows (num, e, n, u), one per n in
+    ``periods`` that the walk reaches.  The last row holds the point each
+    edge's walk was at on the last power-of-two step."""
+    import numpy as np
+
+    rows, z = [], walk[3]
     for n in range(1, periods[-1] + 1):
+        num, e, _, u, a, seen = walk
         z, r = np.divmod(z * z + num, e)
-        live = (r == 0) & inside(z, e, num)
-        back = live & (z == u)
+        whole, az = r == 0, abs(z)
         if n in periods:
-            rows += [((c, d * d), n, Fraction(x, d))
-                     for c, d, x in zip(num[back].tolist(), e[back].tolist(), u[back].tolist())]
-        live &= ~back
-        e, num, u, z = e[live], num[live], u[live], z[live]
+            walk[2] = n
+            rows.append(walk[:4, whole & (z == u)])
+        # a point walks on while its image is whole, in the window and new:
+        # back at u it has its exact period, and back at an earlier point its
+        # orbit runs into a cycle that misses u
+        live = whole & (az * (az - e) <= a) & (z != u) & (z != seen)
+        walk, z = walk[:, live], z[live]
+        if not z.size:
+            break
+        if n & (n - 1) == 0:
+            walk[5] = z
     return rows
 
 
@@ -200,8 +247,7 @@ def _is_kb(p) -> bool:
 
 def _describe(p) -> str:
     """``describe()`` of the map of parameter p, formatted from its ints."""
-    r = [str(n) if d == 1 else f"{n}/{d}" for n, d in (p if _is_kb(p) else (p,))]
-    return "kb:k={},b={}".format(*r) if _is_kb(p) else f"quad:c={r[0]}"
+    return "kb:k={},b={}".format(*(format_ratio(*r) for r in p)) if _is_kb(p) else "quad:c=" + format_ratio(*p)
 
 
 def _run_chunks(worker, chunks, workers: int):
@@ -226,14 +272,18 @@ def _split(seq: Sequence, parts: int) -> List[Sequence]:
 def _parts(workers: int) -> int:
     """How many processes ``workers`` can use: no more than the CPUs, so a
     large ``workers`` does not split the work into chunks no process runs."""
-    return min(workers, os.cpu_count() or 1)
+    return min(workers, os.cpu_count() or 1) if workers > 1 else 1
+
+
+def _chunk_results(worker, params: Sequence, workers: int, *args) -> list:
+    """``worker``'s result on each contiguous chunk of ``params``, in chunk order."""
+    parts = _parts(workers)
+    return _run_chunks(worker, [(chunk,) + args for chunk in _split(params, parts * 8 if parts > 1 else 1)], workers)
 
 
 def _map_over(worker, params: Sequence, workers: int, *args) -> list:
     """``worker`` over contiguous chunks of ``params``, merged in chunk order."""
-    parts = _parts(workers)
-    chunks = [(chunk,) + args for chunk in _split(params, parts * 8 if parts > 1 else 1)]
-    return [x for part in _run_chunks(worker, chunks, workers) for x in part]
+    return [x for part in _chunk_results(worker, params, workers, *args) for x in part]
 
 
 def _quad_es(height_c: int, bound: int) -> range:
@@ -243,10 +293,17 @@ def _quad_es(height_c: int, bound: int) -> range:
 
 
 def _quad_rows(height_c: int, bound: int, periods, workers: int) -> list:
-    """The rows of ``_quad_points`` over the box H(c) <= height_c, chunked
-    by e, in scan order."""
-    rows = _map_over(_quad_points, _quad_es(height_c, bound), workers, height_c, bound, periods)
-    return sorted(rows, key=lambda row: (max(abs(row[0][0]), row[0][1]), *row[0], row[1], _rat_key(row[2])))
+    """The rows (num, e, n, u) of ``_quad_points`` over the box H(c) <=
+    height_c, chunked by e, in scan order: by c = num / e^2, then n, then
+    z = u / e, each by height, numerator, denominator."""
+    import numpy as np
+
+    rows = np.concatenate(_chunk_results(_quad_points, _quad_es(height_c, bound), workers,
+                                         height_c, bound, periods), axis=1)
+    num, e, n, u = rows
+    # all points of c share the denominator e, so z = u / e orders by max(|u|, e), then u
+    order = np.lexsort((u, np.maximum(abs(u), e), n, e, num, np.maximum(abs(num), e * e)))
+    return list(zip(*rows[:, order].tolist()))
 
 
 def _check_scan(box: Dict[str, int], workers: int, size) -> None:
@@ -270,15 +327,13 @@ def _check_scan(box: Dict[str, int], workers: int, size) -> None:
 
 
 def _scan_periods(kind, box, periods, size, find, workers) -> ScanReport:
-    """The period scans: validate, find, report one hit per row.
-    ``find(periods)`` returns the (parameter, n, z) rows in scan order and
-    the size of the box."""
+    """The period scans: validate, find, report.  ``find(periods)`` returns
+    the hits, one per row in scan order, and the size of the box."""
     periods = _check_periods(periods)
     _check_scan(box, workers, size)
     t0 = time.perf_counter()
-    rows, scanned = find(periods)
-    hits = tuple({"map": _describe(p), "point": format_rational(z), "period": n} for p, n, z in rows)
-    return ScanReport(kind, box, periods, hits, scanned, time.perf_counter() - t0)
+    hits, scanned = find(periods)
+    return ScanReport(kind, box, periods, tuple(hits), scanned, time.perf_counter() - t0)
 
 
 def scan_quadratic_periods(
@@ -292,7 +347,9 @@ def scan_quadratic_periods(
 
     def find(periods):
         scanned = count_rationals(height_c)
-        return _quad_rows(height_c, height_point, periods, workers), scanned
+        rows = _quad_rows(height_c, height_point, periods, workers)
+        return [{"map": "quad:c=" + format_ratio(num, e * e), "point": format_ratio(u, e), "period": n}
+                for num, e, n, u in rows], scanned
 
     box = {"height_c": height_c, "height_point": height_point}
     size = lambda: (2 * height_c + 1) * len(_quad_es(height_c, height_point))  # the c that can have a point
@@ -311,7 +368,9 @@ def scan_kb_periods(
 
     def find(periods):
         ks, bs = ([r for r in rational_pairs(h) if r[0]] for h in (height_k, height_b))
-        return _map_over(_kb_points, ks, workers, bs, periods, height_point), len(ks) * len(bs)
+        rows = _map_over(_kb_points, ks, workers, bs, periods, height_point)
+        return [{"map": _describe(p), "point": format_rational(z), "period": n}
+                for p, n, z in rows], len(ks) * len(bs)
 
     box = {"height_k": height_k, "height_b": height_b, "height_point": height_point}
     return _scan_periods("kb", box, periods, lambda: (count_rationals(height_k) - 1)
@@ -339,8 +398,10 @@ def scan_intersection_bound(
     _check_scan(box, workers, lambda: (n := count_rationals(bound)) + (n - 1) ** 2)
     t0 = time.perf_counter()
     ks = [r for r in rational_pairs(bound) if r[0]]
-    rows = _quad_rows(bound, height_point, (1, 2, 3), workers) + _map_over(
-        _kb_points, ks, workers, ks, (1, 2, 4), height_point)
+    # (parameter, n, (zn, zd)) rows of both routes
+    rows = itertools.chain(
+        (((num, e * e), n, (u, e)) for num, e, n, u in _quad_rows(bound, height_point, (1, 2, 3), workers)),
+        ((p, n, z.as_integer_ratio()) for p, n, z in _map_over(_kb_points, ks, workers, ks, (1, 2, 4), height_point)))
 
     index: Dict[Fraction, List[Tuple[tuple, FrozenSet[Fraction]]]] = {}
     for p, group in itertools.groupby(rows, key=lambda row: row[0]):
@@ -348,7 +409,8 @@ def scan_intersection_bound(
         done = set()
         for _, n, z in group:  # by n, then from the least point of each cycle
             if z not in done:
-                done |= (cyc := frozenset(cycle_from(m, z, n)))
+                cyc = frozenset(cycle_from(m, Fraction(*z), n))
+                done.update(x.as_integer_ratio() for x in cyc)
                 for x in cyc:
                     index.setdefault(x, []).append((p, cyc))
 

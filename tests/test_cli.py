@@ -100,6 +100,13 @@ GOLDEN_CASES = {
     "scan_quad_h200_p100.json": [
         "scan", "--kind", "quad", "--height-c", "200", "--height-point", "100", "--periods", "1,2,3",
     ],
+    # 1,028 hits over 20 denominators e^2 and 82,656 (u, v) cells, so the
+    # edges are listed in more than one block of e; recorded before the rows
+    # became int columns, and also diffed against the installed console
+    # script in CI, at one and two workers
+    "scan_quad_h2000_p20.json": [
+        "scan", "--kind", "quad", "--height-c", "2000", "--height-point", "20", "--periods", "1,2,3",
+    ],
     # many maps have sqrt(den(c)) > 3, so the scan drops them unsearched
     "scan_quad_h40_p3.json": [
         "scan", "--kind", "quad", "--height-c", "40", "--height-point", "3", "--periods", "1,2,3",

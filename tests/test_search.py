@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import pathlib
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -375,6 +376,14 @@ def _param(m):
     return m.k.as_integer_ratio(), m.b.as_integer_ratio()
 
 
+def _quad_fractions(rows):
+    """Quad rows (num, e, n, u) as (c, n, z) with c = (num, e^2) and z = u/e,
+    after checking that each is a reduced c with a reduced point u/e."""
+    rows = list(rows)
+    assert all(math.gcd(num, e) == math.gcd(u, e) == 1 and e >= 1 for num, e, _, u in rows)
+    return [((num, e * e), n, F(u, e)) for num, e, n, u in rows]
+
+
 def _assert_sieve_is_dynatomic(maps, periods_of, bound):
     # periods_of = (quad periods, KB periods).  Each quad map goes through the
     # quad route over the box of its height, and each KB map through the KB
@@ -387,7 +396,8 @@ def _assert_sieve_is_dynatomic(maps, periods_of, bound):
     assert kb_rows == [(_param(m), n, z) for m in kbs for n, pts in want_of[m].items() for z in pts], bound
     for m in maps:
         if type(m) is QuadraticMap:
-            rows = [r for r in search._quad_rows(height(m.c), bound, periods_of[0], 1) if r[0] == _param(m)]
+            rows = [r for r in _quad_fractions(search._quad_rows(height(m.c), bound, periods_of[0], 1))
+                    if r[0] == _param(m)]
             assert rows == [(_param(m), n, z) for n, pts in want_of[m].items() for z in pts], (m.describe(), bound)
     return [want_of[m] for m in maps]
 
@@ -472,7 +482,9 @@ def test_window_walk_gives_the_exact_periods_of_plain_iteration(height_c, bound,
     # min(bound, top): the edge walk reports (c, n, u/e) for exactly the
     # points whose exact_period n is requested
     es = search._quad_es(height_c, bound)[skip:]
-    got = search._quad_points((es, height_c, bound, periods)) if es else []
+    got = search._quad_points((es, height_c, bound, periods)) if es else np.zeros((4, 0), dtype=np.int64)
+    assert got.dtype == np.int64 and got.shape[0] == 4
+    got = _quad_fractions(zip(*got.tolist()))
     want = []
     for e, num in itertools.product(es, range(-height_c, height_c + 1)):
         m, (_, top) = QuadraticMap(F(num, e * e)), quad_window(num, e * e)
@@ -511,7 +523,8 @@ def test_quad_scan_building_only_kept_maps_keeps_the_box():
             for z in sorted(periodic_points_exact(m, n, height_bound=3), key=search._rat_key)]
     assert list(one.hits) == want
     # the same rows come from each e of the box alone
-    rows = sorted((r for e in range(1, 4) for r in search._quad_points((range(e, e + 1), 12, 3, (1, 2, 3)))),
+    rows = sorted((r for e in range(1, 4)
+                   for r in _quad_fractions(zip(*search._quad_points((range(e, e + 1), 12, 3, (1, 2, 3))).tolist()))),
                   key=lambda r: (height(F(*r[0])), *r[0], r[1], search._rat_key(r[2])))
     assert want == [{"map": f"quad:c={format_rational(F(*c))}", "point": format_rational(z), "period": n}
                     for c, n, z in rows]
@@ -531,6 +544,59 @@ def test_quad_scan_matches_the_closed_forms():
             for z in sorted((z for z in quad_periodic_points(c, n) if height(z) <= 100), key=search._rat_key)]
     assert len(want) == 1158
     assert list(scan_quadratic_periods(500, 100, (1, 2, 3)).hits) == want
+
+
+def test_quad_scan_at_the_height_cap_matches_the_maps_of_each_point():
+    # an independent check at height_c = 10**6, where the window reaches
+    # T = 1001 and the edge grid's |v| (|v| - e) about 10**6: z of height <=
+    # 2 has exact period n <= 3 for z^2 + c exactly at the c that
+    # quadratics_with_periodic_point finds from the closed forms, which share
+    # no code with the edge walk
+    rows = sorted(((entry.c, entry.period, z) for z in enumerate_rationals(2)
+                   for entry in simultaneous.quadratics_with_periodic_point(z) if height(entry.c) <= 10**6),
+                  key=lambda r: (search._rat_key(r[0]), r[1], search._rat_key(r[2])))
+    want = [{"map": QuadraticMap(c).describe(), "point": format_rational(z), "period": n} for c, n, z in rows]
+    assert len(want) == 13
+    assert list(scan_quadratic_periods(10**6, 2, (1, 2, 3)).hits) == want
+
+
+# the edge grid's cell cap: one e per block, a middle value, and the default
+_CAPS = (1, 2**9, search._BLOCK_CELLS)
+
+
+@pytest.mark.parametrize("cap", _CAPS)
+def test_quad_blocks_change_no_row_or_byte(monkeypatch, cap):
+    # the golden box's 20 e are one per block at caps 1 and 2**9 and make
+    # two blocks at the default; the 6 e of the (40, 100) box make 6, 5 and
+    # 1 blocks.  Rows and canonical bytes are the same at every cap and
+    # worker count, and the golden box's bytes are its golden file
+    monkeypatch.setattr(search, "_BLOCK_CELLS", cap)
+    blocks = lambda h, b: [len(r) for r, _ in search._quad_blocks(search._quad_es(h, b), h, b)]
+    assert (blocks(2000, 20), blocks(40, 100)) == {
+        1: ([1] * 20, [1] * 6), 2**9: ([1] * 20, [2, 1, 1, 1, 1]), _CAPS[2]: ([15, 5], [6])}[cap]
+    golden = (pathlib.Path(__file__).parent / "golden" / "scan_quad_h2000_p20.json").read_text()
+    for box in ((2000, 20, (1, 2, 3)), (40, 100, (1, 2, 3)), (12, 20, (1, 2, 3, 4))):
+        rows = search._quad_rows(*box, 1)
+        assert rows and search._quad_rows(*box, 2) == rows
+        one, two = (json.dumps(scan_quadratic_periods(*box, workers=w).canonical_dict(), sort_keys=True,
+                               separators=(",", ":")) for w in (1, 2))
+        assert one == two
+        if box[0] == 2000:
+            assert one + "\n" == golden
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_CAPS), st.integers(1, 16), st.integers(1, 12), _PERIODS)
+@example(2**9, 16, 12, (1, 2, 3))  # e = 1..3 in one block, then e = 4
+def test_quad_rows_at_every_cap_are_dynatomic_in_scan_order(cap, height_c, bound, periods):
+    # every map of a small box, in scan order, with its points of each
+    # requested exact period by the dynatomic route, which walks no edge
+    want = [(c.as_integer_ratio(), n, z) for c in enumerate_rationals(height_c) for n in periods
+            for z in sorted(periodic_points_exact(QuadraticMap(c), n, height_bound=bound), key=search._rat_key)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_BLOCK_CELLS", cap)
+        rows = search._quad_rows(height_c, bound, periods, 1)
+    assert _quad_fractions(rows) == want
 
 
 def test_quad_periodic_points_have_denominator_sqrt_den_c():
