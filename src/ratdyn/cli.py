@@ -203,9 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--config", default=None)
 
-    # let bare negative rationals ("-1/2") pass as option values, and give
+    # no option starts with a minus and a digit, so such a word is always an
+    # option value ("-1/2", "-1,0,0,0,1"), read as its "=" form is; and give
     # every subcommand --format as its last option
-    matcher = re.compile(r"^-\d+(/\d+)?$")
+    matcher = re.compile(r"^-\d")
     top._negative_number_matcher = matcher
     for child in sub.choices.values():
         child._negative_number_matcher = matcher

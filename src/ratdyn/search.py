@@ -5,10 +5,9 @@ numerator, then denominator) and carry a map as reduced int parameters:
 (num, den) of a quad c, ((kn, kd), (bn, bd)) of a KB (k, b).  They find
 each map's points of exact period n and height <= B by one exact route per
 family; neither reduces mod any prime, and only the KB route builds map
-objects, one per k and one per root.  The quad route gives int rows
-(num, e, n, u) for c = num / e^2 and z = u / e, the KB route
-(parameter, n, z) rows; both are in scan order, one per hit, and each hit
-is formatted from the ints.
+objects, one per k and one per root.  Both routes give one row shape,
+(parameter, n, zn, zd) in ints with z = zn / zd reduced and zd > 0, in scan
+order, one per hit, and ``_scan_periods`` formats every hit from the ints.
 
 A quad map z^2 + c, c = num / den, has every periodic point u/e in lowest
 terms with den = e^2 and |u| <= top (``dynamics.quad_window``), and there
@@ -42,11 +41,12 @@ do not depend on the b box.
 
 A scan thus finds exactly the points of height <= B and exact period n:
 the set that ``dynatomic.periodic_points_exact`` returns with
-``height_bound=B``.  Workers take contiguous chunks of the KB k, each k
-rooted in one chunk, merged in chunk order, or of the quad e, whose int
-rows are then put in scan order by one ``np.lexsort``, so any worker count
-or block size yields byte-identical canonical output; ``elapsed`` is carried
-on the report but never serialized.
+``height_bound=B``.  One ``_fan_out`` serves every engine: it cuts the KB
+k, each k rooted in one chunk, the quad e, or the quartic v into contiguous
+chunks and returns their results in chunk order.  The KB rows are merged in
+that order, and the quad columns put in scan order by one ``np.lexsort``,
+so any worker count or block size yields byte-identical canonical output;
+``elapsed`` is carried on the report but never serialized.
 
 The quartic search, an exact residue sieve over the curve's binary quartic,
 is described at ``quartic_rational_points``.
@@ -214,11 +214,11 @@ def _quad_walk(walk, periods) -> list:
     return rows
 
 
-def _kb_points(args) -> List[Tuple[tuple, int, Fraction]]:
-    """(p, n, z) for each KB parameter p = (k, b), k in ``ks`` and b in
-    ``bs`` as (num, den), and each point z of p's map with exact period n in
-    ``periods`` and height <= ``bound``, in scan order: each root s of k's
-    Phi*_n in w decided once, then z = +-sqrt(b s) for each b."""
+def _kb_points(args) -> List[Tuple[tuple, int, int, int]]:
+    """(p, n, zn, zd) for each KB parameter p = (k, b), k in ``ks`` and b in
+    ``bs`` as (num, den), and each point z = zn / zd of p's map with exact
+    period n in ``periods`` and height <= ``bound``, in scan order: each root
+    s of k's Phi*_n in w decided once, then z = +-sqrt(b s) for each b."""
     ks, bs, periods, bound = args
     found = []
     for k in ks:
@@ -233,11 +233,18 @@ def _kb_points(args) -> List[Tuple[tuple, int, Fraction]]:
                     raise DomainError(f"{m.describe()}, n={n}: {exc}") from None
                 for i, (bn, bd) in enumerate(bs):
                     t = bn * bd * sn * sd  # b s = t / (bd sd)^2
-                    if t > 0 and (r := math.isqrt(t)) * r == t and height(z := Fraction(r, bd * sd)) <= bound:
-                        hits += [(i, n, -z), (i, n, z)]
-        hits.sort(key=lambda row: (row[0], row[1], _rat_key(row[2])))
-        found += [((k, bs[i]), n, z) for i, n, z in hits]
+                    if t > 0 and (r := math.isqrt(t)) * r == t:
+                        g = math.gcd(r, bd * sd)
+                        if (h := max(zn := r // g, zd := bd * sd // g)) <= bound:
+                            hits += [(i, n, h, -zn, zd), (i, n, h, zn, zd)]
+        hits.sort()  # by b, n, then z by height, numerator, denominator
+        found += [((k, bs[i]), n, zn, zd) for i, n, _, zn, zd in hits]
     return found
+
+
+def _kb_rows(ks: Sequence, bs: Sequence, periods, bound: int, workers: int) -> list:
+    """The rows of ``_kb_points`` over chunks of whole k, merged in chunk order."""
+    return [row for part in _fan_out(_kb_points, ks, workers, bs, periods, bound) for row in part]
 
 
 def _is_kb(p) -> bool:
@@ -250,40 +257,24 @@ def _describe(p) -> str:
     return "kb:k={},b={}".format(*(format_ratio(*r) for r in p)) if _is_kb(p) else "quad:c=" + format_ratio(*p)
 
 
-def _run_chunks(worker, chunks, workers: int):
-    if workers <= 1 or len(chunks) <= 1:
+def _fan_out(worker, items: Sequence, workers: int, *args, per_process: int = 8) -> list:
+    """``worker((chunk,) + args)`` for each contiguous chunk of ``items``, in
+    chunk order.  One worker runs one chunk in this process.  More run
+    ``per_process`` chunks per process in a fork pool of at most one process
+    per CPU, so a ``workers`` past the CPUs adds no chunk; the merged results
+    do not depend on the cut."""
+    procs = min(workers, os.cpu_count() or 1) if workers > 1 else 1
+    count = min(procs * per_process if procs > 1 else 1, len(items)) or 1
+    ends = [len(items) * i // count for i in range(count + 1)]
+    chunks = [(items[a:b],) + args for a, b in zip(ends, ends[1:]) if a < b]
+    if len(chunks) <= 1:
         return [worker(ch) for ch in chunks]
     import multiprocessing  # here, not at the top: most runs start no pool
     try:
-        # no more processes than CPUs: the bytes do not depend on the pool
-        with multiprocessing.get_context("fork").Pool(min(_parts(workers), len(chunks))) as pool:
+        with multiprocessing.get_context("fork").Pool(min(procs, len(chunks))) as pool:
             return pool.map(worker, chunks)
     except (OSError, ImportError) as exc:
         raise DomainError(f"worker pool failed: {exc}") from None
-
-
-def _split(seq: Sequence, parts: int) -> List[Sequence]:
-    """``seq`` in at most ``parts`` contiguous nonempty pieces."""
-    parts = min(parts, len(seq))  # the same pieces, without listing every empty one
-    ends = [len(seq) * i // parts for i in range(parts + 1)]
-    return [seq[a:b] for a, b in zip(ends, ends[1:]) if a < b]
-
-
-def _parts(workers: int) -> int:
-    """How many processes ``workers`` can use: no more than the CPUs, so a
-    large ``workers`` does not split the work into chunks no process runs."""
-    return min(workers, os.cpu_count() or 1) if workers > 1 else 1
-
-
-def _chunk_results(worker, params: Sequence, workers: int, *args) -> list:
-    """``worker``'s result on each contiguous chunk of ``params``, in chunk order."""
-    parts = _parts(workers)
-    return _run_chunks(worker, [(chunk,) + args for chunk in _split(params, parts * 8 if parts > 1 else 1)], workers)
-
-
-def _map_over(worker, params: Sequence, workers: int, *args) -> list:
-    """``worker`` over contiguous chunks of ``params``, merged in chunk order."""
-    return [x for part in _chunk_results(worker, params, workers, *args) for x in part]
 
 
 def _quad_es(height_c: int, bound: int) -> range:
@@ -293,17 +284,16 @@ def _quad_es(height_c: int, bound: int) -> range:
 
 
 def _quad_rows(height_c: int, bound: int, periods, workers: int) -> list:
-    """The rows (num, e, n, u) of ``_quad_points`` over the box H(c) <=
-    height_c, chunked by e, in scan order: by c = num / e^2, then n, then
-    z = u / e, each by height, numerator, denominator."""
+    """The rows (c, n, u, e) of the points z = u / e of ``_quad_points``
+    over the box H(c) <= height_c, chunked by e, c = (num, e^2), in scan
+    order: by c, then n, then z, each by height, numerator, denominator."""
     import numpy as np
 
-    rows = np.concatenate(_chunk_results(_quad_points, _quad_es(height_c, bound), workers,
-                                         height_c, bound, periods), axis=1)
+    rows = np.concatenate(_fan_out(_quad_points, _quad_es(height_c, bound), workers, height_c, bound, periods), 1)
     num, e, n, u = rows
     # all points of c share the denominator e, so z = u / e orders by max(|u|, e), then u
     order = np.lexsort((u, np.maximum(abs(u), e), n, e, num, np.maximum(abs(num), e * e)))
-    return list(zip(*rows[:, order].tolist()))
+    return [((num, e * e), n, u, e) for num, e, n, u in zip(*rows[:, order].tolist())]
 
 
 def _check_scan(box: Dict[str, int], workers: int, size) -> None:
@@ -328,12 +318,13 @@ def _check_scan(box: Dict[str, int], workers: int, size) -> None:
 
 def _scan_periods(kind, box, periods, size, find, workers) -> ScanReport:
     """The period scans: validate, find, report.  ``find(periods)`` returns
-    the hits, one per row in scan order, and the size of the box."""
+    the rows (p, n, zn, zd) in scan order and the size of the box."""
     periods = _check_periods(periods)
     _check_scan(box, workers, size)
     t0 = time.perf_counter()
-    hits, scanned = find(periods)
-    return ScanReport(kind, box, periods, tuple(hits), scanned, time.perf_counter() - t0)
+    rows, scanned = find(periods)
+    hits = tuple({"map": _describe(p), "point": format_ratio(zn, zd), "period": n} for p, n, zn, zd in rows)
+    return ScanReport(kind, box, periods, hits, scanned, time.perf_counter() - t0)
 
 
 def scan_quadratic_periods(
@@ -346,10 +337,7 @@ def scan_quadratic_periods(
     given exact periods with height <= height_point."""
 
     def find(periods):
-        scanned = count_rationals(height_c)
-        rows = _quad_rows(height_c, height_point, periods, workers)
-        return [{"map": "quad:c=" + format_ratio(num, e * e), "point": format_ratio(u, e), "period": n}
-                for num, e, n, u in rows], scanned
+        return _quad_rows(height_c, height_point, periods, workers), count_rationals(height_c)
 
     box = {"height_c": height_c, "height_point": height_point}
     size = lambda: (2 * height_c + 1) * len(_quad_es(height_c, height_point))  # the c that can have a point
@@ -368,9 +356,7 @@ def scan_kb_periods(
 
     def find(periods):
         ks, bs = ([r for r in rational_pairs(h) if r[0]] for h in (height_k, height_b))
-        rows = _map_over(_kb_points, ks, workers, bs, periods, height_point)
-        return [{"map": _describe(p), "point": format_rational(z), "period": n}
-                for p, n, z in rows], len(ks) * len(bs)
+        return _kb_rows(ks, bs, periods, height_point, workers), len(ks) * len(bs)
 
     box = {"height_k": height_k, "height_b": height_b, "height_point": height_point}
     return _scan_periods("kb", box, periods, lambda: (count_rationals(height_k) - 1)
@@ -398,18 +384,15 @@ def scan_intersection_bound(
     _check_scan(box, workers, lambda: (n := count_rationals(bound)) + (n - 1) ** 2)
     t0 = time.perf_counter()
     ks = [r for r in rational_pairs(bound) if r[0]]
-    # (parameter, n, (zn, zd)) rows of both routes
-    rows = itertools.chain(
-        (((num, e * e), n, (u, e)) for num, e, n, u in _quad_rows(bound, height_point, (1, 2, 3), workers)),
-        ((p, n, z.as_integer_ratio()) for p, n, z in _map_over(_kb_points, ks, workers, ks, (1, 2, 4), height_point)))
+    rows = _quad_rows(bound, height_point, (1, 2, 3), workers) + _kb_rows(ks, ks, (1, 2, 4), height_point, workers)
 
     index: Dict[Fraction, List[Tuple[tuple, FrozenSet[Fraction]]]] = {}
     for p, group in itertools.groupby(rows, key=lambda row: row[0]):
         m = KBMap(Fraction(*p[0]), Fraction(*p[1])) if _is_kb(p) else QuadraticMap(Fraction(*p))
         done = set()
-        for _, n, z in group:  # by n, then from the least point of each cycle
-            if z not in done:
-                cyc = frozenset(cycle_from(m, Fraction(*z), n))
+        for _, n, zn, zd in group:  # by n, then from the least point of each cycle
+            if (zn, zd) not in done:
+                cyc = frozenset(cycle_from(m, Fraction(zn, zd), n))
                 done.update(x.as_integer_ratio() for x in cyc)
                 for x in cyc:
                     index.setdefault(x, []).append((p, cyc))
@@ -580,9 +563,8 @@ def quartic_rational_points(
     L, A = curve.integer_form()
     t0 = time.perf_counter()
     _residue_tables()  # before the fork, so every worker inherits the tables
-    chunks = [(vs, bound, L, A) for vs in _split(range(1, bound + 1), _parts(workers))]
     pts = {}
-    for part in _run_chunks(_quartic_chunk, chunks, workers):
+    for part in _fan_out(_quartic_chunk, range(1, bound + 1), workers, bound, L, A, per_process=1):
         pts.update((Fraction(u, v), Fraction(r, L * v * v)) for u, v, r in part)
     affine: List[Tuple[Fraction, Fraction]] = []
     for t in sorted(pts, key=_rat_key):

@@ -124,6 +124,10 @@ GOLDEN_CASES = {
     ],
     # y^2 = t^4: every t is a point
     "quartic_t4_h6.json": ["quartic", "--coeffs", "1,0,0,0,0", "--height", "6"],
+    # a coefficient list led by a negative value, given as its own word;
+    # recorded with "--coeffs=-1,0,0,0,1", and also diffed against the
+    # installed console script in CI
+    "quartic_neg_a4_h100.json": ["quartic", "--coeffs", "-1,0,0,0,1", "--height", "100"],
 }
 
 
@@ -472,6 +476,35 @@ def test_overlong_integer_exits_1_without_traceback(monkeypatch, capsys, argv):
     out, err = capsys.readouterr()
     assert exc.value.code == 1 and out == ""
     assert err.startswith("invalid rational: '") and err.count("\n") == 1 and "Traceback" not in err
+
+
+_SCAN_QUAD = ["scan", "--kind", "quad", "--height-c", "2", "--height-point", "3"]
+
+
+@pytest.mark.parametrize("head, option, value", [
+    (["quartic", "--height", "100"], "--coeffs", "-1,0,0,0,1"),
+    (["quartic", "--height", "20"], "--coeffs", "-1/2,3,0,0,-1"),
+    (_SCAN_QUAD, "--periods", "-1,2"),
+    (_SCAN_QUAD, "--periods", "-1,x"),
+    (["orbit", "--map", "quad:c=0"], "--point", "-1.5"),
+], ids=["coeffs", "coeffs-ratio", "periods", "periods-malformed", "point-decimal"])
+def test_a_value_led_by_a_negative_number_reads_as_its_equals_form(monkeypatch, capsys, head, option, value):
+    # "--opt -1,..." is the value of --opt, as "--opt=-1,..." is: the same
+    # exit code, stdout and stderr, and never a usage error
+    def main(argv):
+        monkeypatch.setattr(sys, "argv", ["ratdyn", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        return exc.value.code, capsys.readouterr()
+
+    spaced = main(head + [option, value])
+    assert spaced == main(head + [f"{option}={value}"])
+    assert spaced[0] in (0, 1) and "usage" not in spaced[1].err
+
+
+def test_negative_period_exits_1():
+    code, out = run([*_SCAN_QUAD, "--periods", "-1,2"])
+    assert (code, out) == (1, "parameter excluded: period=-1")
 
 
 def test_scan_point_bound_below_one_exits_1():

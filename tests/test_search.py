@@ -191,19 +191,52 @@ def test_scans_build_maps_only_for_candidates(monkeypatch):
     assert built == {KBMap: 0, QuadraticMap: 0}
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Every pool a scan opens maps in this process, so no process is
+    started; returns the list of the pools' sizes."""
+    sizes = []
+
+    class Serial:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, chunks):
+            return [worker(ch) for ch in chunks]
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Serial))
+    return sizes
+
+
 def test_kb_chunks_are_runs_of_whole_k_and_merge_to_the_same_bytes(monkeypatch):
     # three workers split the KB k into up to 24 contiguous chunks, each
     # with every b of the box; merged in chunk order the bytes are those of
     # one worker.  The intersection scan sends its quad part out first, as
     # contiguous ranges of e.  Three CPUs are claimed, so the chunk count
-    # does not depend on the machine
-    real, cuts = search._run_chunks, []
+    # does not depend on the machine; the real fork pool runs the chunks
+    real, cuts = multiprocessing.get_context("fork"), []
 
-    def spy(worker, chunks, workers):
-        cuts.append([chunk[:2] for chunk in chunks])
-        return real(worker, chunks, workers)
+    class Recording:
+        def __init__(self, processes):
+            self.pool = real.Pool(processes)
 
-    monkeypatch.setattr(search, "_run_chunks", spy)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.pool.__exit__(*exc)
+
+        def map(self, worker, chunks):
+            cuts.append([chunk[:2] for chunk in chunks])
+            return self.pool.map(worker, chunks)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Recording))
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for scan, hk, hb in ((lambda w: scan_kb_periods(2, 4, 50, (1, 2, 4), workers=w), 2, 4),
                          (lambda w: scan_intersection_bound(5, 50, workers=w), 5, 5)):
@@ -216,9 +249,9 @@ def test_kb_chunks_are_runs_of_whole_k_and_merge_to_the_same_bytes(monkeypatch):
     assert [es for es, _ in cuts[-2]] == [range(1, 2), range(2, 3)]  # e <= isqrt(5)
 
 
-def test_each_k_is_rooted_once_at_any_worker_count(monkeypatch):
+def test_each_k_is_rooted_once_at_any_worker_count(monkeypatch, serial_pool):
     # Phi*_n of kz + 1/z is rooted once per k and n, however many chunks
-    # three workers cut the k into.  The spy maps serially, so no process
+    # three workers cut the k into.  The pool maps serially, so no process
     # is started
     rooted = []
 
@@ -226,7 +259,6 @@ def test_each_k_is_rooted_once_at_any_worker_count(monkeypatch):
         rooted.append((m.k, n))
         return _dynatomic_x(m, n)
 
-    monkeypatch.setattr(search, "_run_chunks", lambda worker, chunks, workers: [worker(ch) for ch in chunks])
     monkeypatch.setattr(search, "_dynatomic_x", counting)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for scan, hk in ((lambda: scan_kb_periods(2, 4, 50, (1, 2, 4), workers=3), 2),
@@ -311,24 +343,8 @@ def test_failed_worker_pool_is_domain_error(monkeypatch):
     assert scan_quadratic_periods(2, 10, {1}, workers=1).hits
 
 
-def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+def test_worker_pool_is_capped_at_the_cpu_count(serial_pool):
     # a fake pool records its size and maps serially: no process is started
-    sizes = []
-
-    class Serial:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, worker, chunks):
-            return [worker(ch) for ch in chunks]
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Serial))
     scans = (
         lambda w: scan_quadratic_periods(20, 100, (1, 2, 3), workers=w),
         lambda w: scan_kb_periods(2, 2, 10, {1, 2}, workers=w),
@@ -336,32 +352,36 @@ def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
         lambda w: quartic_rational_points(QuarticCurve(F(1), F(6), F(7), F(2), F(1)), 20, workers=w),
     )
     for scan in scans:
-        sizes.clear()
+        serial_pool.clear()
         assert json.dumps(scan(10**6).canonical_dict()) == json.dumps(scan(1).canonical_dict())
-        assert sizes and all(1 <= n <= (os.cpu_count() or 1) for n in sizes)
+        assert serial_pool and all(1 <= n <= (os.cpu_count() or 1) for n in serial_pool)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 5, None])
-def test_chunks_are_capped_at_the_cpu_count(monkeypatch, cpus):
+def test_chunks_are_capped_at_the_cpu_count(monkeypatch, serial_pool, cpus):
     # a workers count past the CPUs adds no chunk: the quartic search splits
-    # into one chunk per usable CPU and the scans into eight.  The spy maps
-    # serially, so no process is started
-    counts = []
+    # into one chunk per usable CPU and the scans into eight.  Each worker
+    # call is one chunk; the pool maps serially, so no process is started.
+    # One worker makes one chunk without asking for the CPU count
+    calls = []
 
-    def spy(worker, chunks, workers):
-        counts.append(len(chunks))
-        return [worker(ch) for ch in chunks]
+    def counting(name):
+        real = getattr(search, name)
+        return lambda args: calls.append(name) or real(args)
 
-    monkeypatch.setattr(search, "_run_chunks", spy)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    for name in ("_quartic_chunk", "_kb_points"):
+        monkeypatch.setattr(search, name, counting(name))
+    monkeypatch.setattr(os, "cpu_count", lambda: calls.append("cpu_count") or cpus)
     usable = cpus or 1
     curve = QuarticCurve(F(1), F(6), F(7), F(2), F(1))
     for workers in (1, 2, 64, 256):
-        counts.clear()
+        calls.clear()
         quartic_rational_points(curve, 200, workers=workers)
         scan_kb_periods(6, 1, 10, (1, 2), workers=workers)  # 46 k
         parts = min(workers, usable)
+        counts = [calls.count(name) for name in ("_quartic_chunk", "_kb_points")]
         assert counts == [parts, parts * 8 if parts > 1 else 1], (cpus, workers)
+        assert ("cpu_count" in calls) == (workers > 1)
 
 
 # --- the scan routes against the dynatomic route ---------------------------
@@ -377,11 +397,16 @@ def _param(m):
 
 
 def _quad_fractions(rows):
-    """Quad rows (num, e, n, u) as (c, n, z) with c = (num, e^2) and z = u/e,
-    after checking that each is a reduced c with a reduced point u/e."""
+    """Quad rows (c, n, u, e) as (c, n, z) with z = u/e, after checking
+    that each c = (num, e^2) is reduced with a reduced point u/e."""
     rows = list(rows)
-    assert all(math.gcd(num, e) == math.gcd(u, e) == 1 and e >= 1 for num, e, _, u in rows)
-    return [((num, e * e), n, F(u, e)) for num, e, n, u in rows]
+    assert all(c[1] == e * e and math.gcd(c[0], e) == math.gcd(u, e) == 1 and e >= 1 for c, _, u, e in rows)
+    return [(c, n, F(u, e)) for c, n, u, e in rows]
+
+
+def _point_columns(cols):
+    """The (4, k) columns (num, e, n, u) of ``_quad_points`` as rows (c, n, u, e)."""
+    return [((num, e * e), n, u, e) for num, e, n, u in zip(*cols.tolist())]
 
 
 def _assert_sieve_is_dynatomic(maps, periods_of, bound):
@@ -393,7 +418,8 @@ def _assert_sieve_is_dynatomic(maps, periods_of, bound):
     want_of = {m: {n: sorted(periodic_points_exact(m, n, height_bound=bound), key=search._rat_key)
                    for n in periods_of[type(m) is KBMap]} for m in maps}
     kb_rows = [row for k, b in map(_param, kbs) for row in search._kb_points(([k], [b], periods_of[1], bound))]
-    assert kb_rows == [(_param(m), n, z) for m in kbs for n, pts in want_of[m].items() for z in pts], bound
+    assert kb_rows == [(_param(m), n, *z.as_integer_ratio()) for m in kbs for n, pts in want_of[m].items()
+                       for z in pts], bound
     for m in maps:
         if type(m) is QuadraticMap:
             rows = [r for r in _quad_fractions(search._quad_rows(height(m.c), bound, periods_of[0], 1))
@@ -439,7 +465,8 @@ def test_kb_route_matches_dynatomic_on_planted_points(planted, q, bound):
     b *= q * q
     param = (k.as_integer_ratio(), b.as_integer_ratio())
     want = sorted(periodic_points_exact(KBMap(k, b), n, height_bound=bound), key=search._rat_key)
-    assert search._kb_points(([param[0]], [param[1]], (n,), bound)) == [(param, n, z) for z in want]
+    assert search._kb_points(([param[0]], [param[1]], (n,), bound)) == [(param, n, *z.as_integer_ratio())
+                                                                       for z in want]
     assert q * p in want or height(q * p) > bound
 
 
@@ -484,7 +511,7 @@ def test_window_walk_gives_the_exact_periods_of_plain_iteration(height_c, bound,
     es = search._quad_es(height_c, bound)[skip:]
     got = search._quad_points((es, height_c, bound, periods)) if es else np.zeros((4, 0), dtype=np.int64)
     assert got.dtype == np.int64 and got.shape[0] == 4
-    got = _quad_fractions(zip(*got.tolist()))
+    got = _quad_fractions(_point_columns(got))
     want = []
     for e, num in itertools.product(es, range(-height_c, height_c + 1)):
         m, (_, top) = QuadraticMap(F(num, e * e)), quad_window(num, e * e)
@@ -524,7 +551,7 @@ def test_quad_scan_building_only_kept_maps_keeps_the_box():
     assert list(one.hits) == want
     # the same rows come from each e of the box alone
     rows = sorted((r for e in range(1, 4)
-                   for r in _quad_fractions(zip(*search._quad_points((range(e, e + 1), 12, 3, (1, 2, 3))).tolist()))),
+                   for r in _quad_fractions(_point_columns(search._quad_points((range(e, e + 1), 12, 3, (1, 2, 3)))))),
                   key=lambda r: (height(F(*r[0])), *r[0], r[1], search._rat_key(r[2])))
     assert want == [{"map": f"quad:c={format_rational(F(*c))}", "point": format_rational(z), "period": n}
                     for c, n, z in rows]
@@ -1032,8 +1059,8 @@ def test_step_records_change_no_sieve_input_or_scan_bytes():
     kbs = [p for p in params if search._is_kb(p)]
     ks, bs = (list(dict.fromkeys(p[i] for p in kbs)) for i in (0, 1))
     assert [(k, b) for k in ks for b in bs] == kbs
-    want = search._map_over(search._kb_points, ks, 1, bs, periods, 20)
-    assert want and search._map_over(search._kb_points, ks, 2, bs, periods, 20) == want
+    want = search._kb_rows(ks, bs, periods, 20, 1)
+    assert want and search._kb_rows(ks, bs, periods, 20, 2) == want
     want = search._quad_rows(12, 20, periods, 1)
     assert want and search._quad_rows(12, 20, periods, 2) == want
     for scan in (
@@ -1042,6 +1069,37 @@ def test_step_records_change_no_sieve_input_or_scan_bytes():
         lambda w: scan_intersection_bound(3, 50, workers=w),
     ):
         assert json.dumps(scan(2).canonical_dict()) == json.dumps(scan(1).canonical_dict())
+
+
+def test_rows_of_both_routes_are_reduced_ints_and_format_as_their_maps(monkeypatch):
+    # every row that the quad, KB and intersection scans read is (p, n, zn,
+    # zd) in ints, z = zn / zd reduced with zd > 0 and of exact period n, and
+    # the one formatter gives describe() of the map built from p, at
+    # negative and non-integer c, k and b
+    rows = []
+
+    def recording(name):
+        real = getattr(search, name)
+        return lambda *args: rows.extend(got := real(*args)) or got
+
+    for name in ("_quad_rows", "_kb_rows"):
+        monkeypatch.setattr(search, name, recording(name))
+    assert scan_quadratic_periods(20, 100, (1, 2, 3)).hits and scan_kb_periods(4, 10, 50, (1, 2, 4)).hits
+    assert scan_intersection_bound(5, 50).hits
+    reduced = lambda r: type(r[0]) is type(r[1]) is int and math.gcd(*r) == 1 and r[1] > 0
+    for p, n, zn, zd in rows:
+        assert type(n) is int and reduced((zn, zd)), (p, n, zn, zd)
+        if type(p[0]) is tuple:
+            assert reduced(p[0]) and reduced(p[1]) and p[0][0] != 0 != p[1][0]
+            m = KBMap(F(*p[0]), F(*p[1]))
+        else:
+            assert reduced(p)
+            m = QuadraticMap(F(*p))
+        assert search._describe(p) == m.describe() and exact_period(m, F(zn, zd)) == n, (p, n, zn, zd)
+    negative_fraction = lambda r: r[0] < 0 and r[1] > 1
+    kbs = [p for p, *_ in rows if type(p[0]) is tuple]
+    assert any(negative_fraction(p) for p, *_ in rows if type(p[0]) is int)  # c
+    assert any(negative_fraction(k) for k, _ in kbs) and any(negative_fraction(b) for _, b in kbs)
 
 
 def test_kb_period_roots_of_kz_plus_1_over_z_hold_for_every_b():
