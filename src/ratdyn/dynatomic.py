@@ -39,6 +39,10 @@ as k = +-1's.  The cutoff is measured, not derived: a family build at n = 6
 (56 / 91 ms, quad / KB) costs what about 290 maps save, and
 ``ratdyn scan --kind kb`` at its default height-k 10 (127 k) is faster on
 the towers, from height-k 20 on the family (CHANGES.md has the timings).
+Reduced mod a small prime p, the family is also kept as a table over t in
+P^1(F_p) (``_family_mod``): a KB scan skips each k at which Phi*_n mod p
+keeps its degree and has no root in F_p, since Phi*_n then has no rational
+root (``_family_rootless``).
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ __all__ = [
 
 
 _FAMILY_MAX_N = 5  # the last n specialised from the family (module docstring)
+# Of the 126 k of height <= 10, these primes show 125 of the Phi*_3 of
+# kz + 1/z, 114 of the Phi*_4 and all of the Phi*_5 to have no rational
+# root; 4 of the other 12 Phi*_4 have one (``_family_rootless``)
+_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 def moebius(n: int) -> int:
@@ -191,6 +199,35 @@ def _family(quad: bool, n: int) -> Tuple[Tuple[int, ...], ...]:
     while not rows[-1]:
         rows.pop()
     return tuple(rows)
+
+
+@cache
+def _family_mod(quad: bool, n: int, p: int) -> Tuple[bool, ...]:
+    """Entry t, t = 0..p-1 and t = p for infinity: whether the family's
+    Phi*_n at t, reduced mod p, keeps its top coefficient and has no root
+    in F_p.  At infinity, row i reduces to its t^e coefficient."""
+    rows = _family(quad, n)
+    e = max(map(len, rows)) - 1
+    table = []
+    for t in range(p + 1):
+        powers = [pow(t, j, p) for j in range(e + 1)] if t < p else [0] * e + [1]
+        coeffs = [sum(map(mul, row, powers)) % p for row in rows]
+        table.append(coeffs[-1] != 0 and _intpoly._simple_roots_mod(coeffs, p) == [])
+    return tuple(table)
+
+
+def _family_rootless(quad: bool, n: int, tn: int, td: int) -> bool:
+    """Whether ``_dynatomic_x`` of the family's map at t = tn / td (lowest
+    terms, td > 0) is shown to have no rational root by a prime p of
+    ``_SIEVE_PRIMES``, without building it.  Its coefficient i is
+    sum_j row_i[j] tn^j td^(e-j): a unit times row i at t mod p, or at
+    infinity when p divides td.  If ``_family_mod`` says that this keeps
+    its top coefficient and has no root in F_p, then p divides no
+    denominator v of a root u / v, which would reduce to a root in F_p.
+    False decides nothing, as for every n past ``_FAMILY_MAX_N``."""
+    if not 1 <= n <= _FAMILY_MAX_N:
+        return False
+    return any(_family_mod(quad, n, p)[p if td % p == 0 else tn * pow(td, -1, p) % p] for p in _SIEVE_PRIMES)
 
 
 def _dynatomic_x(m: Map, n: int) -> List[int]:

@@ -32,12 +32,19 @@ t = +-z, the point +-z has the exact period of the point 1 of kz + (1/s)/z;
 with t = sqrt(b), s is a nonzero root of Phi*_n of kz + 1/z in w = z^2, a
 polynomial in k alone (``dynatomic._dynatomic_x``: up to n = 5 the one
 polynomial of tz + 1/z over Z[t], built once per process and evaluated at
-t = k).  Its roots are taken once per k and n, with no height bound, and
-``exact_period`` decides each nonzero root once, on that point 1, as on the
-dynatomic route: a root of Phi*_n of exact period d < n lies on a d-cycle
-whose multiplier is a primitive (n/d)-th root of unity.  Each b then keeps
-z = +-sqrt(b s) of height <= B by integer tests, so the exact_period calls
-do not depend on the b box.
+t = k).  ``_kb_classes`` takes it once per k and n.  Most such k have no
+rational root at n = 3, 4, 5: a prime p <= 13 for which Phi*_n mod p keeps
+its degree and has no root in F_p shows it, read from a table of the
+family mod p (``dynatomic._family_rootless``), and the k is done without
+building Phi*_n.  Else Phi*_n is rooted with no height bound, and
+``exact_period`` decides each nonzero root once, on that point 1, as on
+the dynatomic route: a root of Phi*_n of exact period d < n lies on a
+d-cycle whose multiplier is a primitive (n/d)-th root of unity.  b s is a
+rational square iff bn bd and sn sd have one signed squarefree kernel.  So
+each root s is trial-divided by the primes of the box's bn and bd, all at
+most H(b), one pass over the b keeps those whose kernel is a root's, by
+kernel, and only the b of a root's kernel take an isqrt and keep
+z = +-sqrt(b s) of height <= B.  A chunk whose k have no root skips it.
 
 A scan thus finds exactly the points of height <= B and exact period n:
 the set that ``dynatomic.periodic_points_exact`` returns with
@@ -66,7 +73,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 from ._intpoly import rational_roots_int
 from .core import count_rationals, format_ratio, format_rational, height, is_rational_square, rational_pairs
 from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period
-from .dynatomic import _dynatomic_x
+from .dynatomic import _dynatomic_x, _family_rootless
 from .errors import DomainError, parameter_excluded
 
 __all__ = [
@@ -214,29 +221,71 @@ def _quad_walk(walk, periods) -> list:
     return rows
 
 
+def _kb_classes(k: Tuple[int, int], n: int) -> Tuple[Tuple[int, int], ...]:
+    """(sn, sd) of each nonzero root s = sn / sd of Phi*_n of kz + 1/z in w,
+    k = (kn, kd), whose point 1 of kz + (1/s)/z has exact period n: none
+    when a small prime shows that Phi*_n has no rational root, else rooted
+    with no height bound and each root decided."""
+    if _family_rootless(False, n, *k):
+        return ()
+    unit, kept = KBMap(Fraction(*k), Fraction(1)), []
+    for sn, sd in (s.as_integer_ratio() for s in rational_roots_int(_dynatomic_x(unit, n)) if s):
+        m = KBMap(unit.k, Fraction(sd, sn))  # z -> z t takes (k, b) at z = t to (k, 1/s) at 1
+        try:
+            if exact_period(m, 1, n) == n:
+                kept.append((sn, sd))
+        except DomainError as exc:
+            raise DomainError(f"{m.describe()}, n={n}: {exc}") from None
+    return tuple(kept)
+
+
+def _odd_primes(x: int, primes) -> Tuple[List[int], int]:
+    """The p of ``primes`` that divide x >= 1 to an odd power, and what is
+    left of x once every p of ``primes`` is divided out."""
+    odd = []
+    for p in primes:
+        if x % p == 0:
+            e = 0
+            while x % p == 0:
+                x, e = x // p, e + 1
+            if e % 2:
+                odd.append(p)
+    return odd, x
+
+
 def _kb_points(args) -> List[Tuple[tuple, int, int, int]]:
     """(p, n, zn, zd) for each KB parameter p = (k, b), k in ``ks`` and b in
     ``bs`` as (num, den), and each point z = zn / zd of p's map with exact
-    period n in ``periods`` and height <= ``bound``, in scan order: each root
-    s of k's Phi*_n in w decided once, then z = +-sqrt(b s) for each b."""
+    period n in ``periods`` and height <= ``bound``, in scan order: z =
+    +-sqrt(b s) for each root s of ``_kb_classes`` and each b in s's square
+    class, the lookup of the module docstring."""
     ks, bs, periods, bound = args
+    table = [[(n, s) for n in periods for s in _kb_classes(k, n)] for k in ks]
+    keys, classes = {}, {}  # keys: root -> its signed kernel, if a b can have it; classes: kernel -> b indices
+    if any(table):
+        odd = {}  # each |bn| and bd -> its primes of odd exponent
+        for x in {abs(bn) for bn, _ in bs} | {bd for _, bd in bs}:
+            ps, left = _odd_primes(x, range(2, math.isqrt(x) + 1))  # leaves 1 or one prime
+            odd[x] = ps + [left] * (left > 1)
+        primes = sorted(set().union(*odd.values()))
+        for sn, sd in {s for roots in table for _, s in roots}:
+            ps, left = _odd_primes(abs(sn * sd), primes)
+            if (r := math.isqrt(left)) * r == left:  # else a prime past the b's has an odd exponent
+                keys[sn, sd] = math.prod(ps, start=1 if sn > 0 else -1)
+        kernel, wanted = {x: math.prod(ps) for x, ps in odd.items()}, set(keys.values())
+        for i, (bn, bd) in enumerate(bs):
+            if (key := kernel[abs(bn)] * kernel[bd] * (1 if bn > 0 else -1)) in wanted:
+                classes.setdefault(key, []).append(i)
     found = []
-    for k in ks:
-        unit, hits = KBMap(Fraction(*k), Fraction(1)), []
-        for n in periods:
-            for sn, sd in (s.as_integer_ratio() for s in rational_roots_int(_dynatomic_x(unit, n)) if s):
-                m = KBMap(unit.k, Fraction(sd, sn))  # z -> z t takes (k, b) at z = t to (k, 1/s) at 1
-                try:
-                    if exact_period(m, 1, n) != n:
-                        continue
-                except DomainError as exc:
-                    raise DomainError(f"{m.describe()}, n={n}: {exc}") from None
-                for i, (bn, bd) in enumerate(bs):
-                    t = bn * bd * sn * sd  # b s = t / (bd sd)^2
-                    if t > 0 and (r := math.isqrt(t)) * r == t:
-                        g = math.gcd(r, bd * sd)
-                        if (h := max(zn := r // g, zd := bd * sd // g)) <= bound:
-                            hits += [(i, n, h, -zn, zd), (i, n, h, zn, zd)]
+    for k, roots in zip(ks, table):
+        hits = []
+        for n, (sn, sd) in roots:
+            for i in classes.get(keys.get((sn, sd)), ()):
+                bn, bd = bs[i]
+                r = math.isqrt(bn * bd * sn * sd)  # b s = (r / (bd sd))^2
+                g = math.gcd(r, bd * sd)
+                if (h := max(zn := r // g, zd := bd * sd // g)) <= bound:
+                    hits += [(i, n, h, -zn, zd), (i, n, h, zn, zd)]
         hits.sort()  # by b, n, then z by height, numerator, denominator
         found += [((k, bs[i]), n, zn, zd) for i, n, _, zn, zd in hits]
     return found

@@ -91,6 +91,14 @@ GOLDEN_CASES = {
         "scan", "--kind", "kb", "--height-k", "4", "--height-b", "10",
         "--height-point", "50", "--periods", "1,2,4",
     ],
+    # 1,940 hits over 22 k and 1,958 b: a wide b box of many square
+    # classes, each b matched to the roots s of its class; recorded before
+    # that lookup replaced one isqrt per (b, s) pair, and also diffed
+    # against the installed console script in CI, at one and two workers
+    "scan_kb_k4_b40_p200_n124.json": [
+        "scan", "--kind", "kb", "--height-k", "4", "--height-b", "40",
+        "--height-point", "200", "--periods", "1,2,4",
+    ],
     # 45 hits; also diffed against the installed console script in CI
     "scan_quad_h20_p100.json": [
         "scan", "--kind", "quad", "--height-c", "20", "--height-point", "100", "--periods", "1,2,3",

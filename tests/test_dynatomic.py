@@ -579,6 +579,25 @@ def test_family_phi4_of_tz_plus_1_over_z_is_the_product_of_the_period4_factors()
         assert [sum(c * k**j for j, c in enumerate(row)) for row in rows] == list(want[::2]), k
 
 
+def test_a_family_polynomial_shown_rootless_mod_a_small_prime_has_no_rational_root():
+    # every t of height <= 10 and random ones up to height 5000, some with a
+    # denominator that each sieve prime divides (t = infinity mod p), in both
+    # families; past the family's n nothing is decided.  The counts pin how
+    # many of the 126 k of height <= 10 skip the rooting at n = 1..5
+    rng = random.Random(31)
+    grid = [(quad, t) for quad in (False, True) for t in enumerate_rationals(10) if quad or t]
+    drawn = [(rng.random() < 0.5, F(rng.choice((-1, 1)) * rng.randint(1, 5000), d))
+             for d in (2, 3, 5, 7, 11, 13, 30030, 4096, 2027) for _ in range(40)]
+    for quad, t in grid + drawn:
+        for n in range(1, 7):
+            if dynatomic._family_rootless(quad, n, *t.as_integer_ratio()):
+                m = QuadraticMap(t) if quad else KBMap(t, F(1))
+                assert n <= 5 and _intpoly.rational_roots_int(dynatomic._dynatomic_x(m, n)) == [], (m, n)
+    shown = [sum(dynatomic._family_rootless(quad, n, *t.as_integer_ratio()) for quad, t in grid if not quad)
+             for n in range(1, 6)]
+    assert shown == [0, 0, 125, 114, 126]
+
+
 def test_each_family_polynomial_is_built_once(monkeypatch):
     # a KB scan and 200 fresh maps at n <= 5 build each family polynomial
     # once and no map's tower; the maps keep no step record or tower

@@ -23,7 +23,7 @@ from ratdyn.core import (
     rational_pairs,
 )
 from ratdyn.dynamics import KBMap, QuadraticMap, cycle_from, exact_period, quad_window
-from ratdyn.dynatomic import _dynatomic_x, periodic_points_exact
+from ratdyn.dynatomic import _dynatomic_x, _family_rootless, periodic_points_exact
 from ratdyn.errors import DomainError
 from ratdyn.search import (
     QuarticCurve,
@@ -162,11 +162,13 @@ def test_scan_caps_admit_every_quad_box_up_to_height_ten_thousand(monkeypatch):
 
 
 def test_scans_build_maps_only_for_candidates(monkeypatch):
-    # the scans carry int parameters: a KB scan builds kz + 1/z once per k to
-    # root its Phi*_n and kz + (1/s)/z once per nonzero root s, whatever
-    # the b; a period scan never builds a quad map
+    # the scans carry int parameters: a KB scan builds kz + 1/z once per k
+    # that no small prime shows rootless, to root its Phi*_n, and
+    # kz + (1/s)/z once per nonzero root s, whatever the b; a period scan
+    # never builds a quad map
     def maps(hk, hb, bound, periods):
         (n,), ks = periods, [r for r in enumerate_rationals(hk) if r]
+        ks = [k for k in ks if not _family_rootless(False, n, *k.as_integer_ratio())]
         return len(ks) + sum(1 for k in ks for s in rational_roots_int(_dynatomic_x(KBMap(k, F(1)), n)) if s)
 
     built = {KBMap: 0, QuadraticMap: 0}
@@ -177,11 +179,13 @@ def test_scans_build_maps_only_for_candidates(monkeypatch):
             return cls(*args)
         return make
 
-    for box, hits in (((2, 4, 50, (3,)), 0), ((4, 10, 2, (4,)), 20)):
+    # the 6 k of height <= 2 are all rootless at n = 3; 4 of the 22 k of
+    # height <= 4 are not at n = 4, and their Phi*_4 have 8 nonzero roots
+    for box, hits, count in (((2, 4, 50, (3,)), 0, 0), ((4, 10, 2, (4,)), 20, 4 + 8)):
         monkeypatch.setattr(search, "KBMap", counting(KBMap))
         built[KBMap] = 0
         assert len(scan_kb_periods(*box).hits) == hits
-        assert built[KBMap] == maps(*box), box
+        assert built[KBMap] == maps(*box) == count, box
         monkeypatch.undo()
     monkeypatch.setattr(search, "KBMap", counting(KBMap))
     monkeypatch.setattr(search, "QuadraticMap", counting(QuadraticMap))
@@ -251,15 +255,22 @@ def test_kb_chunks_are_runs_of_whole_k_and_merge_to_the_same_bytes(monkeypatch):
 
 def test_each_k_is_rooted_once_at_any_worker_count(monkeypatch, serial_pool):
     # Phi*_n of kz + 1/z is rooted once per k and n, however many chunks
-    # three workers cut the k into.  The pool maps serially, so no process
-    # is started
+    # three workers cut the k into, unless a small prime shows it rootless,
+    # which is then done once instead.  The pool maps serially, so no
+    # process is started
     rooted = []
 
     def counting(m, n):
         rooted.append((m.k, n))
         return _dynatomic_x(m, n)
 
+    def sieving(quad, n, tn, td):
+        if shown := _family_rootless(quad, n, tn, td):
+            rooted.append((F(tn, td), n))
+        return shown
+
     monkeypatch.setattr(search, "_dynatomic_x", counting)
+    monkeypatch.setattr(search, "_family_rootless", sieving)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for scan, hk in ((lambda: scan_kb_periods(2, 4, 50, (1, 2, 4), workers=3), 2),
                      (lambda: scan_intersection_bound(5, 50, workers=3), 5)):
@@ -270,9 +281,9 @@ def test_each_k_is_rooted_once_at_any_worker_count(monkeypatch, serial_pool):
 
 
 def test_worker_errors_name_map_and_period(monkeypatch):
-    # each KB pair of points z = +-sqrt(b s) is confirmed by one
-    # exact_period call; an error there names the map and the period n of
-    # the root s it came from.
+    # each nonzero root s of Phi*_n of kz + 1/z is decided by one
+    # exact_period call per scan, on the point 1 of kz + (1/s)/z; an error
+    # there names that map and the n of the root s it came from.
     # kb:k=4/3,b=-10/3 has the 4-cycle 1 -> -2 -> -1 -> 2; the fixed points
     # +-1 of kb:k=2,b=-1 are its only points of periods 1 and 4.
     real, failing_map = search.exact_period, None
@@ -495,6 +506,82 @@ def test_kb_exact_periods_are_decided_once_per_root_whatever_the_b_box(monkeypat
         assert len(set(decided)) == len(decided) == len(roots) and {z for _, _, z, _ in decided} == {1}
         counts.append(len(decided))
     assert counts == [50, 50]
+
+
+def test_kb_bytes_are_the_golden_at_one_and_three_workers(monkeypatch):
+    # three CPUs are claimed, so the k are cut into chunks on any machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    golden = (pathlib.Path(__file__).parent / "golden" / "scan_kb_k4_b40_p200_n124.json").read_text()
+    for workers in (3, 1):
+        rep = scan_kb_periods(4, 40, 200, (1, 2, 4), workers=workers)
+        assert json.dumps(rep.canonical_dict(), sort_keys=True, separators=(",", ":")) + "\n" == golden
+
+
+def _kb_rows_by_pairs(ks, bs, periods, bound):
+    """The rows of ``_kb_points`` by one isqrt test per (b, s) pair, each
+    point a Fraction ordered by height, numerator, denominator."""
+    rows = []
+    for k in ks:
+        hits = []
+        for n in periods:
+            for sn, sd in search._kb_classes(k, n):
+                for i, (bn, bd) in enumerate(bs):
+                    t = bn * bd * sn * sd
+                    if t > 0 and math.isqrt(t) ** 2 == t and height(z := F(math.isqrt(t), bd * sd)) <= bound:
+                        hits += [(i, n, search._rat_key(-z), -z), (i, n, search._rat_key(z), z)]
+        rows += [((k, bs[i]), n, *z.as_integer_ratio()) for i, n, _, z in sorted(hits, key=lambda h: h[:3])]
+    return rows
+
+
+@st.composite
+def _kb_boxes(draw):
+    """(ks, bs): up to 3 k of height <= 12 and up to 10 b, random ones of
+    height <= 2027 and planted ones b = s q^2 for a root s of a drawn k."""
+    ks = draw(st.lists(rationals(12, nonzero=True), min_size=1, max_size=3, unique=True))
+    bs = draw(st.lists(rationals(2027, nonzero=True), max_size=5))
+    roots = sorted({F(*s) for k in ks for n in (1, 2, 4) for s in search._kb_classes(k.as_integer_ratio(), n)})
+    if roots:
+        bs += draw(st.lists(st.builds(lambda s, q: s * q * q, st.sampled_from(roots), rationals(12, nonzero=True)),
+                            max_size=5))
+    return ks, list(dict.fromkeys(bs)) or [F(1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_kb_boxes(), st.sets(st.sampled_from((1, 2, 4)), min_size=1).map(sorted).map(tuple), st.integers(1, 300))
+@example(([F(3), F(-2)], [F(-18), F(12, 25)]), (1, 2, 4), 10)  # negative b, and b with square factors
+@example(([F(-2026), F(2)], [F(2027), F(-2027, 4)]), (1, 2), 50)  # b of height 2027
+# H(b) = 2 and the roots 1/98 and 1/96 of k = -97: past the prime 2, 1/98
+# leaves the square 7^2 and so gives b = 2 the points +-1/7; 1/96 leaves 3
+@example(([F(-97)], [F(2), F(1)]), (1, 2), 10)
+@example(([F(1), F(-1)], [F(2), F(-18), F(1, 2)]), (1, 2, 4), 10)  # k = +-1
+def test_kb_square_classes_match_every_pair_and_the_dynatomic_route(box, periods, bound):
+    # the square-class lookup gives the rows of an isqrt test on every
+    # (b, s) pair, which are each map's points of height <= B per n
+    ks, bs = ([r.as_integer_ratio() for r in rs] for rs in box)
+    rows = search._kb_points((ks, bs, periods, bound))
+    assert rows == _kb_rows_by_pairs(ks, bs, periods, bound)
+    want = [((k, b), n, *z.as_integer_ratio()) for k in ks for b in bs for n in periods
+            for z in sorted(periodic_points_exact(KBMap(F(*k), F(*b)), n, height_bound=bound), key=search._rat_key)]
+    assert rows == want
+
+
+def test_kb_isqrt_calls_grow_with_b_plus_roots_not_their_product(monkeypatch):
+    # one isqrt per distinct |bn| or bd, to bound its trial division, one
+    # per distinct root s, on what trial division by the box's primes
+    # leaves, and one per (k, n, s) and b in a matching square class; none
+    # when no k has a root
+    ks, bs = ([r for r in rational_pairs(h) if r[0]] for h in (4, 40))
+    table = {(k, n): search._kb_classes(k, n) for k in ks for n in (1, 2, 4)}
+    roots = [s for ss in table.values() for s in ss]
+    squares = sum(1 for sn, sd in roots for bn, bd in bs if (t := bn * bd * sn * sd) > 0 and math.isqrt(t) ** 2 == t)
+    real, calls = math.isqrt, []
+    monkeypatch.setattr(search, "_kb_classes", lambda k, n: table.get((k, n), ()))  # so no rooting isqrt is counted
+    monkeypatch.setattr(search.math, "isqrt", lambda x: calls.append(x) or real(x))
+    assert search._kb_points((ks, bs, (1, 2, 4), 200))
+    assert (len(ks), len(bs), len(roots), len(set(roots))) == (22, 1958, 50, 42)
+    assert len(calls) == 40 + len(set(roots)) + squares <= len(bs) + len(roots) < len(bs) * len(roots) // 20
+    calls.clear()
+    assert search._kb_points((ks, bs, (3,), 200)) == [] and not calls
 
 
 @settings(max_examples=40, deadline=None)
