@@ -8,11 +8,10 @@ division of the mu=+1 product by the mu=-1 product.  Every rational point of
 exact period n is a root of Phi*_n; the converse needs an exact-period
 filter because roots can have period strictly dividing n.
 
-Univariate polynomials are the y=1 dehomogenizations.  A map's own
-integer iterate tower is kept in its ``__dict__`` next to its step record
-and extended on demand, so the n asked of one map share Phi_1..Phi_max.
-With D = den(c) for z^2 + c and D = den(k) den(b) for kz + b/z, its k-th
-entry (F_k, G_k) is D^(2^k - 1) times the dehomogenized k-th iterate
+Univariate polynomials are the y=1 dehomogenizations.  A map's integer
+iterate tower is built from its step record for each n asked.  With
+D = den(c) for z^2 + c and D = den(k) den(b) for kz + b/z, its k-th entry
+(F_k, G_k) is D^(2^k - 1) times the dehomogenized k-th iterate
 (f_k, g_k).  A KB map is odd, so f_k is even and g_k odd: its tower is
 kept in w = z^2, with f_k = F_k(w) and g_k = z G_k(w), at half the degree,
 and spread back into z at the edge.  In both families Phi_k = F_k - x G_k,
@@ -107,8 +106,8 @@ class IteratePair:
     n: int
 
 
-def _grow(tower: tuple, n: int, quad: bool, A: List[int], B: List[int], D: List[int]) -> tuple:
-    """``tower``'s first n entries (F_k, G_k), the missing ones built.
+def _grow(n: int, quad: bool, A: List[int], B: List[int], D: List[int]) -> tuple:
+    """The first n entries (F_k, G_k) of a tower.
 
     f_1 = A z^2 + B and f' = A f^2 + B g^2, where A/D and B/D are the map's
     z^2 and constant coefficients (1, c or k, b); g' = D g^2 for z^2 + c and
@@ -116,7 +115,7 @@ def _grow(tower: tuple, n: int, quad: bool, A: List[int], B: List[int], D: List[
     KB entry steps as F' = A F^2 + B w G^2, G' = D F G.  The scalars are
     vectors: constants for one map, powers of u for a family (``_family``).
     """
-    tower = list(tower) or [(_intpoly.padd(B, [0] * (1 + quad) + A), D)]
+    tower = [(_intpoly.padd(B, [0] * (1 + quad) + A), D)]
     while len(tower) < n:
         f, g = tower[-1]
         gg = _intpoly.pmul(g, g)
@@ -128,16 +127,11 @@ def _grow(tower: tuple, n: int, quad: bool, A: List[int], B: List[int], D: List[
 
 
 def _tower(m: Map, n: int) -> Tuple[Tuple[List[int], List[int]], ...]:
-    """The first n entries of m's integer iterate tower (``_grow``), kept in
-    m's ``__dict__``.  A longer tower replaces the stored one whole, so a
-    reader never sees a partial one."""
+    """The first n entries of m's integer iterate tower (``_grow``)."""
     if n < 1:
         raise parameter_excluded("n", n)
-    tower = m.__dict__.get("_tower", ())
-    if len(tower) < n:
-        quad, A, B, D, _, _, _ = m._record
-        tower = m.__dict__["_tower"] = _grow(tower, n, quad, [A], [B], [D])
-    return tower
+    quad, A, B, D, _, _, _ = m._record
+    return _grow(n, quad, [A], [B], [D])
 
 
 def _phi(f: List[int], g: List[int]) -> List[int]:
@@ -194,7 +188,7 @@ def _family(quad: bool, n: int) -> Tuple[Tuple[int, ...], ...]:
     x-degree of Phi_n (2^n, or 2^(n-1) in w), so u^(i + S j) is x^i t^j."""
     S = 2 ** (n - 1 + quad) + 1
     t = [0] * S + [1]
-    v = _quotient(_grow((), n, quad, *(([1], t, [1]) if quad else (t, [1], [1]))), n)
+    v = _quotient(_grow(n, quad, *(([1], t, [1]) if quad else (t, [1], [1]))), n)
     rows = [tuple(_intpoly.pstrip(v[i::S])) for i in range(S)]
     while not rows[-1]:
         rows.pop()

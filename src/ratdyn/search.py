@@ -66,6 +66,7 @@ import itertools
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Sequence, Tuple
@@ -423,11 +424,12 @@ def scan_intersection_bound(
 
     Quadratic maps contribute cycles of length 1-3, KB maps of length 1, 2,
     4: the two routes' rows, grouped per map, each cycle walked from its
-    least point.  One point index lists the (map, cycle set) entries
-    through each point, in scan order; ``scanned_count`` counts the map
-    pairs sharing a point.  Only cycles of 3 or more points are
-    intersected.  A hit carries both map descriptors, the least common
-    point, and the intersection.
+    least point.  ``scanned_count``, the map pairs sharing a point, is
+    counted by inclusion-exclusion over each map's own points.  Only two
+    cycles of 3 or more points can share 3, so only those enter the point
+    index of (map, cycle set) entries through each point, in scan order.  A
+    hit carries both map descriptors, the least common point, and the
+    intersection.
     """
     box = {"height": bound, "height_point": height_point}
     _check_scan(box, workers, lambda: (n := count_rationals(bound)) + (n - 1) ** 2)
@@ -436,27 +438,30 @@ def scan_intersection_bound(
     rows = _quad_rows(bound, height_point, (1, 2, 3), workers) + _kb_rows(ks, ks, (1, 2, 4), height_point, workers)
 
     index: Dict[Fraction, List[Tuple[tuple, FrozenSet[Fraction]]]] = {}
+    sharing = Counter()  # X -> N_X, the number of maps whose points contain X
     for p, group in itertools.groupby(rows, key=lambda row: row[0]):
         m = KBMap(Fraction(*p[0]), Fraction(*p[1])) if _is_kb(p) else QuadraticMap(Fraction(*p))
-        done = set()
+        points = set()  # the map's cycle points P_A, as (num, den)
         for _, n, zn, zd in group:  # by n, then from the least point of each cycle
-            if (zn, zd) not in done:
+            if (zn, zd) not in points:
                 cyc = frozenset(cycle_from(m, Fraction(zn, zd), n))
-                done.update(x.as_integer_ratio() for x in cyc)
-                for x in cyc:
-                    index.setdefault(x, []).append((p, cyc))
+                points.update(x.as_integer_ratio() for x in cyc)
+                if len(cyc) >= 3:
+                    for x in cyc:
+                        index.setdefault(x, []).append((p, cyc))
+        sharing.update(frozenset(X) for j in range(1, len(points) + 1) for X in itertools.combinations(points, j))
+    # a pair sharing t >= 1 points counts sum_j (-1)^(j+1) C(t, j) = 1 - (1 - 1)^t = 1 time
+    count = sum((-1) ** (len(X) + 1) * math.comb(N, 2) for X, N in sharing.items())
 
-    pairs, least = set(), {}  # least: (p, q, common) -> least common point
+    least = {}  # (p, q, common) -> least common point
     for x in sorted(index, key=_rat_key):
-        pairs.update((p, q) for (p, _), (q, _) in itertools.combinations(index[x], 2))
-        # a common set of 3 needs two cycles of 3 or more points
-        for (p, a), (q, b) in itertools.combinations([e for e in index[x] if len(e[1]) >= 3], 2):
+        for (p, a), (q, b) in itertools.combinations(index[x], 2):
             if len(common := a & b) >= 3:
                 least.setdefault((p, q, common), x)
     hits = tuple({"map1": _describe(p), "map2": _describe(q), "point": format_rational(x),
                   "size": len(common), "common": sorted(format_rational(y) for y in common)}
                  for (p, q, common), x in least.items())
-    return ScanReport("intersection", box, (), hits, len(pairs), time.perf_counter() - t0)
+    return ScanReport("intersection", box, (), hits, count, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,11 @@ GOLDEN_CASES = {
         "scan", "--kind", "quad", "--height-c", "40", "--height-point", "3", "--periods", "1,2,3",
     ],
     "scan_intersection_h5_p50.json": ["scan", "--kind", "intersection", "--height", "5", "--height-point", "50"],
+    # 3,218,019 and 10,159,258 sharing pairs, 66 and 88 hits: recorded while
+    # the scan still listed every pair, and also diffed against the
+    # installed console script in CI, at one and two workers
+    "scan_intersection_h30_p20.json": ["scan", "--kind", "intersection", "--height", "30", "--height-point", "20"],
+    "scan_intersection_h40_p200.json": ["scan", "--kind", "intersection", "--height", "40", "--height-point", "200"],
     "quartic_curve1_h50.json": ["quartic", "--coeffs", "1,6,7,2,1", "--height", "50"],
     # the README example, also diffed against the installed console script in CI
     "quartic_curve1_h10000.json": ["quartic", "--coeffs", "1,6,7,2,1", "--height", "10000"],

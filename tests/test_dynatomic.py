@@ -487,9 +487,8 @@ def test_dynatomic_rejects_bad_n():
 
 
 def test_tower_extension_keeps_every_level():
-    # the per-map tower is extended on demand: a map whose tower was first
-    # built past n, and one extended a level at a time, give what a fresh
-    # map gives at n
+    # a map keeps no tower between calls: one first asked past n, and one
+    # asked a level at a time, give what a fresh map gives at n
     for make in (lambda: QuadraticMap(F(-29, 16)), lambda: KBMap(F(4, 3), F(-10, 3))):
         grown, stepped = make(), make()
         dynatomic_int(grown, 6)
@@ -602,7 +601,7 @@ def test_each_family_polynomial_is_built_once(monkeypatch):
     # a KB scan and 200 fresh maps at n <= 5 build each family polynomial
     # once and no map's tower; the maps keep no step record or tower
     built, grow = [], dynatomic._grow
-    monkeypatch.setattr(dynatomic, "_grow", lambda tower, n, quad, *s: built.append((quad, n)) or grow(tower, n, quad, *s))
+    monkeypatch.setattr(dynatomic, "_grow", lambda n, quad, *s: built.append((quad, n)) or grow(n, quad, *s))
     dynatomic._family.cache_clear()
     scan_kb_periods(10, 10, 100, (1, 2, 4, 5))
     rng = random.Random(24)
@@ -616,4 +615,4 @@ def test_each_family_polynomial_is_built_once(monkeypatch):
             assert "_record" not in vars(m) and "_tower" not in vars(m), (m, n)
     m = QuadraticMap(F(-29, 16))
     dynatomic_int(m, 6)
-    assert "_tower" in vars(m)
+    assert "_tower" not in vars(m)

@@ -1055,6 +1055,43 @@ def test_intersection_scan_matches_the_pairwise_reference():
                 assert scan_intersection_bound(bound, height_point, workers=workers).canonical_dict() == want
 
 
+def _listed_pairs(bound, height_point):
+    """The map pairs sharing a cycle point, listed: every map of the scan's
+    own rows, every cycle walked through every row's point, and every two
+    maps through each point."""
+    ks = [r for r in rational_pairs(bound) if r[0]]
+    rows = search._quad_rows(bound, height_point, (1, 2, 3), 1) + search._kb_rows(ks, ks, (1, 2, 4), height_point, 1)
+    maps_through = {}
+    for p, n, zn, zd in rows:
+        m = KBMap(F(*p[0]), F(*p[1])) if search._is_kb(p) else QuadraticMap(F(*p))
+        for x in cycle_from(m, F(zn, zd), n):
+            maps_through.setdefault(x, set()).add(p)
+    return {frozenset(pq) for ps in maps_through.values() for pq in itertools.combinations(ps, 2)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 60))
+@example(1, 5)
+@example(5, 50)
+def test_intersection_count_equals_a_listed_pair_set(bound, height_point):
+    # inclusion-exclusion over each map's own points counts each map pair
+    # sharing t >= 1 points once, as a set of the listed pairs does
+    want = len(_listed_pairs(bound, height_point))
+    for workers in (1, 2):
+        assert scan_intersection_bound(bound, height_point, workers=workers).scanned_count == want, workers
+
+
+def test_intersection_index_holds_only_cycles_that_can_make_a_hit(monkeypatch):
+    # only two cycles of 3 or more points can share 3, so no shorter cycle
+    # enters the point index whose entries the hit loop pairs; the index
+    # is a list per point, the subsets counted come from a set per map
+    paired = []
+    spy = lambda xs, r: (paired.extend(xs) if isinstance(xs, list) else None) or itertools.combinations(xs, r)
+    monkeypatch.setattr(search, "itertools", SimpleNamespace(**{**vars(itertools), "combinations": spy}))
+    assert scan_intersection_bound(5, 50).hits
+    assert paired and all(len(cyc) >= 3 for _, cyc in paired)
+
+
 def test_quartic_examples():
     curve = QuarticCurve(F(1), F(6), F(7), F(2), F(1))
     rep = quartic_rational_points(curve, 1000)
