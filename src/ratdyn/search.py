@@ -7,7 +7,8 @@ each map's points of exact period n and height <= B by one exact route per
 family; neither reduces mod any prime, and only the KB route builds map
 objects, one per k and one per root.  Both routes give one row shape,
 (parameter, n, zn, zd) in ints with z = zn / zd reduced and zd > 0, in scan
-order, one per hit, and ``_scan_periods`` formats every hit from the ints.
+order, one per hit, and ``_scan_periods`` formats each map once and every
+hit from the ints.
 
 A quad map z^2 + c, c = num / den, has every periodic point u/e in lowest
 terms with den = e^2 and |u| <= top (``dynamics.quad_window``), and there
@@ -50,10 +51,12 @@ A scan thus finds exactly the points of height <= B and exact period n:
 the set that ``dynatomic.periodic_points_exact`` returns with
 ``height_bound=B``.  One ``_fan_out`` serves every engine: it cuts the KB
 k, each k rooted in one chunk, the quad e, or the quartic v into contiguous
-chunks and returns their results in chunk order.  The KB rows are merged in
-that order, and the quad columns put in scan order by one ``np.lexsort``,
-so any worker count or block size yields byte-identical canonical output;
-``elapsed`` is carried on the report but never serialized.
+chunks, eight per pool process, sends a pool only their (start, stop)
+spans, since its processes inherit the rest at the fork, and returns the
+results in chunk order.  The KB rows are merged in that order, and the quad
+columns put in scan order by one ``np.lexsort``, so any worker count or
+block size yields byte-identical canonical output; ``elapsed`` is carried
+on the report but never serialized.
 
 The quartic search, an exact residue sieve over the curve's binary quartic,
 is described at ``quartic_rational_points``.
@@ -161,14 +164,13 @@ def _quad_blocks(es: range, height_c: int, bound: int) -> List[Tuple[range, int]
     return blocks
 
 
-def _quad_points(args):
+def _quad_points(es: range, height_c: int, bound: int, periods):
     """The rows (num, e, n, u) as the columns of a (4, k) int64 array: one
-    per c = num / e^2 with e in ``es``, a range, and |num| <= ``height_c``,
-    and per point u/e of c's window with |u| <= ``bound`` and exact period n
-    in ``periods``, unsorted: the edge walk of the module docstring."""
+    per c = num / e^2 with e in ``es`` and |num| <= ``height_c``, and per
+    point u/e of c's window with |u| <= ``bound`` and exact period n in
+    ``periods``, unsorted: the edge walk of the module docstring."""
     import numpy as np
 
-    es, height_c, bound, periods = args
     # |z| <= top(num, e) iff reach(z, e) = |z| (|z| - e) <= |num|: the window
     # test, no isqrt.  With e <= isqrt(height_c) <= 1000 and T <= 1618 every
     # value of the edge grid stays below about 4.2 * 10**6, so int32 is exact
@@ -254,13 +256,12 @@ def _odd_primes(x: int, primes) -> Tuple[List[int], int]:
     return odd, x
 
 
-def _kb_points(args) -> List[Tuple[tuple, int, int, int]]:
+def _kb_points(ks: Sequence, bs: Sequence, periods, bound: int) -> List[Tuple[tuple, int, int, int]]:
     """(p, n, zn, zd) for each KB parameter p = (k, b), k in ``ks`` and b in
     ``bs`` as (num, den), and each point z = zn / zd of p's map with exact
     period n in ``periods`` and height <= ``bound``, in scan order: z =
     +-sqrt(b s) for each root s of ``_kb_classes`` and each b in s's square
     class, the lookup of the module docstring."""
-    ks, bs, periods, bound = args
     table = [[(n, s) for n in periods for s in _kb_classes(k, n)] for k in ks]
     keys, classes = {}, {}  # keys: root -> its signed kernel, if a b can have it; classes: kernel -> b indices
     if any(table):
@@ -307,22 +308,37 @@ def _describe(p) -> str:
     return "kb:k={},b={}".format(*(format_ratio(*r) for r in p)) if _is_kb(p) else "quad:c=" + format_ratio(*p)
 
 
-def _fan_out(worker, items: Sequence, workers: int, *args, per_process: int = 8) -> list:
-    """``worker((chunk,) + args)`` for each contiguous chunk of ``items``, in
-    chunk order.  One worker runs one chunk in this process.  More run
-    ``per_process`` chunks per process in a fork pool of at most one process
-    per CPU, so a ``workers`` past the CPUs adds no chunk; the merged results
-    do not depend on the cut."""
+_job = None  # (worker, items, args): set in each pool process at its fork
+
+
+def _inherit(*job) -> None:
+    global _job
+    _job = job
+
+
+def _run_span(span: Tuple[int, int]):
+    """``worker(items[start:stop], *args)`` of this pool process's job."""
+    worker, items, args = _job
+    return worker(items[slice(*span)], *args)
+
+
+def _fan_out(worker, items: Sequence, workers: int, *args) -> list:
+    """``worker(chunk, *args)`` for each contiguous chunk of ``items``, in
+    chunk order: one chunk in this process at one worker, else eight per
+    process in a fork pool of at most one process per CPU, so a ``workers``
+    past the CPUs adds no chunk.  The pool's processes inherit the worker,
+    ``items`` and ``args`` at the fork (``_inherit``, never pickled) and are
+    sent (start, stop) spans; the merged results do not depend on the cut."""
     procs = min(workers, os.cpu_count() or 1) if workers > 1 else 1
-    count = min(procs * per_process if procs > 1 else 1, len(items)) or 1
+    count = min(8 * procs if procs > 1 else 1, len(items)) or 1
     ends = [len(items) * i // count for i in range(count + 1)]
-    chunks = [(items[a:b],) + args for a, b in zip(ends, ends[1:]) if a < b]
-    if len(chunks) <= 1:
-        return [worker(ch) for ch in chunks]
+    spans = [(a, b) for a, b in zip(ends, ends[1:]) if a < b]
+    if len(spans) <= 1:
+        return [worker(items[a:b], *args) for a, b in spans]
     import multiprocessing  # here, not at the top: most runs start no pool
     try:
-        with multiprocessing.get_context("fork").Pool(min(procs, len(chunks))) as pool:
-            return pool.map(worker, chunks)
+        with multiprocessing.get_context("fork").Pool(min(procs, len(spans)), _inherit, (worker, items, args)) as pool:
+            return pool.map(_run_span, spans)
     except (OSError, ImportError) as exc:
         raise DomainError(f"worker pool failed: {exc}") from None
 
@@ -373,7 +389,9 @@ def _scan_periods(kind, box, periods, size, find, workers) -> ScanReport:
     _check_scan(box, workers, size)
     t0 = time.perf_counter()
     rows, scanned = find(periods)
-    hits = tuple({"map": _describe(p), "point": format_ratio(zn, zd), "period": n} for p, n, zn, zd in rows)
+    hits = tuple({"map": name, "point": format_ratio(zn, zd), "period": n}
+                 for p, group in itertools.groupby(rows, key=lambda row: row[0])
+                 for name in (_describe(p),) for _, n, zn, zd in group)  # each map formatted once
     return ScanReport(kind, box, periods, hits, scanned, time.perf_counter() - t0)
 
 
@@ -551,15 +569,13 @@ def _square_masks(bound: int, L: int, A) -> list:
     return out
 
 
-def _quartic_chunk(args) -> List[Tuple[int, int, int]]:
+def _quartic_chunk(vs: range, bound: int, L: int, A, masks) -> List[Tuple[int, int, int]]:
     """(u, v, r) for each coprime u, v with |u| <= bound, v in ``vs`` and
-    L * F(u, v) == r**2: its own masks ANDed ``_WORDS`` words of v at a
-    time, the set bits' coprime (u, v), then an exact isqrt."""
+    L * F(u, v) == r**2: the ``_square_masks`` ANDed ``_WORDS`` words of v
+    at a time, the set bits' coprime (u, v), then an exact isqrt."""
     import numpy as np
 
-    vs, bound, L, A = args
     A4, A3, A2, A1, A0 = A
-    masks = _square_masks(bound, L, A)
     words = masks[0][1].shape[1]
     found, step = [], max(1, _WORDS // words)
     for v0 in range(vs.start, vs.stop, step):
@@ -599,10 +615,10 @@ def quartic_rational_points(
     ``_SQUARE_MODULI`` (64, 63, 65, 11, 17, ..., 53) a table says whether
     L F(u, v) is a square mod m: the coefficients reduced mod m (so nothing
     overflows at any size) against curve-free tables that the process
-    builds once, before any fork, so pool workers inherit them.  Each chunk
-    expands it into an (m, W) uint64 mask, W = ceil((2B + 1) / 64), whose
-    row v mod m has bit i set when u = i - B passes: sum(m) (2B + 1) bits,
-    about 1.36 MB at B = 10^4, so nothing large is pickled.  The kernel
+    builds once.  Each call expands it once into an (m, W) uint64 mask,
+    W = ceil((2B + 1) / 64), whose row v mod m has bit i set when u = i - B
+    passes: sum(m) (2B + 1) bits, about 1.36 MB at B = 10^4, which a pool's
+    processes inherit at the fork.  The kernel, one call per chunk of v,
     ANDs the rows into a block of consecutive v, reads the set bits, drops
     u with gcd(u, v) != 1 (they repeat a t of smaller v), and confirms each
     survivor with an exact isqrt in Python ints.  A perfect square is a
@@ -616,9 +632,8 @@ def quartic_rational_points(
         raise parameter_excluded("workers", workers)
     L, A = curve.integer_form()
     t0 = time.perf_counter()
-    _residue_tables()  # before the fork, so every worker inherits the tables
-    pts = {}
-    for part in _fan_out(_quartic_chunk, range(1, bound + 1), workers, bound, L, A, per_process=1):
+    pts, masks = {}, _square_masks(bound, L, A)
+    for part in _fan_out(_quartic_chunk, range(1, bound + 1), workers, bound, L, A, masks):
         pts.update((Fraction(u, v), Fraction(r, L * v * v)) for u, v, r in part)
     affine: List[Tuple[Fraction, Fraction]] = []
     for t in sorted(pts, key=_rat_key):

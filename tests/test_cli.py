@@ -571,7 +571,7 @@ def test_scan_failed_worker_pool_exits_1(monkeypatch):
     import multiprocessing
 
     class NoFork:
-        def Pool(self, processes):
+        def Pool(self, processes, initializer, initargs):
             raise OSError("cannot fork")
 
     # search imports multiprocessing only when it starts a pool; a quad box

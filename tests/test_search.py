@@ -197,13 +197,16 @@ def test_scans_build_maps_only_for_candidates(monkeypatch):
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """Every pool a scan opens maps in this process, so no process is
-    started; returns the list of the pools' sizes."""
+    """Every pool a scan opens runs its initializer and maps in this
+    process, so no process is started; returns the list of the pools' sizes.
+    The job the initializer sets here is dropped after the test."""
     sizes = []
+    monkeypatch.setattr(search, "_job", None)
 
     class Serial:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -211,24 +214,23 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, worker, chunks):
-            return [worker(ch) for ch in chunks]
+        def map(self, worker, spans):
+            return [worker(span) for span in spans]
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Serial))
     return sizes
 
 
-def test_kb_chunks_are_runs_of_whole_k_and_merge_to_the_same_bytes(monkeypatch):
-    # three workers split the KB k into up to 24 contiguous chunks, each
-    # with every b of the box; merged in chunk order the bytes are those of
-    # one worker.  The intersection scan sends its quad part out first, as
-    # contiguous ranges of e.  Three CPUs are claimed, so the chunk count
-    # does not depend on the machine; the real fork pool runs the chunks
-    real, cuts = multiprocessing.get_context("fork"), []
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Every pool a scan opens is the real fork pool, and three CPUs are
+    claimed, so the chunk count does not depend on the machine; returns the
+    list of (initargs, task function, spans) of each pool's map."""
+    real, pools = multiprocessing.get_context("fork"), []
 
     class Recording:
-        def __init__(self, processes):
-            self.pool = real.Pool(processes)
+        def __init__(self, processes, initializer, initargs):
+            self.pool, self.job = real.Pool(processes, initializer, initargs), initargs
 
         def __enter__(self):
             return self
@@ -236,21 +238,32 @@ def test_kb_chunks_are_runs_of_whole_k_and_merge_to_the_same_bytes(monkeypatch):
         def __exit__(self, *exc):
             return self.pool.__exit__(*exc)
 
-        def map(self, worker, chunks):
-            cuts.append([chunk[:2] for chunk in chunks])
-            return self.pool.map(worker, chunks)
+        def map(self, worker, spans):
+            pools.append((self.job, worker, spans))
+            return self.pool.map(worker, spans)
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Recording))
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    return pools
+
+
+def test_kb_chunks_are_runs_of_whole_k_and_merge_to_the_same_bytes(recording_pool):
+    # three workers split the KB k into up to 24 contiguous chunks, each
+    # with every b of the box; merged in chunk order the bytes are those of
+    # one worker.  The intersection scan sends its quad part out first, as
+    # contiguous ranges of e.  A chunk is the items of one span, with the
+    # pool's shared arguments
     for scan, hk, hb in ((lambda w: scan_kb_periods(2, 4, 50, (1, 2, 4), workers=w), 2, 4),
                          (lambda w: scan_intersection_bound(5, 50, workers=w), 5, 5)):
         one = scan(1)
         assert one.hits and json.dumps(scan(3).canonical_dict()) == json.dumps(one.canonical_dict())
         ks, bs = ([r for r in rational_pairs(h) if r[0]] for h in (hk, hb))
-        chunks = cuts[-1]
+        (_, items, args), _, spans = recording_pool[-1]
+        chunks = [(items[a:b], args[0]) for a, b in spans]
         assert len(chunks) == min(24, len(ks))
         assert [k for ch, _ in chunks for k in ch] == ks and all(b == bs for _, b in chunks)
-    assert [es for es, _ in cuts[-2]] == [range(1, 2), range(2, 3)]  # e <= isqrt(5)
+    (_, es, _), _, spans = recording_pool[-2]
+    assert [es[a:b] for a, b in spans] == [range(1, 2), range(2, 3)]  # e <= isqrt(5)
 
 
 def test_each_k_is_rooted_once_at_any_worker_count(monkeypatch, serial_pool):
@@ -335,7 +348,7 @@ def test_kb_roots_of_a_lower_exact_period_are_dropped(monkeypatch):
 
 def test_failed_worker_pool_is_domain_error(monkeypatch):
     class NoFork:
-        def Pool(self, processes):
+        def Pool(self, processes, initializer, initargs):
             raise OSError("cannot fork")
 
     # search imports multiprocessing only when it starts a pool; a quad box
@@ -370,15 +383,15 @@ def test_worker_pool_is_capped_at_the_cpu_count(serial_pool):
 
 @pytest.mark.parametrize("cpus", [1, 2, 5, None])
 def test_chunks_are_capped_at_the_cpu_count(monkeypatch, serial_pool, cpus):
-    # a workers count past the CPUs adds no chunk: the quartic search splits
-    # into one chunk per usable CPU and the scans into eight.  Each worker
-    # call is one chunk; the pool maps serially, so no process is started.
-    # One worker makes one chunk without asking for the CPU count
+    # a workers count past the CPUs adds no chunk: the quartic search and
+    # the scans split into eight chunks per usable CPU.  Each worker call is
+    # one chunk; the pool maps serially, so no process is started.  One
+    # worker makes one chunk without asking for the CPU count
     calls = []
 
     def counting(name):
         real = getattr(search, name)
-        return lambda args: calls.append(name) or real(args)
+        return lambda *args: calls.append(name) or real(*args)
 
     for name in ("_quartic_chunk", "_kb_points"):
         monkeypatch.setattr(search, name, counting(name))
@@ -391,8 +404,46 @@ def test_chunks_are_capped_at_the_cpu_count(monkeypatch, serial_pool, cpus):
         scan_kb_periods(6, 1, 10, (1, 2), workers=workers)  # 46 k
         parts = min(workers, usable)
         counts = [calls.count(name) for name in ("_quartic_chunk", "_kb_points")]
-        assert counts == [parts, parts * 8 if parts > 1 else 1], (cpus, workers)
+        assert counts == [parts * 8 if parts > 1 else 1] * 2, (cpus, workers)
         assert ("cpu_count" in calls) == (workers > 1)
+
+
+def test_pool_tasks_are_int_spans_and_the_job_is_inherited(monkeypatch, recording_pool):
+    # through the real fork pool at three claimed CPUs, every task the pool
+    # receives is a (start, stop) span of ints, for KB, quad and quartic:
+    # the worker, its items and the shared arguments (the KB b, the quartic
+    # masks) reach each process at the fork, so nothing of the box is
+    # pickled.  Each engine's worker is wrapped in a lambda, which pickle
+    # cannot send, and the bytes are still those of one worker
+    curve = QuarticCurve(F(1, 64), F(1, 63), F(1, 65), F(1, 11), F(1))
+    for name, call in (("_kb_points", lambda w: scan_kb_periods(4, 10, 50, (1, 2, 4), workers=w)),  # 22 k
+                       ("_quad_points", lambda w: scan_quadratic_periods(1000, 40, (1, 2, 3), workers=w)),  # 31 e
+                       ("_quartic_chunk", lambda w: quartic_rational_points(curve, 60, workers=w))):  # 60 v
+        one, worker = json.dumps(call(1).canonical_dict()), getattr(search, name)
+        recording_pool.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(search, name, lambda *args: worker(*args))
+            assert json.dumps(call(3).canonical_dict()) == one
+        [((_, items, _), mapped, spans)] = recording_pool
+        assert mapped is search._run_span and len(spans) == min(24, len(items)), name
+        assert all(type(span) is tuple and [type(x) for x in span] == [int, int] for span in spans)
+        assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]] and spans[-1][1] == len(items)
+
+
+def test_quartic_builds_its_masks_once_per_call(monkeypatch, serial_pool):
+    # one call builds the masks once, before any fork, at one worker and at
+    # two, whose chunks of v read them from their arguments.  The pool maps
+    # serially, so no process is started
+    real, built = search._square_masks, []
+    monkeypatch.setattr(search, "_square_masks", lambda *args: built.append(args) or real(*args))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    curve = QuarticCurve(F(1, 64), F(1, 63), F(1, 65), F(1, 11), F(1))
+    reports = []
+    for workers in (1, 2):
+        built.clear()
+        reports.append(quartic_rational_points(curve, 60, workers=workers).canonical_dict())
+        assert built == [(60, *curve.integer_form())]
+    assert reports[0] == reports[1] and serial_pool == [2]
 
 
 # --- the scan routes against the dynatomic route ---------------------------
@@ -428,7 +479,7 @@ def _assert_sieve_is_dynatomic(maps, periods_of, bound):
     kbs = [m for m in maps if type(m) is KBMap]
     want_of = {m: {n: sorted(periodic_points_exact(m, n, height_bound=bound), key=search._rat_key)
                    for n in periods_of[type(m) is KBMap]} for m in maps}
-    kb_rows = [row for k, b in map(_param, kbs) for row in search._kb_points(([k], [b], periods_of[1], bound))]
+    kb_rows = [row for k, b in map(_param, kbs) for row in search._kb_points([k], [b], periods_of[1], bound)]
     assert kb_rows == [(_param(m), n, *z.as_integer_ratio()) for m in kbs for n, pts in want_of[m].items()
                        for z in pts], bound
     for m in maps:
@@ -476,7 +527,7 @@ def test_kb_route_matches_dynatomic_on_planted_points(planted, q, bound):
     b *= q * q
     param = (k.as_integer_ratio(), b.as_integer_ratio())
     want = sorted(periodic_points_exact(KBMap(k, b), n, height_bound=bound), key=search._rat_key)
-    assert search._kb_points(([param[0]], [param[1]], (n,), bound)) == [(param, n, *z.as_integer_ratio())
+    assert search._kb_points([param[0]], [param[1]], (n,), bound) == [(param, n, *z.as_integer_ratio())
                                                                        for z in want]
     assert q * p in want or height(q * p) > bound
 
@@ -558,7 +609,7 @@ def test_kb_square_classes_match_every_pair_and_the_dynatomic_route(box, periods
     # the square-class lookup gives the rows of an isqrt test on every
     # (b, s) pair, which are each map's points of height <= B per n
     ks, bs = ([r.as_integer_ratio() for r in rs] for rs in box)
-    rows = search._kb_points((ks, bs, periods, bound))
+    rows = search._kb_points(ks, bs, periods, bound)
     assert rows == _kb_rows_by_pairs(ks, bs, periods, bound)
     want = [((k, b), n, *z.as_integer_ratio()) for k in ks for b in bs for n in periods
             for z in sorted(periodic_points_exact(KBMap(F(*k), F(*b)), n, height_bound=bound), key=search._rat_key)]
@@ -577,11 +628,11 @@ def test_kb_isqrt_calls_grow_with_b_plus_roots_not_their_product(monkeypatch):
     real, calls = math.isqrt, []
     monkeypatch.setattr(search, "_kb_classes", lambda k, n: table.get((k, n), ()))  # so no rooting isqrt is counted
     monkeypatch.setattr(search.math, "isqrt", lambda x: calls.append(x) or real(x))
-    assert search._kb_points((ks, bs, (1, 2, 4), 200))
+    assert search._kb_points(ks, bs, (1, 2, 4), 200)
     assert (len(ks), len(bs), len(roots), len(set(roots))) == (22, 1958, 50, 42)
     assert len(calls) == 40 + len(set(roots)) + squares <= len(bs) + len(roots) < len(bs) * len(roots) // 20
     calls.clear()
-    assert search._kb_points((ks, bs, (3,), 200)) == [] and not calls
+    assert search._kb_points(ks, bs, (3,), 200) == [] and not calls
 
 
 @settings(max_examples=40, deadline=None)
@@ -596,7 +647,7 @@ def test_window_walk_gives_the_exact_periods_of_plain_iteration(height_c, bound,
     # min(bound, top): the edge walk reports (c, n, u/e) for exactly the
     # points whose exact_period n is requested
     es = search._quad_es(height_c, bound)[skip:]
-    got = search._quad_points((es, height_c, bound, periods)) if es else np.zeros((4, 0), dtype=np.int64)
+    got = search._quad_points(es, height_c, bound, periods) if es else np.zeros((4, 0), dtype=np.int64)
     assert got.dtype == np.int64 and got.shape[0] == 4
     got = _quad_fractions(_point_columns(got))
     want = []
@@ -638,7 +689,7 @@ def test_quad_scan_building_only_kept_maps_keeps_the_box():
     assert list(one.hits) == want
     # the same rows come from each e of the box alone
     rows = sorted((r for e in range(1, 4)
-                   for r in _quad_fractions(_point_columns(search._quad_points((range(e, e + 1), 12, 3, (1, 2, 3)))))),
+                   for r in _quad_fractions(_point_columns(search._quad_points(range(e, e + 1), 12, 3, (1, 2, 3))))),
                   key=lambda r: (height(F(*r[0])), *r[0], r[1], search._rat_key(r[2])))
     assert want == [{"map": f"quad:c={format_rational(F(*c))}", "point": format_rational(z), "period": n}
                     for c, n, z in rows]
@@ -807,11 +858,12 @@ def _brute_points(curve, bound, vs):
 
 def _kernel_points(curve, bound, vlo, vhi):
     L, A = curve.integer_form()
-    for m, rows in search._square_masks(bound, L, A):
+    masks = search._square_masks(bound, L, A)
+    for m, rows in masks:
         # one row per v mod m, 2B + 1 bits of u, nothing set past them
         assert rows.dtype == np.uint64 and rows.shape == (m, -(-(2 * bound + 1) // 64))
         assert all(int.from_bytes(row.tobytes(), "little") >> (2 * bound + 1) == 0 for row in rows)
-    found = search._quartic_chunk((range(vlo, vhi), bound, L, A))  # builds its own masks
+    found = search._quartic_chunk(range(vlo, vhi), bound, L, A, masks)
     return {(F(u, v), F(r, L * v * v)) for u, v, r in found}
 
 
