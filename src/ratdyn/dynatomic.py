@@ -39,9 +39,11 @@ as k = +-1's.  The cutoff is measured, not derived: a family build at n = 6
 ``ratdyn scan --kind kb`` at its default height-k 10 (127 k) is faster on
 the towers, from height-k 20 on the family (CHANGES.md has the timings).
 Reduced mod a small prime p, the family is also kept as a table over t in
-P^1(F_p) (``_family_mod``): a KB scan skips each k at which Phi*_n mod p
-keeps its degree and has no root in F_p, since Phi*_n then has no rational
-root (``_family_rootless``).
+P^1(F_p) (``_family_mod``): where Phi*_n mod p keeps its degree and has no
+root in F_p, Phi*_n has no rational root (``_family_rootless``).  A KB scan
+skips each such k, and ``periodic_points_exact`` returns the empty set for
+each such (m, n) of either family, n <= 5, without building Phi*_n.  The
+closed forms (``classification``) never read this sieve.
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ __all__ = [
 _FAMILY_MAX_N = 5  # the last n specialised from the family (module docstring)
 # Of the 126 k of height <= 10, these primes show 125 of the Phi*_3 of
 # kz + 1/z, 114 of the Phi*_4 and all of the Phi*_5 to have no rational
-# root; 4 of the other 12 Phi*_4 have one (``_family_rootless``)
+# root; 4 of the other 12 Phi*_4 have one.  Of the 127 c of height <= 10
+# they settle 118 of the Phi*_1 and Phi*_2 of z^2 + c and all of the
+# Phi*_3, Phi*_4 and Phi*_5 (``_family_rootless``)
 _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
@@ -300,6 +304,18 @@ def periodic_points_exact(
     m: Map, n: int, *, height_bound: Optional[int] = None
 ) -> FrozenSet[Fraction]:
     """Rational points of exact period n: dynatomic roots + period filter.
-    Every root of Phi*_n closes within n steps, so the filter walks n."""
+    Every root of Phi*_n closes within n steps, so the filter walks n.
+
+    Past the argument checks, an n <= ``_FAMILY_MAX_N`` at which the
+    family sieve shows Phi*_n rootless (``_family_rootless``, at t = c, or
+    at t = k in s = z^2 / b, free of b) gives the empty set without
+    building or rooting Phi*_n: a rational z would give a rational root."""
+    if n < 1:
+        raise parameter_excluded("n", n)
+    if height_bound is not None and height_bound < 1:
+        raise parameter_excluded("height_bound", height_bound)
+    quad = isinstance(m, QuadraticMap)
+    if _family_rootless(quad, n, *(m.c if quad else m.k).as_integer_ratio()):
+        return frozenset()
     roots = _intpoly.rational_roots_int(dynatomic_int(m, n), height_bound)
     return frozenset(r for r in roots if exact_period(m, r, max_steps=n) == n)

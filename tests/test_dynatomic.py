@@ -408,6 +408,28 @@ def test_rational_roots_reject_height_bound_below_one(bound):
         periodic_points_exact(QuadraticMap(F(-2)), 1, height_bound=bound)
 
 
+def _sieved(m, n):
+    """Whether the family sieve settles (m, n) in ``periodic_points_exact``."""
+    quad = isinstance(m, QuadraticMap)
+    return dynatomic._family_rootless(quad, n, *(m.c if quad else m.k).as_integer_ratio())
+
+
+@pytest.mark.parametrize("m, n, sieved", [
+    (QuadraticMap(F(1)), 3, True), (KBMap(F(1), F(1)), 4, True),
+    (QuadraticMap(F(-29, 16)), 3, False), (KBMap(F(4, 3), F(-10, 3)), 4, False)])
+def test_periodic_points_exact_checks_its_arguments_before_the_sieve(m, n, sieved):
+    # a bad n or height bound raises the same error whether or not the
+    # family sieve settles (m, n), and a bad n is named first
+    assert _sieved(m, n) == sieved
+    for bad_n in (0, -1):
+        for bound in (None, 3, -3):
+            with pytest.raises(DomainError, match=f"^parameter excluded: n={bad_n}$"):
+                periodic_points_exact(m, bad_n, height_bound=bound)
+    for bound in (0, -3):
+        with pytest.raises(DomainError, match=f"^parameter excluded: height_bound={bound}$"):
+            periodic_points_exact(m, n, height_bound=bound)
+
+
 def test_periodic_points_exact_examples():
     assert periodic_points_exact(QuadraticMap(F(-13)), 2) == {F(3), F(-4)}
     # discriminant of z^2 - z - 13 is 53, not a square
@@ -582,7 +604,7 @@ def test_a_family_polynomial_shown_rootless_mod_a_small_prime_has_no_rational_ro
     # every t of height <= 10 and random ones up to height 5000, some with a
     # denominator that each sieve prime divides (t = infinity mod p), in both
     # families; past the family's n nothing is decided.  The counts pin how
-    # many of the 126 k of height <= 10 skip the rooting at n = 1..5
+    # many of the parameters of height <= 10 skip the rooting at n = 1..5
     rng = random.Random(31)
     grid = [(quad, t) for quad in (False, True) for t in enumerate_rationals(10) if quad or t]
     drawn = [(rng.random() < 0.5, F(rng.choice((-1, 1)) * rng.randint(1, 5000), d))
@@ -592,9 +614,53 @@ def test_a_family_polynomial_shown_rootless_mod_a_small_prime_has_no_rational_ro
             if dynatomic._family_rootless(quad, n, *t.as_integer_ratio()):
                 m = QuadraticMap(t) if quad else KBMap(t, F(1))
                 assert n <= 5 and _intpoly.rational_roots_int(dynatomic._dynatomic_x(m, n)) == [], (m, n)
-    shown = [sum(dynatomic._family_rootless(quad, n, *t.as_integer_ratio()) for quad, t in grid if not quad)
-             for n in range(1, 6)]
-    assert shown == [0, 0, 125, 114, 126]
+    shown = {kind: [sum(dynatomic._family_rootless(quad, n, *t.as_integer_ratio()) for quad, t in grid if quad == kind)
+                    for n in range(1, 6)] for kind in (False, True)}
+    # 126 k of kz + 1/z, 127 c of z^2 + c
+    assert shown == {False: [0, 0, 125, 114, 126], True: [118, 118, 127, 127, 127]}
+
+
+# parameters of height <= 60, and ones whose denominator a sieve prime, or
+# all of them (30030), divides, so that t is at infinity mod p
+_PARAMS = st.one_of(
+    rationals(60),
+    st.builds(lambda a, d, p: F(a, d * p), st.integers(-60, 60).filter(lambda a: math.gcd(a, 30030) == 1),
+              st.integers(1, 4), st.sampled_from((2, 3, 5, 7, 11, 13, 30030))))
+_NONZERO = _PARAMS.filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.builds(QuadraticMap, _PARAMS), st.builds(KBMap, _NONZERO, _NONZERO)),
+       st.integers(1, 6), st.sampled_from((None, 1, 3, 50)))
+@example(QuadraticMap(F(-29, 16)), 3, None)
+@example(KBMap(F(4, 3), F(-10, 3)), 4, 3)
+@example(QuadraticMap(F(-3, 4)), 1, None)
+@example(QuadraticMap(F(-3, 4)), 2, 3)
+@example(KBMap(F(5, 3), F(-3, 2)), 1, None)
+@example(KBMap(F(5, 3), F(-3, 2)), 2, 50)
+@example(QuadraticMap(F(1, 30030)), 3, None)
+@example(KBMap(F(-7, 30030), F(1)), 4, None)
+def test_periodic_points_exact_equals_the_unsieved_route(m, n, bound):
+    # the family sieve drops no point: the set is the dynatomic roots of
+    # exact period n, built and rooted for every (m, n)
+    want = {r for r in _intpoly.rational_roots_int(dynatomic_int(m, n), bound)
+            if exact_period(m, r, max_steps=n) == n}
+    assert periodic_points_exact(m, n, height_bound=bound) == want, (m, n, bound)
+
+
+def test_a_sieved_map_is_neither_built_nor_rooted(monkeypatch):
+    # Phi*_n is built, rooted and its roots walked only where the family
+    # sieve leaves (m, n) open
+    calls = []
+    for name, module in (("dynatomic_int", dynatomic), ("exact_period", dynatomic), ("rational_roots_int", _intpoly)):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name, **kw: calls.append(_name) or _real(*a, **kw))
+    for m, n in ((QuadraticMap(F(1)), 3), (KBMap(F(1), F(1)), 4), (QuadraticMap(F(-13)), 1)):
+        assert _sieved(m, n) and periodic_points_exact(m, n) == frozenset() and calls == [], (m, n)
+    for m, n in ((QuadraticMap(F(-29, 16)), 3), (KBMap(F(4, 3), F(-10, 3)), 4)):
+        assert not _sieved(m, n) and periodic_points_exact(m, n), (m, n)
+        assert calls[:2] == ["dynatomic_int", "rational_roots_int"] and "exact_period" in calls, (m, n)
+        calls.clear()
 
 
 def test_each_family_polynomial_is_built_once(monkeypatch):
