@@ -249,10 +249,12 @@ def exact_period(m: Map, p, max_steps: int = DEFAULT_MAX_STEPS) -> Optional[int]
     """
     if max_steps < 1:
         raise parameter_excluded("max_steps", max_steps)
-    if isinstance(p, ProjectivePoint):
+    if type(p) is Fraction:  # the common case, tested first
+        x, y = p.as_integer_ratio()
+    elif isinstance(p, ProjectivePoint):
         x, y = p.x, p.y
     else:
-        x, y = (p if isinstance(p, Fraction) else Fraction(p)).as_integer_ratio()
+        x, y = Fraction(p).as_integer_ratio()
     rec = m._record
     lo, hi, top, cx, cy = rec[5]
     if not (lo <= y <= hi and abs(x) <= top and (not cx or cx * x * x <= cy * y * y)):

@@ -40,7 +40,8 @@ as k = +-1's.  The cutoff is measured, not derived: a family build at n = 6
 the towers, from height-k 20 on the family (CHANGES.md has the timings).
 Reduced mod a small prime p, the family is also kept as a table over t in
 P^1(F_p) (``_family_mod``): where Phi*_n mod p keeps its degree and has no
-root in F_p, Phi*_n has no rational root (``_family_rootless``).  A KB scan
+root in F_p, Phi*_n has no rational root (``_family_rootless``, which
+asks only the primes whose table has such a t, ``_sieve_tables``).  A KB scan
 skips each such k, and ``periodic_points_exact`` returns the empty set for
 each such (m, n) of either family, n <= 5, without building Phi*_n.  The
 closed forms (``classification``) never read this sieve.
@@ -199,7 +200,6 @@ def _family(quad: bool, n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@cache
 def _family_mod(quad: bool, n: int, p: int) -> Tuple[bool, ...]:
     """Entry t, t = 0..p-1 and t = p for infinity: whether the family's
     Phi*_n at t, reduced mod p, keeps its top coefficient and has no root
@@ -214,6 +214,14 @@ def _family_mod(quad: bool, n: int, p: int) -> Tuple[bool, ...]:
     return tuple(table)
 
 
+@cache
+def _sieve_tables(quad: bool, n: int) -> Tuple[Tuple[int, Tuple[bool, ...]], ...]:
+    """(p, ``_family_mod`` table) for the primes p of ``_SIEVE_PRIMES``
+    whose table has a True entry, built once per process: no other prime
+    can settle anything (KB n = 1, 2 have none)."""
+    return tuple((p, table) for p in _SIEVE_PRIMES if any(table := _family_mod(quad, n, p)))
+
+
 def _family_rootless(quad: bool, n: int, tn: int, td: int) -> bool:
     """Whether ``_dynatomic_x`` of the family's map at t = tn / td (lowest
     terms, td > 0) is shown to have no rational root by a prime p of
@@ -225,7 +233,7 @@ def _family_rootless(quad: bool, n: int, tn: int, td: int) -> bool:
     False decides nothing, as for every n past ``_FAMILY_MAX_N``."""
     if not 1 <= n <= _FAMILY_MAX_N:
         return False
-    return any(_family_mod(quad, n, p)[p if td % p == 0 else tn * pow(td, -1, p) % p] for p in _SIEVE_PRIMES)
+    return any(table[p if td % p == 0 else tn * pow(td, -1, p) % p] for p, table in _sieve_tables(quad, n))
 
 
 def _dynatomic_x(m: Map, n: int) -> List[int]:

@@ -133,6 +133,26 @@ def test_exact_period_examples():
     assert exact_period(QuadraticMap(F(5)), INFINITY) == 1
 
 
+class _Tagged(F):
+    """A Fraction subclass, read by its value like any rational."""
+
+
+@pytest.mark.parametrize("m", [QuadraticMap(F(-29, 16)), QuadraticMap(F(-2)),
+                               KBMap(F(4, 3), F(-10, 3)), KBMap(F(24, 7), F(-300, 7))])
+def test_exact_period_reads_every_point_type_alike(m):
+    # a Fraction, an int, a str, a ProjectivePoint and a Fraction subclass of
+    # one value have one period, at infinity too
+    starts = list(enumerate_rationals(5)) + [F(-1, 4), F(5, 4), F(-7, 4), F(-4, 3)]
+    periods = set()
+    for z in starts:
+        want = exact_period(m, z)
+        forms = [pt(z), str(z), _Tagged(z.numerator, z.denominator)] + ([int(z)] if z.denominator == 1 else [])
+        assert [exact_period(m, f) for f in forms] == [want] * len(forms), z
+        periods.add(want)
+    assert len(periods) > 1
+    assert exact_period(m, INFINITY) == exact_period(m, ProjectivePoint(-1, 0)) == 1
+
+
 def test_period_constant_along_cycle(rng):
     for c in sample_rationals(rng, 10, 8):
         m = QuadraticMap(c)

@@ -400,6 +400,111 @@ def test_rational_roots_with_hard_to_factor_constant_term():
     assert _intpoly.rational_roots_int([p1 * p2, 1, 0, 1]) == []
 
 
+def _in_w(q):
+    # Q(w) as the even polynomial Q(z^2)
+    out = [0] * (2 * len(q) - 1)
+    out[::2] = q
+    return out
+
+
+# prod (v^2 z^2 - u^2) (roots +-u/v), times factors v z^2 - u whose w = u/v
+# is negative, a non-square or a square, times any Q(z^2)
+_EVEN_POLYS = st.builds(
+    lambda squares, ws, rest: _planted([[-u * u, 0, v * v] for u, v in squares]
+                                       + [_in_w([-u, v]) for u, v in ws] + [_in_w(rest)]),
+    st.lists(st.tuples(st.integers(1, 13), st.integers(1, 13)), max_size=3),
+    st.lists(st.tuples(st.integers(-13, 13).filter(bool), st.integers(1, 13)), max_size=2),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(any),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_EVEN_POLYS, st.one_of(st.none(), st.integers(1, 15)))
+@example(_planted([[-144, 0, 1], [-169, 0, 144], [-2, 0, 3], [1, 0, 1]]), 12)  # heights 12 and 13
+@example(_planted([[-144, 0, 1], [-169, 0, 144], [-2, 0, 3], [1, 0, 1]]), 13)
+@example(_planted([[-1, 0, 4], [-1, 0, 4], [3, 0, 1]]), None)  # (4z^2 - 1)^2 (z^2 + 3)
+@example(_planted([[-7, 0, 1], [0, 0, 0, 0, 5, 0, 1]]), None)  # z^4 (z^2 - 7) (z^2 + 5)
+@example(_in_w([-16, 0, 0, 0, 1]), 2)  # z^8 - 16: even again in w
+def test_even_polynomials_match_divisor_oracle(poly, height_bound):
+    assert _intpoly.rational_roots_int(poly, height_bound) == _brute_roots(poly, height_bound)
+
+
+def test_even_polynomials_never_reach_the_padic_route(monkeypatch):
+    # an even vector is rooted in w = z^2 (again while it stays even), so
+    # the p-adic route sees only vectors with a nonzero odd coefficient
+    seen, padic = [], _intpoly._padic_roots
+
+    def spy(c, *args):
+        seen.append(list(c))
+        return padic(c, *args)
+
+    monkeypatch.setattr(_intpoly, "_padic_roots", spy)
+    rng = random.Random(35)
+    polys = [dynatomic_int(KBMap(*sample_rationals(rng, 2, 30, nonzero=True)), n) for n in (1, 2, 3, 4, 5)]
+    polys += [dynatomic_int(QuadraticMap(c), n) for c in sample_rationals(rng, 20, 30) for n in (1, 2, 3)]
+    polys += [_in_w(_in_w([rng.randint(-50, 50) for _ in range(rng.randint(2, 5))] + [rng.randint(1, 9)]))
+              for _ in range(30)]
+    polys += [_even_poly([(3, 5), (7, 2)], ([5, 0, 0, 0, 1],)), [2, 0, -3, 0, 0, 0, 1, 0]]
+    for poly in polys:
+        for bound in (None, 4):
+            _intpoly.rational_roots_int(poly, bound)
+    assert seen and all(any(c[1::2]) for c in seen)
+
+
+def _reference_lift(c, roots, p, bound):
+    # the plain lift: every coefficient reduced at each Horner step, and
+    # P'(r) inverted by pow at each Newton step
+    m = p
+    while m <= bound:
+        m *= m
+        desc = [a % m for a in reversed(c)]
+        lifted = []
+        for r in roots:
+            val = der = 0
+            for a in desc:
+                der = (der * r + val) % m
+                val = (val * r + a) % m
+            lifted.append((r - val * pow(der, -1, m)) % m)
+        roots = lifted
+    return roots, m
+
+
+def test_lift_matches_the_reference_lift():
+    # every simple root mod p <= 13 of random square-free polynomials, alone
+    # and all together, at bounds from none (m = p) to 2^200
+    rng = random.Random(3535)
+    for _ in range(120):
+        c = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(2, 9))] + [rng.randint(1, 10**6)]
+        if _intpoly._squarefree(c) != _intpoly.pprimitive(c):
+            continue
+        for p in (2, 3, 5, 7, 11, 13):
+            simple = [r for r in range(p) if _intpoly.phom_eval(c, r, 1) % p == 0
+                      and _intpoly.phom_eval([i * a for i, a in enumerate(c)][1:], r, 1) % p]
+            for bound in (1, p, p * p, 10**9, 2**200):
+                for roots in [[r] for r in simple] + [simple]:
+                    assert _intpoly._lift(c, roots, p, bound) == _reference_lift(c, roots, p, bound), (c, p, bound)
+
+
+@pytest.mark.parametrize("poly, want", [
+    ([1, -4, 4], [F(1, 2)]),  # (2z - 1)^2
+    ([0, 1, -4, 4], [F(0), F(1, 2)]),  # z (2z - 1)^2
+    ([0, 0, 9, 12, 4], [F(-3, 2), F(0)]),  # z^2 (2z + 3)^2
+    ([4, 0, -4, 0, 1], []),  # (z^2 - 2)^2: a double w = 2, not a square
+    ([1, 0, -8, 0, 16], [F(-1, 2), F(1, 2)]),  # (4z^2 - 1)^2, rooted in w as (4w - 1)^2
+])
+def test_double_roots_come_out_once(poly, want):
+    assert _intpoly.rational_roots_int(poly) == want == _brute_roots(poly)
+
+
+def test_a_double_root_mod_p_that_is_no_square_fails_no_prime(monkeypatch):
+    # (z^2 - 2)^2 (z^2 - 4) is (w - 2)^2 (w - 4) in w = z^2; 2 is no square
+    # mod 3, so that double root is not asked to be simple, and p = 3 serves
+    # after one failed prime (2), with no square-free part taken
+    monkeypatch.setattr(_intpoly, "_squarefree", lambda c: pytest.fail("square-free part taken"))
+    assert _intpoly.rational_roots_int([-16, 0, 20, 0, -8, 0, 1]) == [F(-2), F(2)]
+    assert _intpoly.rational_roots_int([-16, 0, 20, 0, -8, 0, 1], 1) == []
+
+
 @pytest.mark.parametrize("bound", [0, -3])
 def test_rational_roots_reject_height_bound_below_one(bound):
     with pytest.raises(DomainError, match=f"parameter excluded: height_bound={bound}"):
@@ -618,6 +723,28 @@ def test_a_family_polynomial_shown_rootless_mod_a_small_prime_has_no_rational_ro
                     for n in range(1, 6)] for kind in (False, True)}
     # 126 k of kz + 1/z, 127 c of z^2 + c
     assert shown == {False: [0, 0, 125, 114, 126], True: [118, 118, 127, 127, 127]}
+
+
+def test_the_sieve_asks_only_primes_that_can_settle_something():
+    # the primes asked settle what all six do: every t of height <= 12 and
+    # t with p | den(t) for each sieve prime p, in both families, n = 1..5
+    tables = {(quad, n, p): dynatomic._family_mod(quad, n, p)
+              for quad in (False, True) for n in range(1, 6) for p in dynatomic._SIEVE_PRIMES}
+
+    def all_primes(quad, n, tn, td):
+        return any(tables[quad, n, p][p if td % p == 0 else tn * pow(td, -1, p) % p] for p in dynatomic._SIEVE_PRIMES)
+
+    ts = list(enumerate_rationals(12)) + [F(a, d * p) for p in (2, 3, 5, 7, 11, 13, 30030)
+                                          for d in (1, 2, 3) for a in (-7, -1, 1, 17, 1001) if math.gcd(a, d * p) == 1]
+    for quad in (False, True):
+        for n in range(1, 6):
+            for t in ts:
+                if t or quad:
+                    tn, td = t.as_integer_ratio()
+                    assert dynatomic._family_rootless(quad, n, tn, td) == all_primes(quad, n, tn, td), (quad, n, t)
+    asked = {n: [p for p, _ in dynatomic._sieve_tables(False, n)] for n in range(1, 6)}
+    assert asked == {1: [], 2: [], 3: [2, 3, 5, 7, 11, 13], 4: [3, 7, 11, 13], 5: [2, 3, 5, 7, 11, 13]}
+    assert all([p for p, _ in dynatomic._sieve_tables(True, n)] == [2, 3, 5, 7, 11, 13] for n in range(1, 6))
 
 
 # parameters of height <= 60, and ones whose denominator a sieve prime, or
