@@ -199,16 +199,15 @@ def quad_witness(c: Fraction, n: int) -> Optional[Fraction]:
 
     n=1: rho = max - 1/2 of the points 1/2 +- rho, so c = 1/4 - rho^2;
     n=2: sigma = max + 1/2 of the points -1/2 +- sigma, so c = -3/4 - sigma^2;
-    n=3: a tau whose family produces this cycle.  None when no rational
-    period-n point exists.
+    n=3: a tau of a point q with c = tau - q - q^2, x1(tau) = q: its family
+    produces this cycle.  None when no rational period-n point exists.
     """
     c = Fraction(c)
     pts = quad_periodic_points(c, n)
     if not pts:
         return None
     if n == 3:
-        return min((t for q in pts for t in period3_taus(q) if period3_family(t).c == c),
-                   default=None)
+        return min((t for q in pts for t in period3_taus(q) if t - q - q * q == c), default=None)
     return max(pts) - _HALF if n == 1 else max(pts) + _HALF
 
 

@@ -40,12 +40,14 @@ family mod p (``dynatomic._family_rootless``), and the k is done without
 building Phi*_n.  Else Phi*_n is rooted with no height bound, and
 ``exact_period`` decides each nonzero root once, on that point 1, as on
 the dynatomic route: a root of Phi*_n of exact period d < n lies on a
-d-cycle whose multiplier is a primitive (n/d)-th root of unity.  b s is a
-rational square iff bn bd and sn sd have one signed squarefree kernel.  So
-each root s is trial-divided by the primes of the box's bn and bd, all at
-most H(b), one pass over the b keeps those whose kernel is a root's, by
-kernel, and only the b of a root's kernel take an isqrt and keep
-z = +-sqrt(b s) of height <= B.  A chunk whose k have no root skips it.
+d-cycle whose multiplier is a primitive (n/d)-th root of unity.  The scan
+lists each root's square class, the b with b s a square, not the b box:
+|sn| sd = kappa t^2 with kappa squarefree, by trial division up to H(b),
+unless a prime past H(b) has an odd exponent.  Each split kappa = alpha beta
+gives b = +-alpha u^2 / (beta v^2), signed as s, gcd(alpha u, beta v) = 1,
+with z = +-alpha u t / (v sd): with t / sd = t' / d reduced, H(z) <= B needs
+alpha u <= B d and v <= B t'.  Each class is listed once per call and cut,
+and a k's hits are sorted by b in ``rational_pairs`` order, then n and z.
 
 A scan thus finds exactly the points of height <= B and exact period n:
 the set that ``dynatomic.periodic_points_exact`` returns with
@@ -72,7 +74,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ._intpoly import rational_roots_int
 from .core import count_rationals, format_ratio, format_rational, height, is_rational_square, rational_pairs
@@ -242,60 +244,59 @@ def _kb_classes(k: Tuple[int, int], n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(kept)
 
 
-def _odd_primes(x: int, primes) -> Tuple[List[int], int]:
-    """The p of ``primes`` that divide x >= 1 to an odd power, and what is
-    left of x once every p of ``primes`` is divided out."""
+def _odd_primes(x: int, top: int) -> Optional[List[int]]:
+    """The primes of odd exponent in x >= 1, or None if one is past ``top``."""
     odd = []
-    for p in primes:
-        if x % p == 0:
-            e = 0
-            while x % p == 0:
-                x, e = x // p, e + 1
-            if e % 2:
-                odd.append(p)
-    return odd, x
+    for p in range(2, top + 1):
+        if p * p > x:  # x is 1 or a prime
+            break
+        e = 0
+        while x % p == 0:
+            x, e = x // p, e + 1
+        if e % 2:
+            odd.append(p)
+    return odd + [x] if 1 < x <= top else odd if math.isqrt(x) ** 2 == x else None
 
 
-def _kb_points(ks: Sequence, bs: Sequence, periods, bound: int) -> List[Tuple[tuple, int, int, int]]:
-    """(p, n, zn, zd) for each KB parameter p = (k, b), k in ``ks`` and b in
-    ``bs`` as (num, den), and each point z = zn / zd of p's map with exact
-    period n in ``periods`` and height <= ``bound``, in scan order: z =
-    +-sqrt(b s) for each root s of ``_kb_classes`` and each b in s's square
-    class, the lookup of the module docstring."""
-    table = [[(n, s) for n in periods for s in _kb_classes(k, n)] for k in ks]
-    keys, classes = {}, {}  # keys: root -> its signed kernel, if a b can have it; classes: kernel -> b indices
-    if any(table):
-        odd = {}  # each |bn| and bd -> its primes of odd exponent
-        for x in {abs(bn) for bn, _ in bs} | {bd for _, bd in bs}:
-            ps, left = _odd_primes(x, range(2, math.isqrt(x) + 1))  # leaves 1 or one prime
-            odd[x] = ps + [left] * (left > 1)
-        primes = sorted(set().union(*odd.values()))
-        for sn, sd in {s for roots in table for _, s in roots}:
-            ps, left = _odd_primes(abs(sn * sd), primes)
-            if (r := math.isqrt(left)) * r == left:  # else a prime past the b's has an odd exponent
-                keys[sn, sd] = math.prod(ps, start=1 if sn > 0 else -1)
-        kernel, wanted = {x: math.prod(ps) for x, ps in odd.items()}, set(keys.values())
-        for i, (bn, bd) in enumerate(bs):
-            if (key := kernel[abs(bn)] * kernel[bd] * (1 if bn > 0 else -1)) in wanted:
-                classes.setdefault(key, []).append(i)
-    found = []
+def _kb_points(ks: Sequence, height_b: int, periods, bound: int) -> List[Tuple[tuple, int, int, int]]:
+    """(p, n, zn, zd) for each KB parameter p = (k, b), k in ``ks`` and
+    H(b) <= ``height_b``, and each point z = zn / zd of p's map with exact
+    period n in ``periods`` and height <= ``bound``, in scan order: the square
+    classes of the roots of ``_kb_classes``, listed as in the module docstring."""
+    table = [[(n, s) for n in periods for s in _kb_classes(k, n)] for k in ks]  # all k rooted first: faster
+    members, found, h = functools.cache(_kb_members), [], height_b  # a class listed once per call and cut
     for k, roots in zip(ks, table):
         hits = []
         for n, (sn, sd) in roots:
-            for i in classes.get(keys.get((sn, sd)), ()):
-                bn, bd = bs[i]
-                r = math.isqrt(bn * bd * sn * sd)  # b s = (r / (bd sd))^2
-                g = math.gcd(r, bd * sd)
-                if (h := max(zn := r // g, zd := bd * sd // g)) <= bound:
-                    hits += [(i, n, h, -zn, zd), (i, n, h, zn, zd)]
+            if (ps := _odd_primes(x := abs(sn) * sd, h)) is None:  # a prime past H(b) has an odd exponent: no b
+                continue
+            t = math.isqrt(x // (kappa := math.prod(ps)))
+            t, d = t // (g := math.gcd(t, sd)), sd // g  # z = +-alpha u t / (v d)
+            cuts = (min(bound * d, h), min(bound * t, math.isqrt(h)))
+            for au, v, b, rank in members(1 if sn > 0 else -1, kappa, *cuts, tuple(ps), h):
+                g = math.gcd(au * t, v * d)
+                if (z := max(zn := au * t // g, zd := v * d // g)) <= bound:
+                    hits += [(rank, n, z, -zn, zd, (p := (k, b))), (rank, n, z, zn, zd, p)]
         hits.sort()  # by b, n, then z by height, numerator, denominator
-        found += [((k, bs[i]), n, zn, zd) for i, n, _, zn, zd in hits]
+        found += [(p, n, zn, zd) for _, n, _, zn, zd, p in hits]
     return found
 
 
-def _kb_rows(ks: Sequence, bs: Sequence, periods, bound: int, workers: int) -> list:
+def _kb_members(sign: int, kappa: int, top_au: int, top_v: int, ps, h: int) -> list:
+    """(alpha u, v, b, rank of b in ``rational_pairs``) for each b = sign alpha
+    u^2 / (beta v^2) of height <= h with alpha beta = kappa = prod(ps),
+    gcd(alpha u, beta v) = 1, alpha u <= top_au and v <= top_v."""
+    alphas = [math.prod(split) for split in itertools.product(*((1, p) for p in ps))]
+    return [(au, v, (bn, bd), (max(abs(bn), bd) * (2 * h + 1) + bn + h) * (h + 1) + bd)
+            for alpha in alphas for beta in (kappa // alpha,)
+            for u in range(1, min(math.isqrt(h // alpha), top_au // alpha) + 1) if math.gcd(beta, u) == 1
+            for au in (alpha * u,) for v in range(1, min(math.isqrt(h // beta), top_v) + 1) if math.gcd(au, v) == 1
+            for bn, bd in ((sign * au * u, beta * v * v),)]
+
+
+def _kb_rows(ks: Sequence, height_b: int, periods, bound: int, workers: int) -> list:
     """The rows of ``_kb_points`` over chunks of whole k, merged in chunk order."""
-    return [row for part in _fan_out(_kb_points, ks, workers, bs, periods, bound) for row in part]
+    return [row for part in _fan_out(_kb_points, ks, workers, height_b, periods, bound) for row in part]
 
 
 def _is_kb(p) -> bool:
@@ -327,8 +328,9 @@ def _fan_out(worker, items: Sequence, workers: int, *args) -> list:
     chunk order: one chunk in this process at one worker, else eight per
     process in a fork pool of at most one process per CPU, so a ``workers``
     past the CPUs adds no chunk.  The pool's processes inherit the worker,
-    ``items`` and ``args`` at the fork (``_inherit``, never pickled) and are
-    sent (start, stop) spans; the merged results do not depend on the cut."""
+    ``items`` and ``args`` (KB ints, quartic masks) at the fork (``_inherit``,
+    never pickled) and are sent (start, stop) spans; the merged results do
+    not depend on the cut."""
     procs = min(workers, os.cpu_count() or 1) if workers > 1 else 1
     count = min(8 * procs if procs > 1 else 1, len(items)) or 1
     ends = [len(items) * i // count for i in range(count + 1)]
@@ -367,7 +369,7 @@ def _check_scan(box: Dict[str, int], workers: int, size) -> None:
     the point bound must be in [1, 10**6], so that ``count_rationals(h)``,
     in O(h^(3/4)) steps, stays ~0.03 s, and a quad scan's numbers stay small
     (``_quad_points``).  Then ``size()`` must be <= 10**7: the (k, b) pairs
-    a KB or intersection scan tests, which lists only the k and the b, and
+    of a KB or intersection scan, which lists the k and the roots' classes, and
     for quad, which lists no c, the (2 height_c + 1) len(es) c = num / e^2
     that can have a window point.  Every quad box with H(c) <= 10**4
     passes at any point bound: (2 H(c) + 1) isqrt(H(c)) is about 2 * 10**6."""
@@ -423,12 +425,11 @@ def scan_kb_periods(
     given exact periods with height <= height_point."""
 
     def find(periods):
-        ks, bs = ([r for r in rational_pairs(h) if r[0]] for h in (height_k, height_b))
-        return _kb_rows(ks, bs, periods, height_point, workers), len(ks) * len(bs)
+        return _kb_rows([r for r in rational_pairs(height_k) if r[0]], height_b, periods, height_point, workers), size()
 
     box = {"height_k": height_k, "height_b": height_b, "height_point": height_point}
-    return _scan_periods("kb", box, periods, lambda: (count_rationals(height_k) - 1)
-                         * (count_rationals(height_b) - 1), find, workers)
+    size = lambda: (count_rationals(height_k) - 1) * (count_rationals(height_b) - 1)  # the (k, b) pairs
+    return _scan_periods("kb", box, periods, size, find, workers)
 
 
 def scan_intersection_bound(
@@ -453,7 +454,7 @@ def scan_intersection_bound(
     _check_scan(box, workers, lambda: (n := count_rationals(bound)) + (n - 1) ** 2)
     t0 = time.perf_counter()
     ks = [r for r in rational_pairs(bound) if r[0]]
-    rows = _quad_rows(bound, height_point, (1, 2, 3), workers) + _kb_rows(ks, ks, (1, 2, 4), height_point, workers)
+    rows = _quad_rows(bound, height_point, (1, 2, 3), workers) + _kb_rows(ks, bound, (1, 2, 4), height_point, workers)
 
     index: Dict[Fraction, List[Tuple[tuple, FrozenSet[Fraction]]]] = {}
     sharing = Counter()  # X -> N_X, the number of maps whose points contain X

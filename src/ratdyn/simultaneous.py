@@ -368,15 +368,15 @@ def quadratics_with_periodic_point(q: Fraction) -> List[SharedMapEntry]:
     """Every c with q periodic for z^2 + c (periods up to 3; at most three).
 
     Period 1 forces c = q - q^2 and period 2 forces c = -(q^2 + q + 1).
-    A period-3 orbit exists only when the tau-cubic x1(tau) = q has a
-    rational root (``period3_taus``); tau then pins c.
+    A period-3 orbit exists only when the tau-cubic x1(tau) = q has a rational
+    root (``period3_taus``); c = x2 - x1^2 = tau - q - q^2, as x2 = tau - x1.
     Entries are verified by direct iteration and deduplicated by c.
     """
     q = Fraction(q)
     candidates: List[Tuple[Fraction, int]] = [
         (q - q * q, 1),
         (-(q * q + q + 1), 2),
-    ] + [(period3_family(tau).c, 3) for tau in period3_taus(q)]
+    ] + [(tau - q - q * q, 3) for tau in period3_taus(q)]
 
     entries: List[SharedMapEntry] = []
     seen = set()

@@ -9,6 +9,7 @@ from ratdyn.classification import (
     kb_periodic_points,
     kb_witness,
     period3_family,
+    period3_taus,
     quad_period3_cycle,
     quad_periodic_points,
     quad_witness,
@@ -17,6 +18,7 @@ from ratdyn.dynamics import KBMap, QuadraticMap, apply_map, exact_period
 from ratdyn.dynatomic import period4_dynatomic_factors, periodic_points_exact, rational_roots
 from ratdyn.core import ProjectivePoint, enumerate_rationals
 from ratdyn.errors import DomainError
+from ratdyn.simultaneous import quadratics_with_periodic_point
 from tests.conftest import sample_rationals
 
 
@@ -46,6 +48,21 @@ def test_quad_period3_family_examples():
     for bad in (F(0), F(-1)):
         with pytest.raises(DomainError, match="parameter excluded"):
             period3_family(bad)
+
+
+def test_period3_c_is_tau_minus_x1_minus_its_square():
+    # x2 = tau - x1 and c = x2 - x1^2, so q = x1(tau) has c = tau - q - q^2,
+    # the c of the shared-point oracle and of quad_witness at n = 3: checked
+    # against the family's c on the 11 tau of every q of height <= 40 and
+    # on q = x1(tau) planted from every tau of height <= 30
+    found = [(q, t) for q in enumerate_rationals(40) for t in period3_taus(q)]
+    planted = [(period3_family(t).x1, t) for t in enumerate_rationals(30) if t not in (0, -1)]
+    assert len(found) == 11
+    for q, t in found + planted:
+        c = period3_family(t).c
+        assert t - q - q * q == c and t in period3_taus(q)
+        assert c in {e.c for e in quadratics_with_periodic_point(q) if e.period == 3}
+        assert period3_family(quad_witness(c, 3)).c == c
 
 
 def test_quad_period3_family_is_cyclically_permuted(rng):

@@ -99,6 +99,14 @@ GOLDEN_CASES = {
         "scan", "--kind", "kb", "--height-k", "4", "--height-b", "40",
         "--height-point", "200", "--periods", "1,2,4",
     ],
+    # 924 hits over 2 k and 875,998 b: recorded while scans listed every b
+    # of the box and matched it to the roots by kernel, before they listed
+    # each root's square class; also diffed against the installed console
+    # script in CI, at one and two workers
+    "scan_kb_k1_b600_p20_n124.json": [
+        "scan", "--kind", "kb", "--height-k", "1", "--height-b", "600",
+        "--height-point", "20", "--periods", "1,2,4",
+    ],
     # 45 hits; also diffed against the installed console script in CI
     "scan_quad_h20_p100.json": [
         "scan", "--kind", "quad", "--height-c", "20", "--height-point", "100", "--periods", "1,2,3",

@@ -15,11 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 from ratdyn import search, simultaneous
 from ratdyn._intpoly import rational_roots_int
 from ratdyn.classification import kb_period4_family, period3_family, quad_periodic_points
+from ratdyn.cli import parse_map
 from ratdyn.core import (
     count_rationals,
     enumerate_rationals,
     format_rational,
     height,
+    parse_rational,
     rational_pairs,
 )
 from ratdyn.dynamics import KBMap, QuadraticMap, cycle_from, exact_period, quad_window
@@ -249,19 +251,19 @@ def recording_pool(monkeypatch):
 
 def test_kb_chunks_are_runs_of_whole_k_and_merge_to_the_same_bytes(recording_pool):
     # three workers split the KB k into up to 24 contiguous chunks, each
-    # with every b of the box; merged in chunk order the bytes are those of
-    # one worker.  The intersection scan sends its quad part out first, as
-    # contiguous ranges of e.  A chunk is the items of one span, with the
-    # pool's shared arguments
+    # with the box's height of b, not its b; merged in chunk order the
+    # bytes are those of one worker.  The intersection scan sends its quad
+    # part out first, as contiguous ranges of e.  A chunk is the items of
+    # one span, with the pool's shared arguments
     for scan, hk, hb in ((lambda w: scan_kb_periods(2, 4, 50, (1, 2, 4), workers=w), 2, 4),
                          (lambda w: scan_intersection_bound(5, 50, workers=w), 5, 5)):
         one = scan(1)
         assert one.hits and json.dumps(scan(3).canonical_dict()) == json.dumps(one.canonical_dict())
-        ks, bs = ([r for r in rational_pairs(h) if r[0]] for h in (hk, hb))
+        ks = [r for r in rational_pairs(hk) if r[0]]
         (_, items, args), _, spans = recording_pool[-1]
         chunks = [(items[a:b], args[0]) for a, b in spans]
         assert len(chunks) == min(24, len(ks))
-        assert [k for ch, _ in chunks for k in ch] == ks and all(b == bs for _, b in chunks)
+        assert [k for ch, _ in chunks for k in ch] == ks and all(h == hb for _, h in chunks)
     (_, es, _), _, spans = recording_pool[-2]
     assert [es[a:b] for a, b in spans] == [range(1, 2), range(2, 3)]  # e <= isqrt(5)
 
@@ -411,10 +413,10 @@ def test_chunks_are_capped_at_the_cpu_count(monkeypatch, serial_pool, cpus):
 def test_pool_tasks_are_int_spans_and_the_job_is_inherited(monkeypatch, recording_pool):
     # through the real fork pool at three claimed CPUs, every task the pool
     # receives is a (start, stop) span of ints, for KB, quad and quartic:
-    # the worker, its items and the shared arguments (the KB b, the quartic
-    # masks) reach each process at the fork, so nothing of the box is
-    # pickled.  Each engine's worker is wrapped in a lambda, which pickle
-    # cannot send, and the bytes are still those of one worker
+    # the worker, its items and the shared arguments (the KB height of b,
+    # the quartic masks) reach each process at the fork, so nothing of the
+    # box is pickled.  Each engine's worker is wrapped in a lambda, which
+    # pickle cannot send, and the bytes are still those of one worker
     curve = QuarticCurve(F(1, 64), F(1, 63), F(1, 65), F(1, 11), F(1))
     for name, call in (("_kb_points", lambda w: scan_kb_periods(4, 10, 50, (1, 2, 4), workers=w)),  # 22 k
                        ("_quad_points", lambda w: scan_quadratic_periods(1000, 40, (1, 2, 3), workers=w)),  # 31 e
@@ -471,15 +473,23 @@ def _point_columns(cols):
     return [((num, e * e), n, u, e) for num, e, n, u in zip(*cols.tolist())]
 
 
+def _kb_box_rows(ks, bs, periods, bound):
+    """The rows of ``_kb_points`` over the k of ``ks`` and every b up to the
+    greatest height in ``bs``, kept for the b of ``bs``."""
+    keep = set(bs)
+    rows = search._kb_points(ks, max(max(abs(bn), bd) for bn, bd in bs), periods, bound)
+    return [row for row in rows if row[0][1] in keep]
+
+
 def _assert_sieve_is_dynatomic(maps, periods_of, bound):
     # periods_of = (quad periods, KB periods).  Each quad map goes through the
     # quad route over the box of its height, and each KB map through the KB
-    # route as a box of one k and one b; the rows are exactly each map's
-    # points per requested n, in scan order
+    # route as a box of one k and every b up to its height, kept for its b;
+    # the rows are exactly each map's points per requested n, in scan order
     kbs = [m for m in maps if type(m) is KBMap]
     want_of = {m: {n: sorted(periodic_points_exact(m, n, height_bound=bound), key=search._rat_key)
                    for n in periods_of[type(m) is KBMap]} for m in maps}
-    kb_rows = [row for k, b in map(_param, kbs) for row in search._kb_points([k], [b], periods_of[1], bound)]
+    kb_rows = [row for k, b in map(_param, kbs) for row in _kb_box_rows([k], [b], periods_of[1], bound)]
     assert kb_rows == [(_param(m), n, *z.as_integer_ratio()) for m in kbs for n, pts in want_of[m].items()
                        for z in pts], bound
     for m in maps:
@@ -527,8 +537,7 @@ def test_kb_route_matches_dynatomic_on_planted_points(planted, q, bound):
     b *= q * q
     param = (k.as_integer_ratio(), b.as_integer_ratio())
     want = sorted(periodic_points_exact(KBMap(k, b), n, height_bound=bound), key=search._rat_key)
-    assert search._kb_points([param[0]], [param[1]], (n,), bound) == [(param, n, *z.as_integer_ratio())
-                                                                       for z in want]
+    assert _kb_box_rows([param[0]], [param[1]], (n,), bound) == [(param, n, *z.as_integer_ratio()) for z in want]
     assert q * p in want or height(q * p) > bound
 
 
@@ -568,6 +577,42 @@ def test_kb_bytes_are_the_golden_at_one_and_three_workers(monkeypatch):
         assert json.dumps(rep.canonical_dict(), sort_keys=True, separators=(",", ":")) + "\n" == golden
 
 
+def test_kb_wide_b_box_bytes_are_the_golden_at_one_and_two_workers(monkeypatch):
+    # 924 hits over 2 k and 875,998 b, recorded while scans listed the b
+    # box; two CPUs are claimed, so the two k go through the fork pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    golden = (pathlib.Path(__file__).parent / "golden" / "scan_kb_k1_b600_p20_n124.json").read_text()
+    for workers in (2, 1):
+        rep = scan_kb_periods(1, 600, 20, (1, 2, 4), workers=workers)
+        assert json.dumps(rep.canonical_dict(), sort_keys=True, separators=(",", ":")) + "\n" == golden
+
+
+def test_kb_scan_at_the_widest_b_box_under_the_cap(monkeypatch):
+    # H(k) = 1 leaves 2 k, and H(b) = 2027 is the widest b box that the cap
+    # of 10**7 (k, b) pairs admits beside them: 4,664 hits, the count while
+    # scans listed the b box.  Each hit has its exact period, and two
+    # claimed CPUs give the bytes of one worker
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    one, two = (scan_kb_periods(1, 2027, 1000, (1, 2, 4), workers=w) for w in (1, 2))
+    assert one.scanned_count == 2 * (count_rationals(2027) - 1) <= 10**7 < 2 * (count_rationals(2028) - 1)
+    assert len(one.hits) == 4664 and json.dumps(two.canonical_dict()) == json.dumps(one.canonical_dict())
+    for hit in one.hits:
+        assert exact_period(parse_map(hit["map"]), parse_rational(hit["point"])) == hit["period"], hit
+
+
+def test_kb_scans_list_the_k_and_not_the_b(monkeypatch):
+    # rational_pairs is asked for the k alone, once per scan, and the KB
+    # route is handed the height of b, never a list of b
+    real_pairs, real_rows, asked, handed = search.rational_pairs, search._kb_rows, [], []
+    monkeypatch.setattr(search, "rational_pairs", lambda h: asked.append(h) or real_pairs(h))
+    monkeypatch.setattr(search, "_kb_rows", lambda ks, hb, *args: handed.append(hb) or real_rows(ks, hb, *args))
+    assert scan_kb_periods(3, 40, 50, (1, 2, 4)).hits
+    assert asked == [3] and handed == [40]
+    asked.clear(), handed.clear()
+    assert scan_intersection_bound(5, 50).hits
+    assert asked == [5] and handed == [5]
+
+
 def _kb_rows_by_pairs(ks, bs, periods, bound):
     """The rows of ``_kb_points`` by one isqrt test per (b, s) pair, each
     point a Fraction ordered by height, numerator, denominator."""
@@ -584,6 +629,65 @@ def _kb_rows_by_pairs(ks, bs, periods, bound):
     return rows
 
 
+def _odd_exponent_primes(x, primes):
+    """The p of ``primes`` that divide x >= 1 to an odd power, and what is
+    left of x once every p of ``primes`` is divided out."""
+    odd = []
+    for p in primes:
+        if x % p == 0:
+            e = 0
+            while x % p == 0:
+                x, e = x // p, e + 1
+            if e % 2:
+                odd.append(p)
+    return odd, x
+
+
+def _kernel_primes(x):
+    """The primes of odd exponent in x >= 1."""
+    ps, left = _odd_exponent_primes(x, range(2, math.isqrt(x) + 1))  # leaves 1 or one prime
+    return ps + [left] * (left > 1)
+
+
+def _kb_rows_by_kernels(ks, bs, periods, bound):
+    """The rows of ``_kb_points`` for the b of ``bs``, in the order of
+    ``bs``, by a pass over every b, the route while scans listed the b box:
+    trial division gives each |bn| and bd its primes of odd exponent, each
+    root s is divided by the primes of the b, the b whose signed kernel is
+    a root's are kept, and each takes an isqrt for z = +-sqrt(b s)."""
+    table = [[(n, s) for n in periods for s in search._kb_classes(k, n)] for k in ks]
+    keys, classes = {}, {}
+    if any(table):
+        odd = {x: _kernel_primes(x) for x in {abs(bn) for bn, _ in bs} | {bd for _, bd in bs}}
+        primes = sorted(set().union(*odd.values()))
+        for sn, sd in {s for roots in table for _, s in roots}:
+            ps, left = _odd_exponent_primes(abs(sn * sd), primes)
+            if (r := math.isqrt(left)) * r == left:
+                keys[sn, sd] = math.prod(ps, start=1 if sn > 0 else -1)
+        kernel, wanted = {x: math.prod(ps) for x, ps in odd.items()}, set(keys.values())
+        for i, (bn, bd) in enumerate(bs):
+            if (key := kernel[abs(bn)] * kernel[bd] * (1 if bn > 0 else -1)) in wanted:
+                classes.setdefault(key, []).append(i)
+    found = []
+    for k, roots in zip(ks, table):
+        hits = []
+        for n, (sn, sd) in roots:
+            for i in classes.get(keys.get((sn, sd)), ()):
+                bn, bd = bs[i]
+                r = math.isqrt(bn * bd * sn * sd)
+                g = math.gcd(r, bd * sd)
+                if (h := max(zn := r // g, zd := bd * sd // g)) <= bound:
+                    hits += [(i, n, h, -zn, zd), (i, n, h, zn, zd)]
+        hits.sort()
+        found += [((k, bs[i]), n, zn, zd) for i, n, _, zn, zd in hits]
+    return found
+
+
+def _in_scan_order(bs):
+    """The b of ``bs`` as (num, den), once each, in ``rational_pairs`` order."""
+    return [b.as_integer_ratio() for b in sorted(set(bs), key=search._rat_key)]
+
+
 @st.composite
 def _kb_boxes(draw):
     """(ks, bs): up to 3 k of height <= 12 and up to 10 b, random ones of
@@ -594,7 +698,7 @@ def _kb_boxes(draw):
     if roots:
         bs += draw(st.lists(st.builds(lambda s, q: s * q * q, st.sampled_from(roots), rationals(12, nonzero=True)),
                             max_size=5))
-    return ks, list(dict.fromkeys(bs)) or [F(1)]
+    return ks, bs or [F(1)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -606,33 +710,95 @@ def _kb_boxes(draw):
 @example(([F(-97)], [F(2), F(1)]), (1, 2), 10)
 @example(([F(1), F(-1)], [F(2), F(-18), F(1, 2)]), (1, 2, 4), 10)  # k = +-1
 def test_kb_square_classes_match_every_pair_and_the_dynatomic_route(box, periods, bound):
-    # the square-class lookup gives the rows of an isqrt test on every
-    # (b, s) pair, which are each map's points of height <= B per n
-    ks, bs = ([r.as_integer_ratio() for r in rs] for rs in box)
-    rows = search._kb_points(ks, bs, periods, bound)
+    # the class listing gives, for the b drawn, the rows of an isqrt test on
+    # every (b, s) pair, which are each map's points of height <= B per n
+    ks, bs = [k.as_integer_ratio() for k in box[0]], _in_scan_order(box[1])
+    rows = _kb_box_rows(ks, bs, periods, bound)
     assert rows == _kb_rows_by_pairs(ks, bs, periods, bound)
     want = [((k, b), n, *z.as_integer_ratio()) for k in ks for b in bs for n in periods
             for z in sorted(periodic_points_exact(KBMap(F(*k), F(*b)), n, height_bound=bound), key=search._rat_key)]
     assert rows == want
 
 
-def test_kb_isqrt_calls_grow_with_b_plus_roots_not_their_product(monkeypatch):
-    # one isqrt per distinct |bn| or bd, to bound its trial division, one
-    # per distinct root s, on what trial division by the box's primes
-    # leaves, and one per (k, n, s) and b in a matching square class; none
-    # when no k has a root
-    ks, bs = ([r for r in rational_pairs(h) if r[0]] for h in (4, 40))
+def _planted_b(roots, top):
+    """b = s q^2 for a root s of ``roots``, with H(b) <= top since H(q)^2 H(s) <= top."""
+    return st.sampled_from(roots).flatmap(
+        lambda s: st.builds(lambda q: s * q * q, rationals(max(1, math.isqrt(top // height(s))), nonzero=True)))
+
+
+@st.composite
+def _kb_class_boxes(draw):
+    """(ks, bs): up to 3 k of height <= 12, and up to 8 b of height <= 10^4,
+    planted ones b = s q^2 for a root s of a drawn k, negative with s, and
+    random ones."""
+    ks = draw(st.lists(rationals(12, nonzero=True), min_size=1, max_size=3, unique=True))
+    roots = sorted({F(*s) for k in ks for n in (1, 2, 4) for s in search._kb_classes(k.as_integer_ratio(), n)})
+    bs = draw(st.lists(rationals(10**4, nonzero=True), max_size=3))
+    if roots:
+        bs += draw(st.lists(_planted_b(roots, 10**4), min_size=1, max_size=5))
+    return ks, bs or [F(1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_kb_class_boxes(), st.integers(1, 40), st.integers(1, 300))
+@example(([F(-97)], [F(2)]), 2, 10)  # 1/96 of k = -97 leaves 3, past H(b) = 2: no row
+@example(([F(3), F(-2)], [F(-18), F(12, 25), F(-2, 9)]), 25, 10)  # negative b
+@example(([F(1), F(-1)], [F(9999, 10000), F(-5000, 9999)]), 40, 300)  # b of height 10^4
+def test_kb_class_listing_matches_the_kernel_pass(box, small, bound):
+    # the rows of each root's class members, kept for the b drawn up to
+    # H(b) = 10^4, are those of the kernel pass over the b; over a whole box
+    # of H(b) <= 40 they are the kernel pass over every b of that box, and a
+    # root with a prime of odd exponent past H(b) gives no row there
+    ks, bs = [k.as_integer_ratio() for k in box[0]], _in_scan_order(box[1])
+    periods = (1, 2, 4)
+    assert _kb_box_rows(ks, bs, periods, bound) == _kb_rows_by_kernels(ks, bs, periods, bound)
+    every = [r for r in rational_pairs(small) if r[0]]
+    rows = search._kb_points(ks, small, periods, bound)
+    assert rows == _kb_rows_by_kernels(ks, every, periods, bound)
+    for k in ks:
+        for n in periods:
+            for sn, sd in search._kb_classes(k, n):
+                if max(_kernel_primes(abs(sn) * sd), default=1) > small:  # no b of the box has its class
+                    assert not [p for p, m, zn, zd in rows if p[0] == k and m == n
+                                and F(zn, zd) ** 2 == F(*p[1]) * F(sn, sd)], (k, n, (sn, sd))
+
+
+def test_kb_work_grows_with_the_class_members_not_the_box(monkeypatch):
+    # each class is listed once per call, and each root with a class takes
+    # one gcd for it and one per member of its class: at a point bound that
+    # cuts nothing, every member a root visits gives two rows.  Once H(b)
+    # passes (B t)^2 and (B d)^2 for z = +-alpha u t / (v d), the point bound
+    # alone cuts the members, so a box 10^4 times wider adds no work.  No k
+    # with a root: no trial division, no class and no gcd
+    ks = [r for r in rational_pairs(4) if r[0]]
     table = {(k, n): search._kb_classes(k, n) for k in ks for n in (1, 2, 4)}
-    roots = [s for ss in table.values() for s in ss]
-    squares = sum(1 for sn, sd in roots for bn, bd in bs if (t := bn * bd * sn * sd) > 0 and math.isqrt(t) ** 2 == t)
-    real, calls = math.isqrt, []
-    monkeypatch.setattr(search, "_kb_classes", lambda k, n: table.get((k, n), ()))  # so no rooting isqrt is counted
-    monkeypatch.setattr(search.math, "isqrt", lambda x: calls.append(x) or real(x))
-    assert search._kb_points(ks, bs, (1, 2, 4), 200)
-    assert (len(ks), len(bs), len(roots), len(set(roots))) == (22, 1958, 50, 42)
-    assert len(calls) == 40 + len(set(roots)) + squares <= len(bs) + len(roots) < len(bs) * len(roots) // 20
-    calls.clear()
-    assert search._kb_points(ks, bs, (3,), 200) == [] and not calls
+    real_gcd, real_members, gcds, listed = math.gcd, search._kb_members, [0], []
+
+    def members(*args):
+        before = gcds[0]
+        got = real_members(*args)
+        listed.append((len(got), gcds[0] - before))
+        return got
+
+    monkeypatch.setattr(search, "_kb_classes", lambda k, n: table.get((k, n), ()))  # so no rooting gcd is counted
+    monkeypatch.setattr(search, "_kb_members", members)
+    monkeypatch.setattr(search.math, "gcd", lambda *args: gcds.__setitem__(0, gcds[0] + 1) or real_gcd(*args))
+
+    def work(height_b, bound, periods=(1, 2, 4)):
+        gcds[0] = 0
+        listed.clear()
+        rows = search._kb_points(ks, height_b, periods, bound)
+        return rows, gcds[0], sum(g for _, g in listed), sum(m for m, _ in listed), len(listed)
+
+    for height_b in (40, 2027):
+        rows, total, listing, _, classes = work(height_b, 10**6)
+        kept = sum(1 for roots in table.values() for sn, sd in roots
+                   if max(_kernel_primes(abs(sn) * sd), default=1) <= height_b)
+        assert total == listing + kept + len(rows) // 2 and classes <= kept <= 50
+    wide = [work(h, 5)[1:] for h in (10**4, 10**6)]
+    assert wide[0] == wide[1] and wide[0][0] < (count_rationals(10**4) - 1) // 1000
+    monkeypatch.setattr(search, "_odd_primes", lambda x, top: pytest.fail("trial division with no root"))
+    assert work(2027, 200, (3,)) == ([], 0, 0, 0, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1112,7 +1278,7 @@ def _listed_pairs(bound, height_point):
     own rows, every cycle walked through every row's point, and every two
     maps through each point."""
     ks = [r for r in rational_pairs(bound) if r[0]]
-    rows = search._quad_rows(bound, height_point, (1, 2, 3), 1) + search._kb_rows(ks, ks, (1, 2, 4), height_point, 1)
+    rows = search._quad_rows(bound, height_point, (1, 2, 3), 1) + search._kb_rows(ks, bound, (1, 2, 4), height_point, 1)
     maps_through = {}
     for p, n, zn, zd in rows:
         m = KBMap(F(*p[0]), F(*p[1])) if search._is_kb(p) else QuadraticMap(F(*p))
@@ -1235,8 +1401,8 @@ def test_step_records_change_no_sieve_input_or_scan_bytes():
     kbs = [p for p in params if search._is_kb(p)]
     ks, bs = (list(dict.fromkeys(p[i] for p in kbs)) for i in (0, 1))
     assert [(k, b) for k in ks for b in bs] == kbs
-    want = search._kb_rows(ks, bs, periods, 20, 1)
-    assert want and search._kb_rows(ks, bs, periods, 20, 2) == want
+    want = search._kb_rows(ks, 3, periods, 20, 1)
+    assert want and search._kb_rows(ks, 3, periods, 20, 2) == want
     want = search._quad_rows(12, 20, periods, 1)
     assert want and search._quad_rows(12, 20, periods, 2) == want
     for scan in (
