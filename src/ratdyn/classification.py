@@ -36,6 +36,45 @@ __all__ = [
 _HALF = Fraction(1, 2)
 
 
+# ---------------------------------------------------------------------------
+# the row tables: every one-parameter family keeping p periodic of period n.
+# Every family here and every generator of ``simultaneous`` reads them; the
+# inverse classifiers below do not, so the dynatomic route checks the rows
+
+# z^2 + c, by n: c = row(p, tau) and the excluded row parameter, p for n = 1,
+# 2 (-1/2 is fixed) and tau for n = 3, read at p = x1(tau): c = x2 - p^2 with
+# x2 = tau - p
+_QUAD_ROWS = {
+    1: (lambda p, _: p - p * p, ()),
+    2: (lambda p, _: -(p * p + p + 1), (Fraction(-1, 2),)),
+    3: (lambda p, tau: tau - p - p * p, (0, -1)),
+}
+
+# kz + b/z, by n: kind, (k, b) = row(p, s), the k and b texts, the excluded s
+_ROWS = {
+    1: ("fixed", lambda p, s: (1 - s, s * p * p), "1 - s", "s*p^2", (0, 1)),
+    2: ("period2", lambda p, s: (s - 1, -s * p * p), "s - 1", "-s*p^2", (0, 1)),
+    # the 4-cycle (p, p/s, -p, -p/s)
+    4: ("period4", lambda p, s: (2 * s / (s * s - 1), -p * p * (s * s + 1) / (s * (s * s - 1))),
+        "2*s/(s^2 - 1)", "-p^2*(s^2 + 1)/(s*(s^2 - 1))", (0, 1, -1)),
+}
+
+
+def _quad_row(n: int, p: Fraction, tau: Optional[Fraction] = None) -> Fraction:
+    """c of quad row n at p (row 3 at p = x1(tau)); callers check the row's
+    excluded values."""
+    return _QUAD_ROWS[n][0](p, tau)
+
+
+def _kb_row(n: int, p: Fraction, s: Fraction, name: str, value=None) -> Tuple[Fraction, Fraction]:
+    """(k, b) of KB row n at (p, s); an excluded s is reported as name=value
+    (by default, name=s)."""
+    _, row, _, _, excluded = _ROWS[n]
+    if s in excluded:
+        raise parameter_excluded(name, s if value is None else value)
+    return row(p, s)
+
+
 def quad_periodic_points(c: Fraction, n: int) -> FrozenSet[Fraction]:
     """Rational points of exact period n (n in 1, 2, 3) of z^2 + c.
 
@@ -91,19 +130,16 @@ class Period3Family:
 
 
 def period3_family(tau: Fraction) -> Period3Family:
-    """The 3-cycle family of z^2 + c at parameter tau (tau not 0 or -1)."""
+    """The 3-cycle family of z^2 + c at parameter tau (tau not 0 or -1):
+    x1 = (tau^3 + 2 tau^2 + tau + 1) / (2 tau (tau + 1)), x2 = tau - x1, c
+    from quad row 3, and x3 = x2^2 + c."""
     tau = Fraction(tau)
-    if tau == 0 or tau == -1:
+    if tau in _QUAD_ROWS[3][1]:
         raise parameter_excluded("tau", tau)
-    t = tau
-    denom = 2 * t * (t + 1)
-    c = -Fraction(
-        t**6 + 2 * t**5 + 4 * t**4 + 8 * t**3 + 9 * t**2 + 4 * t + 1
-    ) / (4 * t**2 * (t + 1) ** 2)
-    x1 = (t**3 + 2 * t**2 + t + 1) / denom
-    x2 = (t**3 - t - 1) / denom
-    x3 = -(t**3 + 2 * t**2 + 3 * t + 1) / denom
-    return Period3Family(tau, c, x1, x2, x3)
+    x1 = (tau**3 + 2 * tau**2 + tau + 1) / (2 * tau * (tau + 1))
+    x2 = tau - x1
+    c = _quad_row(3, x1, tau)
+    return Period3Family(tau, c, x1, x2, x2 * x2 + c)
 
 
 def kb_periodic_points(k: Fraction, b: Fraction, n: int) -> FrozenSet[Fraction]:
@@ -163,23 +199,22 @@ class KBPeriod4Family:
 
 
 def kb_period4_family(m: Fraction) -> KBPeriod4Family:
-    """The 4-cycle family at parameter m (m not 0, 1, -1):
-    k = 2m/(m^2-1), b = -m/(m^4-1), cycle 1/(m^2+1) -> -m/(m^2+1) -> ...
+    """The 4-cycle family at parameter m (m not 0, 1, -1): KB row 4 at
+    p = 1/(m^2+1), s = -1/m, so k = 2m/(m^2-1), b = -m/(m^4-1) and the cycle
+    (p, p/s, -p, -p/s) is 1/(m^2+1) -> -m/(m^2+1) -> ...
     """
     m = Fraction(m)
-    if m == 0 or m == 1 or m == -1:
+    if m == 0:
         raise parameter_excluded("m", m)
-    k = 2 * m / (m**2 - 1)
-    b = -m / (m**4 - 1)
-    d = m**2 + 1
-    pts = (Fraction(1) / d, -m / d, Fraction(-1) / d, m / d)
-    return KBPeriod4Family(m, k, b, pts)
+    p, s = 1 / (m * m + 1), -1 / m
+    k, b = _kb_row(4, p, s, "m", m)  # s = -+1 at m = +-1
+    return KBPeriod4Family(m, k, b, (p, p / s, -p, -p / s))
 
 
 def kb_map_with_fixed_and_period2(q1: Fraction, q2: Fraction) -> KBMap:
     """The unique kz + b/z with fixed point q1 and exact-period-2 point q2.
 
-    k = (-q2^2 - q1^2)/(q2^2 - q1^2), b = 2 q1^2 q2^2/(q2^2 - q1^2);
+    KB row 1 at (q1, s), s = 2 q2^2/(q2^2 - q1^2): k = 1 - s, b = s q1^2;
     requires q1, q2 nonzero with q1^2 != q2^2.
     """
     q1, q2 = Fraction(q1), Fraction(q2)
@@ -189,8 +224,7 @@ def kb_map_with_fixed_and_period2(q1: Fraction, q2: Fraction) -> KBMap:
         raise parameter_excluded("q2", q2)
     if q1 * q1 == q2 * q2:
         raise DomainError("degenerate pair: q1^2=q2^2")
-    denom = q2 * q2 - q1 * q1
-    return KBMap((-q2 * q2 - q1 * q1) / denom, 2 * q1 * q1 * q2 * q2 / denom)
+    return KBMap(*_kb_row(1, q1, 2 * q2 * q2 / (q2 * q2 - q1 * q1), "s"))  # s is never 0 or 1
 
 
 def quad_witness(c: Fraction, n: int) -> Optional[Fraction]:
@@ -199,15 +233,15 @@ def quad_witness(c: Fraction, n: int) -> Optional[Fraction]:
 
     n=1: rho = max - 1/2 of the points 1/2 +- rho, so c = 1/4 - rho^2;
     n=2: sigma = max + 1/2 of the points -1/2 +- sigma, so c = -3/4 - sigma^2;
-    n=3: a tau of a point q with c = tau - q - q^2, x1(tau) = q: its family
-    produces this cycle.  None when no rational period-n point exists.
+    n=3: a tau of a point q with x1(tau) = q whose quad row 3 gives c: its
+    family produces this cycle.  None when no rational period-n point exists.
     """
     c = Fraction(c)
     pts = quad_periodic_points(c, n)
     if not pts:
         return None
     if n == 3:
-        return min((t for q in pts for t in period3_taus(q) if t - q - q * q == c), default=None)
+        return min((t for q in pts for t in period3_taus(q) if _quad_row(3, q, t) == c), default=None)
     return max(pts) - _HALF if n == 1 else max(pts) + _HALF
 
 

@@ -4,7 +4,9 @@ Scans report their box in the documented order (ascending height, then
 numerator, then denominator) and carry a map as reduced int parameters:
 (num, den) of a quad c, ((kn, kd), (bn, bd)) of a KB (k, b).  They find
 each map's points of exact period n and height <= B by one exact route per
-family; neither reduces mod any prime, and only the KB route builds map
+family.  The quad route is integer arithmetic on window edges; the KB route
+uses primes only as proofs: a reduction mod p <= 13 with no root settles a
+k, and p-adic lifting roots the rest.  Only the KB route builds map
 objects, one per k and one per root.  Both routes give one row shape,
 (parameter, n, zn, zd) in ints with z = zn / zd reduced and zd > 0, in scan
 order, one per hit, and ``_scan_periods`` formats each map once and every
@@ -78,7 +80,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ._intpoly import rational_roots_int
 from .core import count_rationals, format_ratio, format_rational, height, is_rational_square, rational_pairs
-from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period
+from .dynamics import KBMap, QuadraticMap, cycle_from, exact_period, quad_window
 from .dynatomic import _dynatomic_x, _family_rootless
 from .errors import DomainError, parameter_excluded
 
@@ -154,7 +156,7 @@ def _quad_blocks(es: range, height_c: int, bound: int) -> List[Tuple[range, int]
     e at |num| = height_c.  A run grows while its cells, 2 min(bound, T) + 1
     values of u by 2T + 1 of v for each e, stay within ``_BLOCK_CELLS``; an
     e whose cells alone pass the cap makes a run of its own."""
-    top = lambda e: (e + math.isqrt(e * e + 4 * height_c)) // 2  # rises with e
+    top = lambda e: quad_window(height_c, e * e)[1]  # rises with e
     cells = lambda e: (2 * min(bound, top(e)) + 1) * (2 * top(e) + 1)
     blocks, i = [], 0
     while i < len(es):

@@ -12,13 +12,12 @@ Three layers:
 * the at-most-three quadratic polynomials z^2 + c_i sharing one periodic
   rational point.
 
-Every KB side comes from one table, ``_ROWS``: for each period n in 1, 2, 4
-the one-parameter row (k, b) = row(p, s) keeping p periodic of period n, its
-k and b texts, and its excluded s.  It is the single source of these
-families; ``_kb_row`` reads it for every generator and the family
-descriptors are built from it.  Every generator fills in closed forms; the
-claimed periods are cheap to re-verify by exact orbit iteration, and the
-heavier generators do so before returning.
+Every side is a row of the two tables of ``classification``: a KB side of
+``_ROWS`` (periods 1, 2, 4), read by ``_kb_row``, and a quad side of
+``_QUAD_ROWS`` (periods 1, 2, 3), read by ``_quad_row``; the family
+descriptors are built from ``_ROWS``.  The claimed periods are cheap to
+re-verify by exact orbit iteration, and the heavier generators do so before
+returning.
 """
 
 from __future__ import annotations
@@ -28,6 +27,10 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Tuple
 
 from .classification import (
+    _QUAD_ROWS,
+    _ROWS,
+    _kb_row,
+    _quad_row,
     kb_map_with_fixed_and_period2,
     period3_family,
     period3_taus,
@@ -53,27 +56,6 @@ __all__ = [
     "SharedMapEntry",
     "quadratics_with_periodic_point",
 ]
-
-
-# ---------------------------------------------------------------------------
-# the KB rows: every family of kz + b/z with p periodic of period n, by n
-
-_ROWS = {
-    1: ("fixed", lambda p, s: (1 - s, s * p * p), "1 - s", "s*p^2", (0, 1)),
-    2: ("period2", lambda p, s: (s - 1, -s * p * p), "s - 1", "-s*p^2", (0, 1)),
-    # the 4-cycle (p, p/s, -p, -p/s)
-    4: ("period4", lambda p, s: (2 * s / (s * s - 1), -p * p * (s * s + 1) / (s * (s * s - 1))),
-        "2*s/(s^2 - 1)", "-p^2*(s^2 + 1)/(s*(s^2 - 1))", (0, 1, -1)),
-}
-
-
-def _kb_row(n: int, p: Fraction, s: Fraction, name: str, value=None) -> Tuple[Fraction, Fraction]:
-    """(k, b) of row n at (p, s); an excluded s is reported as name=value
-    (by default, name=s)."""
-    _, row, _, _, excluded = _ROWS[n]
-    if s in excluded:
-        raise parameter_excluded(name, s if value is None else value)
-    return row(p, s)
 
 
 @dataclass(frozen=True)
@@ -106,28 +88,33 @@ def _triple(c: Fraction, f_period: int, x: Fraction, n: int, param: Fraction, s:
     return MixedFamilyTriple(k, b, c, f_period, n, x, {**parameters, name: param})
 
 
+def _quad_triple(f_period: int, p: Fraction, n: int, param: Fraction) -> MixedFamilyTriple:
+    """p of period f_period (1 or 2) for quad row f_period, and of period n
+    for kz + b/z: KB row n at s = -q/p (n = 1), s = q/p (n = 2) or s = m
+    (n = 4)."""
+    p, param = Fraction(p), Fraction(param)
+    if p == 0 or p in _QUAD_ROWS[f_period][1]:
+        raise parameter_excluded("p", p)
+    s = {1: -param / p, 2: param / p}.get(n, param)
+    return _triple(_quad_row(f_period, p), f_period, p, n, param, s, {"p": p})
+
+
 def triples_fixed_point(p: Fraction, n: int, param: Fraction) -> MixedFamilyTriple:
     """p a rational fixed point of z^2 + c and of period n for kz + b/z.
 
-    c = p - p^2; the KB side is the row at s = -q/p (n = 1), s = q/p
-    (n = 2) or s = m (n = 4).
+    c = p - p^2 (quad row 1); the KB side is the row at s = -q/p (n = 1),
+    s = q/p (n = 2) or s = m (n = 4).
     """
-    p, param = Fraction(p), Fraction(param)
-    if p == 0:
-        raise parameter_excluded("p", p)
-    return _triple(p - p * p, 1, p, n, param, {1: -param / p, 2: param / p}.get(n, param), {"p": p})
+    return _quad_triple(1, p, n, param)
 
 
 def triples_period2(p: Fraction, n: int, param: Fraction) -> MixedFamilyTriple:
     """p of exact period 2 for z^2 + c and of period n for kz + b/z.
 
-    c = -(p^2 + p + 1); p not in {0, -1/2} (the 2-cycle is p, -p-1).  The
-    KB side is as in ``triples_fixed_point``.
+    c = -(p^2 + p + 1) (quad row 2); p not in {0, -1/2} (the 2-cycle is
+    p, -p-1).  The KB side is as in ``triples_fixed_point``.
     """
-    p, param = Fraction(p), Fraction(param)
-    if p == 0 or p == Fraction(-1, 2):
-        raise parameter_excluded("p", p)
-    return _triple(-(p * p + p + 1), 2, p, n, param, {1: -param / p, 2: param / p}.get(n, param), {"p": p})
+    return _quad_triple(2, p, n, param)
 
 
 def triples_period3(
@@ -170,9 +157,7 @@ def two_point_intersection_mixed(p: Fraction, sign: int) -> MixedFamilyTriple:
     if p in (0, Fraction(-1, 2), -1):
         raise parameter_excluded("p", p)
     k, b = _kb_row(4, p, -sign * p / (p + 1), "p", p)  # p -> -sign (p + 1)
-    return MixedFamilyTriple(
-        k, b, -(p * p + p + 1), 2, 4, p, {"p": p, "sign": Fraction(sign)}
-    )
+    return MixedFamilyTriple(k, b, _quad_row(2, p), 2, 4, p, {"p": p, "sign": Fraction(sign)})
 
 
 def two_point_intersection_period3(
@@ -192,15 +177,8 @@ def two_point_intersection_period3(
     xi, xj = fam.points[i - 1], fam.points[j - 1]
     m = Fraction(sign) * xi / xj
     k, b = _kb_row(4, xi, m, "m_tau")
-    return MixedFamilyTriple(
-        k,
-        b,
-        fam.c,
-        3,
-        4,
-        xi,
-        {"tau": tau, "i": Fraction(i), "j": Fraction(j), "sign": Fraction(sign)},
-    )
+    parameters = {"tau": tau, "i": Fraction(i), "j": Fraction(j), "sign": Fraction(sign)}
+    return MixedFamilyTriple(k, b, fam.c, 3, 4, xi, parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +345,14 @@ class SharedMapEntry:
 def quadratics_with_periodic_point(q: Fraction) -> List[SharedMapEntry]:
     """Every c with q periodic for z^2 + c (periods up to 3; at most three).
 
-    Period 1 forces c = q - q^2 and period 2 forces c = -(q^2 + q + 1).
-    A period-3 orbit exists only when the tau-cubic x1(tau) = q has a rational
-    root (``period3_taus``); c = x2 - x1^2 = tau - q - q^2, as x2 = tau - x1.
+    Period 1 and period 2 each force one c, read from quad rows 1 and 2.  A
+    period-3 orbit exists only when the tau-cubic x1(tau) = q has a rational
+    root (``period3_taus``), and quad row 3 at (q, tau) gives its c.
     Entries are verified by direct iteration and deduplicated by c.
     """
     q = Fraction(q)
-    candidates: List[Tuple[Fraction, int]] = [
-        (q - q * q, 1),
-        (-(q * q + q + 1), 2),
-    ] + [(tau - q - q * q, 3) for tau in period3_taus(q)]
+    candidates: List[Tuple[Fraction, int]] = [(_quad_row(n, q), n) for n in (1, 2)] + [
+        (_quad_row(3, q, tau), 3) for tau in period3_taus(q)]
 
     entries: List[SharedMapEntry] = []
     seen = set()

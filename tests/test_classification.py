@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ratdyn import classification
 from ratdyn.classification import (
     kb_map_with_fixed_and_period2,
     kb_period4_cycle,
@@ -18,7 +19,7 @@ from ratdyn.dynamics import KBMap, QuadraticMap, apply_map, exact_period
 from ratdyn.dynatomic import period4_dynatomic_factors, periodic_points_exact, rational_roots
 from ratdyn.core import ProjectivePoint, enumerate_rationals
 from ratdyn.errors import DomainError
-from ratdyn.simultaneous import quadratics_with_periodic_point
+from ratdyn.simultaneous import quadratics_with_periodic_point, triples_period2
 from tests.conftest import sample_rationals
 
 
@@ -63,6 +64,50 @@ def test_period3_c_is_tau_minus_x1_minus_its_square():
         assert t - q - q * q == c and t in period3_taus(q)
         assert c in {e.c for e in quadratics_with_periodic_point(q) if e.period == 3}
         assert period3_family(quad_witness(c, 3)).c == c
+
+
+def test_every_row_of_both_tables_keeps_its_point_at_its_period(rng):
+    # each row walked by exact_period at sampled points and row parameters,
+    # apart from the generators that read it: quad rows 1 and 2 at p, row 3
+    # at p = x1(tau) written out here, KB rows 1, 2, 4 at (p, s); then each
+    # excluded value, where the row's map or point breaks down, and the
+    # message that refuses it
+    ps = sample_rationals(rng, 40, 30, nonzero=True) + [F(1), F(-2), F(1, 3)]
+    ss = sample_rationals(rng, 40, 30) + [F(2), F(-2), F(1, 2), F(-1, 2)]
+    for n, (row, excluded) in classification._QUAD_ROWS.items():
+        for t in ps:
+            if t in excluded:
+                continue
+            p = (t**3 + 2 * t**2 + t + 1) / (2 * t * (t + 1)) if n == 3 else t
+            assert exact_period(QuadraticMap(row(p, t)), p) == n, (n, t)
+    assert classification._QUAD_ROWS[1][1] == ()
+    assert classification._QUAD_ROWS[2][1] == (F(-1, 2),)
+    assert exact_period(QuadraticMap(classification._quad_row(2, F(-1, 2))), F(-1, 2)) == 1
+    with pytest.raises(DomainError, match=r"^parameter excluded: p=-1/2$"):
+        triples_period2(F(-1, 2), 1, F(1))
+    assert classification._QUAD_ROWS[3][1] == (0, -1)
+    for tau in (F(0), F(-1)):  # the poles of x1
+        with pytest.raises(DomainError, match=f"^parameter excluded: tau={tau}$"):
+            period3_family(tau)
+
+    for n, (_, row, _, _, excluded) in classification._ROWS.items():
+        for p in ps:
+            for s in ss:
+                if s in excluded:
+                    continue
+                k, b = classification._kb_row(n, p, s, "s")
+                assert exact_period(KBMap(k, b), p) == n, (n, p, s)
+        for s in excluded:
+            try:
+                assert 0 in row(F(2), F(s)), (n, s)  # k = 0 or b = 0: no KB map
+            except ZeroDivisionError:  # or a pole of the row
+                pass
+            with pytest.raises(DomainError, match=f"^parameter excluded: s={s}$"):
+                classification._kb_row(n, F(2), F(s), "s")
+    assert sorted(classification._ROWS) == [1, 2, 4]
+    for m in (F(1), F(-1)):  # s = -1/m = -+1
+        with pytest.raises(DomainError, match=f"^parameter excluded: m={m}$"):
+            kb_period4_family(m)
 
 
 def test_quad_period3_family_is_cyclically_permuted(rng):

@@ -693,16 +693,37 @@ def test_family_phi3_of_z2_plus_t_is_the_closed_form():
 
 
 def test_family_phi4_of_tz_plus_1_over_z_is_the_product_of_the_period4_factors():
-    # the rows in w = z^2, t-vectors of degree <= 12, evaluated at 14 values
-    # of t, against the quartic times the cofactor at (k, 1): a pin of
-    # every coefficient
+    # Phi*_4 of tz + 1/z in w = z^2 over Z[t], Kronecker-packed (w^i t^j ->
+    # u^(i + S j)) and divided exactly in Z[u] by the quartic
+    # t + 2(t^2 + 1) w + (t^3 + t) w^2.  The quotient has w-degree 4, so its
+    # product with the quartic stays below w^S and the packing is injective
+    # there: Phi*_4 = quartic * quotient over Z[t, w], with constant 1.
+    # z = sqrt(b) v conjugates kz + b/z to kv + 1/v, so at (k, b) the w^i
+    # coefficient carries b^(2-i) in the quartic and b^(4-i) in the
+    # cofactor.  period4_dynatomic_factors must be these; its coefficients
+    # have degree <= 9 in k and <= 4 in b, so 10 k by 5 b prove the identity
     rows = dynatomic._family(False, 4)
-    assert len(rows) == 7 and max(map(len, rows)) <= 13
-    for k in [k for k in range(-7, 8) if k]:
-        quartic, cofactor = period4_dynatomic_factors(F(k), F(1))
-        want = (quartic * cofactor).coeffs
-        assert want[1::2] == (0,) * 6, k
-        assert [sum(c * k**j for j, c in enumerate(row)) for row in rows] == list(want[::2]), k
+    S = len(rows) + 1
+
+    def pack(rs):
+        v = [0] * (S * max(map(len, rs)))
+        for i, r in enumerate(rs):
+            for j, c in enumerate(r):
+                v[i + S * j] = c
+        return v
+
+    divisor = [(0, 1), (2, 0, 2), (0, 1, 0, 1)]
+    v = _intpoly.pdiv_exact(pack(rows), pack(divisor))
+    quotient = [_intpoly.pstrip(v[i::S]) for i in range(S)]
+    assert len(rows) == 7 and not any(quotient[5:])
+    quotient = quotient[:5]
+    value = lambda row, k: sum(c * k**j for j, c in enumerate(row))
+    for k in (F(x) for x in (-5, -3, -2, -1, 1, 2, 3, 4, 6, 7)):
+        for b in (F(x) for x in (-2, -1, 1, 3, 5)):
+            quartic, cofactor = period4_dynatomic_factors(k, b)
+            assert quartic.coeffs[1::2] == (0,) * 2 and cofactor.coeffs[1::2] == (0,) * 4
+            assert list(quartic.coeffs[::2]) == [b ** (2 - i) * value(r, k) for i, r in enumerate(divisor)]
+            assert list(cofactor.coeffs[::2]) == [b ** (4 - i) * value(r, k) for i, r in enumerate(quotient)]
 
 
 def test_a_family_polynomial_shown_rootless_mod_a_small_prime_has_no_rational_root():
