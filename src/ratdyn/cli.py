@@ -8,6 +8,8 @@ names the violated precondition), 2 usage error.  JSON output is canonical
 (sorted keys, compact separators) and round-trips byte for byte.  Each
 subcommand computes only its JSON payload; the table and csv formats are
 views of that payload (``_VIEWS``), and ``_render`` writes all three.
+``run`` parses a line once, by its subcommand's parser; the top-level parser
+reads only a line with no known subcommand, or with words left over.
 """
 
 from __future__ import annotations
@@ -211,10 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     for child in sub.choices.values():
         child._negative_number_matcher = matcher
         child.add_argument("--format", choices=["json", "table", "csv"], default="json")
+    top.subcommands = sub.choices  # name -> parser, for run's one parse
     return top
 
 
-_parser = functools.cache(build_parser)  # a build costs ~30 parses: once per process
+_parser = functools.cache(build_parser)  # a build costs ~60 parses: once per process
 
 
 def _cmd_orbit(args) -> dict:
@@ -524,8 +527,13 @@ def _render(fmt: str, command: str, payload: dict) -> str:
 
 def run(argv) -> Tuple[int, str]:
     """Parse argv and execute; returns (exit_code, output_text)."""
+    top, argv = _parser(), list(argv)
     try:
-        args = _parser().parse_args(list(argv))
+        if child := top.subcommands.get(argv[0] if argv else None):
+            args, rest = child.parse_known_args(argv[1:])
+            args.command = argv[0]
+        if not child or rest:  # help, usage and errors: argparse's own text
+            args = top.parse_args(argv)
     except SystemExit as exc:
         return (0 if exc.code == 0 else 2), ""
     try:

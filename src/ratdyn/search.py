@@ -572,6 +572,12 @@ def _square_masks(bound: int, L: int, A) -> list:
     return out
 
 
+@functools.cache
+def _block():  # the kernel's block of v, _WORDS words: once per process, refilled per block
+    import numpy as np
+    return np.empty(_WORDS, dtype=np.uint64)
+
+
 def _quartic_chunk(vs: range, bound: int, L: int, A, masks) -> List[Tuple[int, int, int]]:
     """(u, v, r) for each coprime u, v with |u| <= bound, v in ``vs`` and
     L * F(u, v) == r**2: the ``_square_masks`` ANDed ``_WORDS`` words of v
@@ -582,7 +588,8 @@ def _quartic_chunk(vs: range, bound: int, L: int, A, masks) -> List[Tuple[int, i
     words = masks[0][1].shape[1]
     found, step = [], max(1, _WORDS // words)
     for v0 in range(vs.start, vs.stop, step):
-        bits = np.full((n := min(step, vs.stop - v0), words), 2**64 - 1, dtype=np.uint64)
+        bits = _block()[: (n := min(step, vs.stop - v0)) * words].reshape(n, words)
+        bits.fill(2**64 - 1)
         for m, mask in masks:  # row k of bits is v = v0 + k
             h = min(-v0 % m, n)  # from row h on, v runs through whole periods 0..m-1
             q = h + (n - h) // m * m

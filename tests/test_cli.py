@@ -1,3 +1,5 @@
+import argparse
+import ast
 import csv
 import json
 import os
@@ -406,6 +408,114 @@ def test_csv_holds_the_table_cells(case):
         assert lines.pop() == "infinite_points  True"
     # table cells are padded and joined by two or more spaces
     assert rows == [re.split(r"  +", line) for line in lines]
+
+
+def _argv_literals(path: pathlib.Path) -> list:
+    """Every literal list of strings in a test file that starts with a
+    subcommand name: the argvs it passes to run() as written."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        try:
+            value = ast.literal_eval(node) if isinstance(node, ast.List) else None
+        except ValueError:  # names, f-strings or starred parts
+            continue
+        if value and all(isinstance(w, str) for w in value) and value[0] in cli._parser().subcommands:
+            found.append(value)
+    return found
+
+
+# usage errors and the edges of argparse's grammar, each read by the
+# top-level parser, by a subcommand's parser, or by both
+EDGE_ARGVS = [
+    [], ["-h"], ["--help"], ["-h", "scan"], ["nosuch"], ["sca"], ["quar", "--coeffs", "1,0,0,0,1"],
+    ["--bogus", "scan"], ["-1"], ["--", "orbit", "--map", "quad:c=0", "--point", "2"],
+    ["scan", "-h"], ["scan", "--help"], ["orbit", "-hx"], ["scan", "--kind", "quad", "--bogus"],
+    ["scan", "--kind", "quad", "-x"], ["scan", "scan"], ["orbit", "--map", "quad:c=0", "--point", "2", "extra"],
+    ["orbit", "--map", "quad:c=0", "--point", "2", "--"], ["orbit", "--", "--map", "quad:c=0", "--point", "2"],
+    ["orbit", "--ma", "quad:c=0", "--po", "2"], ["orbit", "--m", "quad:c=0", "--point", "2"],
+    ["orbit", "--map=quad:c=0", "--point=2", "--format=table"], ["orbit", "--point", "2", "--map"],
+    ["scan", "--kind", "cubic"], ["orbit", "--map", "quad:c=0", "--point", "2", "--format", "xml"],
+    ["orbit", "--map", "quad:c=0", "--point", "2", "--max-steps", "x"],
+    ["orbit", "--map", "quad:c=-2", "--point", "-2"], ["quartic", "--coeffs", "-1,0,0,0,1", "--height", "-3"],
+    ["scan", "--kind", "quad", "--height-c", "2", "--height-point", "3", "--periods", "-1", "x"],
+]
+
+
+def _corpus() -> list:
+    argvs = [*GOLDEN_CASES.values(), *map(_view_argv, VIEW_CASES), *EDGE_ARGVS]
+    argvs += [argv + ["--format", fmt] for argv in CSV_CASES.values() for fmt in ("table", "csv")]
+    for path in (pathlib.Path(__file__), pathlib.Path(__file__).parent / "test_cli_examples.py"):
+        argvs += _argv_literals(path)
+    return [argv for i, argv in enumerate(argvs) if argv not in argvs[:i]]
+
+
+def _top_level_run(argv, handler):
+    """run() with the whole argv read by a fresh top-level parser, which
+    hands the subcommand's words on to its subparser."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return (0 if exc.code == 0 else 2), ""
+    try:
+        payload = handler(args)
+    except DomainError as exc:
+        return 1, str(exc)
+    return 0, cli._render(args.format, args.command, payload)
+
+
+@pytest.mark.parametrize("argv", _corpus(), ids=" ".join)
+def test_run_matches_a_top_level_parse(monkeypatch, capsys, argv):
+    # the same code, text, stdout and stderr; the handler runs once, in the
+    # reference, and run() must hand it the namespace the reference did
+    calls, replays = [], []  # the reference's handler call: namespace, payload or DomainError
+
+    def answer(args):
+        namespace, result = calls[0]
+        assert vars(args) == namespace
+        if isinstance(result, DomainError):
+            raise result
+        return result
+
+    def record(args):
+        try:
+            result = cli._HANDLERS[args.command](args)
+        except DomainError as exc:
+            result = exc
+        calls.append((dict(vars(args)), result))
+        return answer(args)
+
+    def replay(args):
+        replays.append(args)
+        return answer(args)
+
+    expected = _top_level_run(list(argv), record), capsys.readouterr()
+    monkeypatch.setattr(cli, "_HANDLERS", dict.fromkeys(cli._HANDLERS, replay))
+    assert (run(argv), capsys.readouterr()) == expected
+    assert len(replays) == len(calls)
+
+
+def test_a_subcommand_line_is_parsed_once_by_its_own_parser(monkeypatch):
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        parsed.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    top = cli._parser()
+    for argv in CSV_CASES.values():  # every subcommand, well formed
+        for fmt in ("json", "table", "csv"):
+            parsed.clear()
+            assert run(argv + ["--format", fmt])[0] == 0
+            assert len(parsed) == 1 and parsed[0] is top.subcommands[argv[0]]
+    # the spy sees the top-level parser where it reads: an unknown
+    # subcommand, and words a subcommand left over
+    parsed.clear()
+    assert run(["nosuch"])[0] == 2 and parsed == [top]
+    parsed.clear()
+    assert run(["shared", "--q", "0", "extra"])[0] == 2
+    assert parsed[0] is top.subcommands["shared"] and top in parsed
 
 
 def test_scan_worker_flag_byte_identical():
