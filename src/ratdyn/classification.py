@@ -278,14 +278,9 @@ def period3_taus(q: Fraction) -> List[Fraction]:
 def period3_tau_cubics(q: Fraction):
     """For each of x1, x2, x3: the cubic in tau with x_i(tau) = q.
 
-    Built symbolically from the family formulas by clearing the common
-    denominator 2 tau (tau + 1).
+    x_i = N_i / D, D = 2 tau (tau + 1), N1 = tau^3 + 2 tau^2 + tau + 1: then
+    x2 = tau - x1 and, by quad row 3, x3 = tau^2 + tau - (2 tau + 1) x1.
     """
-    q = Fraction(q)
-    denom = Poly([0, 2, 2])  # 2 tau (tau+1)
-    numerators = (
-        Poly([1, 1, 2, 1]),  # tau^3 + 2 tau^2 + tau + 1
-        Poly([-1, -1, 0, 1]),  # tau^3 - tau - 1
-        Poly([-1, -3, -2, -1]),  # -(tau^3 + 2 tau^2 + 3 tau + 1)
-    )
+    tau, denom, n1 = Poly([0, 1]), Poly([0, 2, 2]), Poly([1, 1, 2, 1])
+    numerators = (n1, tau * denom - n1, (tau * tau + tau) * denom - Poly([1, 2]) * n1)
     return [num - denom.scale(q) for num in numerators]

@@ -20,12 +20,14 @@ cut into blocks of consecutive e (``_quad_blocks``), and numpy lists each
 block's edges in one pass over a 2-D grid: a column per v up to the
 window bound T at |num| = H(c) of the block's last e, and a row per coprime
 (e, u) with |u| <= min(B, T), with num = v e - u^2.  It keeps an edge when |num| <=
-H(c), u and v lie in the window of c = num / e^2, and e divides v^2 + num,
-as they do when u is periodic; a map with no edge is never touched.  numpy
-then walks the kept u for up to max(periods) steps.  A point leaves the
-walk when e does not divide z^2 + num or the image passes top, since the
-image then lies outside the window and is not periodic, and when the image
-is the point it was at on the last power-of-two step (Brent's cycle test),
+H(c), v lies in the window of c = num / e^2, and e divides v^2 + num, as
+they do when u is periodic (v's window test covers u's: |z|^2 - |z| > |c|
+gives |f(z)| > |z|); a map with no edge is never touched.  The edge is step
+1 of the walk: a v = u has period 1, and numpy walks the other edges from
+z = v, at n = 2, for up to max(periods) steps.  A point leaves the walk
+when e does not divide z^2 + num or the image passes top, since the image
+then lies outside the window and is not periodic, and when the image is
+the point it was at on the last power-of-two step (Brent's cycle test),
 since its orbit then runs into a cycle without u; the first step that
 brings it back to u is its exact period.
 
@@ -156,14 +158,13 @@ def _quad_blocks(es: range, height_c: int, bound: int) -> List[Tuple[range, int]
     e at |num| = height_c.  A run grows while its cells, 2 min(bound, T) + 1
     values of u by 2T + 1 of v for each e, stay within ``_BLOCK_CELLS``; an
     e whose cells alone pass the cap makes a run of its own."""
-    top = lambda e: quad_window(height_c, e * e)[1]  # rises with e
-    cells = lambda e: (2 * min(bound, top(e)) + 1) * (2 * top(e) + 1)
+    tops = [quad_window(height_c, e * e)[1] for e in es]  # rises with e
     blocks, i = [], 0
     while i < len(es):
         j = i + 1
-        while j < len(es) and (j + 1 - i) * cells(es[j]) <= _BLOCK_CELLS:
+        while j < len(es) and (j + 1 - i) * (2 * min(bound, tops[j]) + 1) * (2 * tops[j] + 1) <= _BLOCK_CELLS:
             j += 1
-        blocks.append((es[i:j], top(es[j - 1])))
+        blocks.append((es[i:j], tops[j - 1]))
         i = j
     return blocks
 
@@ -183,33 +184,35 @@ def _quad_points(es: range, height_c: int, bound: int, periods):
     rows = [np.zeros((4, 0), dtype=np.int64)]
     for block, T in _quad_blocks(es, height_c, bound):
         # one row per coprime (e, u) with |u| <= min(bound, T) and one column
-        # per |v| <= T: a u or v past a smaller e's own top fails the window test
+        # per |v| <= T: a v past a smaller e's own top fails the window test
         u, e = np.arange(-min(bound, T), min(bound, T) + 1, dtype=np.int32), np.array(block, dtype=np.int32)
         ie, iu = np.nonzero(np.gcd(u, e[:, None]) == 1)  # then gcd(num, e) = gcd(u^2, e) = 1
         e, u, v = e[ie], u[iu], np.arange(-T, T + 1, dtype=np.int32)
         col, uu = (e[:, None] if len(block) > 1 else e[0]), (u * u)[:, None]  # one e keeps |v| e one-dimensional
         num = v * col - uu
         a = abs(num)
-        # u -> v is an edge of c = num / e^2 inside its window, and v has an
-        # image: e divides v^2 + num, which is v^2 - u^2 mod e
-        iu, iv = np.nonzero((a <= height_c) & (np.maximum(reach(u, e)[:, None], reach(v, col)) <= a)
-                            & ((v * v - uu) % col == 0))
-        u, v, e = (x.astype(np.int64)[ix] for x, ix in ((u, iu), (v, iv), (e, iu)))
-        num = v * e - u * u
-        rows += _quad_walk(np.array((num, e, e, u, abs(num), u)), periods)
+        # u -> v is an edge of c = num / e^2 inside its window (v's test covers
+        # u's), and v has an image: e divides v^2 + num, which is v^2 - u^2 mod e
+        iu, iv = np.nonzero((a <= height_c) & (reach(v, col) <= a) & ((v * v - uu) % col == 0))
+        walk = np.array((num[iu, iv], e[iu], np.ones_like(iu), u[iu], a[iu, iv], v[iv]), dtype=np.int64)
+        if 1 in periods:  # step 1 is the edge: v = u has period 1
+            rows.append(walk[:4, walk[3] == walk[5]])
+        rows += _quad_walk(walk[:, walk[3] != walk[5]], periods)
     return np.concatenate(rows, axis=1)
 
 
 def _quad_walk(walk, periods) -> list:
-    """The walk of the module docstring on the edges of one block, the
-    columns of ``walk``, whose rows are num, e, a row for n, u, |num|, and
-    a copy of u: (4, k) pieces of rows (num, e, n, u), one per n in
-    ``periods`` that the walk reaches.  The last row holds the point each
-    edge's walk was at on the last power-of-two step."""
+    """The walk of the module docstring from step 2 on, on the edges u -> v,
+    v != u, of one block, the columns of ``walk``, whose rows are num, e, a
+    row for n, u, |num| and v: (4, k) pieces of rows (num, e, n, u), one per
+    n >= 2 in ``periods`` that the walk reaches.  The last row holds the
+    point each edge's walk was at on the last power-of-two step, v at first."""
     import numpy as np
 
-    rows, z = [], walk[3]
-    for n in range(1, periods[-1] + 1):
+    rows, z = [], walk[5]
+    for n in range(2, periods[-1] + 1):
+        if not z.size:
+            break
         num, e, _, u, a, seen = walk
         z, r = np.divmod(z * z + num, e)
         whole, az = r == 0, abs(z)
@@ -221,8 +224,6 @@ def _quad_walk(walk, periods) -> list:
         # orbit runs into a cycle that misses u
         live = whole & (az * (az - e) <= a) & (z != u) & (z != seen)
         walk, z = walk[:, live], z[live]
-        if not z.size:
-            break
         if n & (n - 1) == 0:
             walk[5] = z
     return rows
@@ -359,22 +360,25 @@ def _quad_rows(height_c: int, bound: int, periods, workers: int) -> list:
     order: by c, then n, then z, each by height, numerator, denominator."""
     import numpy as np
 
-    rows = np.concatenate(_fan_out(_quad_points, _quad_es(height_c, bound), workers, height_c, bound, periods), 1)
-    num, e, n, u = rows
+    rows = _fan_out(_quad_points, _quad_es(height_c, bound), workers, height_c, bound, periods)
+    if not any(part.size for part in rows):  # no point: nothing to sort
+        return []
+    num, e, n, u = rows = np.concatenate(rows, 1)  # rebinding rows frees the parts
     # all points of c share the denominator e, so z = u / e orders by max(|u|, e), then u
     order = np.lexsort((u, np.maximum(abs(u), e), n, e, num, np.maximum(abs(num), e * e)))
     return [((num, e * e), n, u, e) for num, e, n, u in zip(*rows[:, order].tolist())]
 
 
-def _check_scan(box: Dict[str, int], workers: int, size) -> None:
-    """Refuse a scan before it counts or lists anything.  Each height and
-    the point bound must be in [1, 10**6], so that ``count_rationals(h)``,
-    in O(h^(3/4)) steps, stays ~0.03 s, and a quad scan's numbers stay small
-    (``_quad_points``).  Then ``size()`` must be <= 10**7: the (k, b) pairs
-    of a KB or intersection scan, which lists the k and the roots' classes, and
-    for quad, which lists no c, the (2 height_c + 1) len(es) c = num / e^2
-    that can have a window point.  Every quad box with H(c) <= 10**4
-    passes at any point bound: (2 H(c) + 1) isqrt(H(c)) is about 2 * 10**6."""
+def _check_scan(box: Dict[str, int], workers: int, size) -> int:
+    """Refuse a scan before it counts or lists anything, else return
+    ``size()``.  Each height and the point bound must be in [1, 10**6], so
+    that ``count_rationals(h)``, in O(h^(3/4)) steps, stays ~0.03 s, and a
+    quad scan's numbers stay small (``_quad_points``).  Then ``size()`` must
+    be <= 10**7: the (k, b) pairs of a KB or intersection scan, which lists
+    the k and the roots' classes, and for quad, which lists no c, the
+    (2 height_c + 1) len(es) c = num / e^2 that can have a window point.
+    Every quad box with H(c) <= 10**4 passes at any point bound:
+    (2 H(c) + 1) isqrt(H(c)) is about 2 * 10**6."""
     if not 1 <= box["height_point"] <= 10**6:
         raise parameter_excluded("height_point", box["height_point"])
     if workers < 1:
@@ -384,15 +388,16 @@ def _check_scan(box: Dict[str, int], workers: int, size) -> None:
             raise parameter_excluded(name, h)
     if (n := size()) > 10**7:
         raise parameter_excluded("box", n)
+    return n
 
 
 def _scan_periods(kind, box, periods, size, find, workers) -> ScanReport:
-    """The period scans: validate, find, report.  ``find(periods)`` returns
-    the rows (p, n, zn, zd) in scan order and the size of the box."""
+    """The period scans: validate, find, report.  ``find(periods, size())``
+    returns the rows (p, n, zn, zd) in scan order and the size of the box."""
     periods = _check_periods(periods)
-    _check_scan(box, workers, size)
+    size = _check_scan(box, workers, size)
     t0 = time.perf_counter()
-    rows, scanned = find(periods)
+    rows, scanned = find(periods, size)
     hits = tuple({"map": name, "point": format_ratio(zn, zd), "period": n}
                  for p, group in itertools.groupby(rows, key=lambda row: row[0])
                  for name in (_describe(p),) for _, n, zn, zd in group)  # each map formatted once
@@ -408,7 +413,7 @@ def scan_quadratic_periods(
     """Search z^2 + c, height(c) <= height_c, for rational points of the
     given exact periods with height <= height_point."""
 
-    def find(periods):
+    def find(periods, _):
         return _quad_rows(height_c, height_point, periods, workers), count_rationals(height_c)
 
     box = {"height_c": height_c, "height_point": height_point}
@@ -426,8 +431,8 @@ def scan_kb_periods(
     """Search kz + b/z over the (k, b) height box for rational points of the
     given exact periods with height <= height_point."""
 
-    def find(periods):
-        return _kb_rows([r for r in rational_pairs(height_k) if r[0]], height_b, periods, height_point, workers), size()
+    def find(periods, pairs):
+        return _kb_rows([r for r in rational_pairs(height_k) if r[0]], height_b, periods, height_point, workers), pairs
 
     box = {"height_k": height_k, "height_b": height_b, "height_point": height_point}
     size = lambda: (count_rationals(height_k) - 1) * (count_rationals(height_b) - 1)  # the (k, b) pairs

@@ -118,6 +118,16 @@ GOLDEN_CASES = {
     "scan_quad_h200_p100.json": [
         "scan", "--kind", "quad", "--height-c", "200", "--height-point", "100", "--periods", "1,2,3",
     ],
+    # periods 4-8: no hit, so nothing to sort; and the same 468 hits at
+    # periods 1-8, whose walks run eight steps.  Recorded while the walk
+    # still recomputed step 1 from u; both also diffed against the installed
+    # console script in CI, at one and two workers
+    "scan_quad_h20_p100_n4-8.json": [
+        "scan", "--kind", "quad", "--height-c", "20", "--height-point", "100", "--periods", "4,5,6,7,8",
+    ],
+    "scan_quad_h200_p100_n1-8.json": [
+        "scan", "--kind", "quad", "--height-c", "200", "--height-point", "100", "--periods", "1,2,3,4,5,6,7,8",
+    ],
     # 1,028 hits over 20 denominators e^2 and 82,656 (u, v) cells, so the
     # edges are listed in more than one block of e; recorded before the rows
     # became int columns, and also diffed against the installed console

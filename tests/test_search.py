@@ -148,6 +148,14 @@ def test_scans_refuse_parameter_lists_past_ten_million(monkeypatch):
         scan_quadratic_periods(10**6, 10**6, {1})
 
 
+def test_kb_scans_count_their_box_once(monkeypatch):
+    # the checked size of the (k, b) box is the report's scanned_count
+    counted = []
+    monkeypatch.setattr(search, "count_rationals", lambda h: counted.append(h) or count_rationals(h))
+    rep = scan_kb_periods(3, 4, 20, (1, 2))
+    assert sorted(counted) == [3, 4] and rep.scanned_count == (count_rationals(3) - 1) * (count_rationals(4) - 1)
+
+
 def test_scan_caps_admit_every_quad_box_up_to_height_ten_thousand(monkeypatch):
     # H(c) <= 10**4 lists at most (2 * 10**4 + 1) * 100 parameters at any
     # point bound; the scan gets past its checks to count the box
@@ -928,6 +936,79 @@ def test_quad_rows_at_every_cap_are_dynatomic_in_scan_order(cap, height_c, bound
         mp.setattr(search, "_BLOCK_CELLS", cap)
         rows = search._quad_rows(height_c, bound, periods, 1)
     assert _quad_fractions(rows) == want
+
+
+def test_quad_walk_starts_at_step_two_from_the_edges_that_leave_u(monkeypatch):
+    # step 1 is the grid's edge u -> v, num = v e - u^2: the walk is handed
+    # only the edges with v != u, each at v = f(u), and its first image is
+    # that of v; at periods (1,) the edges alone give the rows
+    handed, images = [], []
+    real_walk, real_divmod = search._quad_walk, np.divmod
+
+    def walk(state, periods):
+        handed.append(state.copy())
+        images.append([])
+        return real_walk(state, periods)
+
+    def divmod_(x, y):
+        images[-1].append(x.copy())
+        return real_divmod(x, y)
+
+    monkeypatch.setattr(search, "_quad_walk", walk)
+    monkeypatch.setattr(np, "divmod", divmod_)
+    for box, periods in (((200, 100), (1, 2, 3)), ((20, 100), (4, 5, 6, 7, 8)), ((40, 3), (1,))):
+        handed.clear()
+        images.clear()
+        assert bool(search._quad_rows(*box, periods, 1)) == (periods[0] == 1)
+        assert handed and all(len(steps) <= periods[-1] - 1 for steps in images)
+        for (num, e, _, u, a, v), steps in zip(handed, images):
+            assert (v != u).all() and (v * e - u * u == num).all() and (a == abs(num)).all()
+            assert bool(steps) == (periods[-1] > 1 and v.size > 0)
+            assert not steps or (steps[0] == v * v + num).all()
+
+
+def test_quad_rows_sort_nothing_for_a_box_with_no_point(monkeypatch):
+    sorts = []
+    real_lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(len(keys)) or real_lexsort(keys))
+    assert scan_quadratic_periods(20, 100, (4, 5, 6, 7, 8)).hits == ()
+    assert search._quad_rows(20, 100, (4,), 2) == [] and not sorts
+    assert scan_quadratic_periods(20, 100, (1, 2, 3)).hits and len(sorts) == 1
+
+
+def _grid_edges_with_both_window_tests(block, T, height_c, bound):
+    """The edges (num, e, u, v) of one block's grid kept by the mask that
+    tests u's window, reach(u, e) <= |num|, next to v's."""
+    reach = lambda z, e: abs(z) * (abs(z) - e)
+    u, e = np.arange(-min(bound, T), min(bound, T) + 1), np.array(block)
+    ie, iu = np.nonzero(np.gcd(u, e[:, None]) == 1)
+    e, u, v = e[ie], u[iu], np.arange(-T, T + 1)
+    col, uu = e[:, None], (u * u)[:, None]
+    a = abs(num := v * col - uu)
+    iu, iv = np.nonzero((a <= height_c) & (np.maximum(reach(u, e)[:, None], reach(v, col)) <= a)
+                        & ((v * v - uu) % col == 0))
+    return set(zip(num[iu, iv].tolist(), e[iu].tolist(), u[iu].tolist(), v[iv].tolist()))
+
+
+@pytest.mark.parametrize("cap", _CAPS)
+def test_v_window_test_keeps_the_edges_of_both_tests(monkeypatch, cap):
+    # |u| past c's window gives |v| past it: the grid without u's own test
+    # keeps the same edges, on blocks whose u the bound clips and on whole ones
+    monkeypatch.setattr(search, "_BLOCK_CELLS", cap)
+    edges, real_walk = [], search._quad_walk
+    monkeypatch.setattr(search, "_quad_walk", lambda walk, periods: edges.append(walk[[0, 1, 3, 5]].T.tolist())
+                        or real_walk(walk, periods))
+    clipped = set()
+    for height_c, bound in ((29, 3), (29, 8), (40, 100), (2000, 20)):
+        edges.clear()
+        es = search._quad_es(height_c, bound)
+        fixed = {(num, e, u, u) for num, e, _, u in search._quad_points(es, height_c, bound, (1,)).T.tolist()}
+        blocks = search._quad_blocks(es, height_c, bound)
+        want = set().union(*(_grid_edges_with_both_window_tests(*block, height_c, bound) for block in blocks))
+        moved = {tuple(edge) for part in edges for edge in part}
+        assert len(edges) == len(blocks) and fixed and moved.isdisjoint(fixed) and moved | fixed == want
+        clipped |= {(height_c, bound) for _, T in blocks if bound < T}
+    assert clipped == {(29, 3), (2000, 20)}
 
 
 def test_quad_periodic_points_have_denominator_sqrt_den_c():
